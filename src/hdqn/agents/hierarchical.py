@@ -31,7 +31,7 @@ from hdqn.values import MlpQ, TabularQ
 PHASES = ("pretrain", "joint")
 
 
-def make_value_function(
+def make_estimator(
     backend: str,
     n_states: int,
     n_choices: int,
@@ -97,10 +97,10 @@ class HierarchicalAgent:
         self.eps2 = eps2 if eps2 is not None else EpsilonSchedule()
 
         init_gen = rng.stream(seed, rng.INIT)
-        self.q1 = make_value_function(
+        self.q1 = make_estimator(
             backend, n_states, n_actions, n_goals, learning_rate, hidden, init_gen
         )
-        self.q2 = make_value_function(
+        self.q2 = make_estimator(
             backend, n_states, n_goals, None, learning_rate, hidden, init_gen
         )
         self.d1 = ReplayBuffer(d1_capacity)

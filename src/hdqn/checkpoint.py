@@ -1,46 +1,56 @@
-"""Agent checkpoints: both value functions plus exploration state.
+"""Agent checkpoints: the value functions plus exploration state.
 
-Binary container, little-endian. Layout:
+One binary container, little-endian, version 2. Layout:
 
-    magic "HACK"[4] version u32 agent_kind u8
-    env block: name, key-door layout text, step limit
-    counters: primitive_steps, joint_steps, meta_decisions,
-              completed_options (u64 each)
-    gamma f8
-    schedules: (start f8, floor f8, horizon u64) for the low level and,
-               for the two-level agent, the meta level
-    tracker: n_goals u32, window u32, floor f8, then per goal a u32
-             count and that many outcome bytes (flat agent: n_goals 0)
-    value blobs: u64 length + serialized value function, low level then
-                 (two-level agent only) meta level
+    magic "HACK"[4] version u32 agent_kind u8 (0 flat, 1 hdqn)
+    env:      name text, key-door layout text (empty for chain),
+              step limit u32 (0 for chain)
+    flat:     primitive_steps u64, gamma f8, schedule, value section
+    hdqn:     primitive_steps, joint_steps, meta_decisions,
+              completed_options (u64 each), gamma f8, low-level then
+              meta schedule, tracker, low-level then meta value section
 
-Checkpoints hold everything a frozen-policy evaluation needs; replay
-contents are deliberately not persisted.
+    text:     u32 byte length, then UTF-8 bytes
+    schedule: start f8, floor f8, horizon u64
+    tracker:  window u32, floor f8, then per goal a u32 count and that
+              many outcome bytes
+    value section: backend u8 (0 tabular, 1 mlp), n_states u32,
+              n_goals u32 (0 = no goal axis), n_choices u32,
+              learning_rate f8; mlp adds hidden u32 and train_steps u64;
+              then f8 arrays: the table in C order, or w1, b1, w2, b2
+              followed by their four snapshot arrays
+
+The environment fixes every dimension, so the reader checks each
+section's dimensions against the env's state and action counts and the
+critic's goal count, and each body's length, before it allocates the
+estimator. Trailing bytes are rejected, and every malformed field
+raises ConfigError. Checkpoints hold everything a frozen-policy
+evaluation needs; replay contents are deliberately not persisted.
 """
 from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from hdqn.agents.exploration import EpsilonSchedule
 from hdqn.agents.flat import FlatQAgent
 from hdqn.agents.hierarchical import HierarchicalAgent
+from hdqn.critic import goal_set
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import ConfigError
-from hdqn.values import dump_value_function, load_value_function
+from hdqn.values import MlpQ, TabularQ
 
 _MAGIC = b"HACK"
-_VERSION = 1
-_KINDS = {"flat": 0, "hdqn": 1}
-_KIND_NAMES = {v: k for k, v in _KINDS.items()}
+_VERSION = 2
+_KINDS = ("flat", "hdqn")
+_BACKENDS = ("tabular", "mlp")
 
 
 class _Writer:
     def __init__(self):
         self.parts = []
-
-    def raw(self, data: bytes):
-        self.parts.append(data)
 
     def pack(self, fmt: str, *values):
         self.parts.append(struct.pack("<" + fmt, *values))
@@ -48,14 +58,27 @@ class _Writer:
     def text(self, s: str):
         data = s.encode("utf-8")
         self.pack("I", len(data))
-        self.raw(data)
+        self.parts.append(data)
 
-    def blob(self, data: bytes):
-        self.pack("Q", len(data))
-        self.raw(data)
+    def schedule(self, sched: EpsilonSchedule):
+        self.pack("ddQ", sched.start, sched.floor, sched.horizon)
 
-    def bytes(self) -> bytes:
-        return b"".join(self.parts)
+    def values(self, vf):
+        self.pack(
+            "BIIId",
+            _BACKENDS.index(vf.kind),
+            vf.n_states,
+            vf.n_goals or 0,
+            vf.n_choices,
+            vf.learning_rate,
+        )
+        if vf.kind == "tabular":
+            arrays = [vf.as_array()]
+        else:
+            self.pack("IQ", vf.hidden, vf.train_steps)
+            arrays = [vf.params[n] for n in vf.PARAM_NAMES]
+            arrays += [vf.snapshot[n] for n in vf.PARAM_NAMES]
+        self.parts.extend(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
 
 
 class _Reader:
@@ -63,43 +86,66 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def pack(self, fmt: str):
-        fmt = "<" + fmt
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise ConfigError("checkpoint truncated")
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values if len(values) > 1 else values[0]
-
     def raw(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
+        if size > len(self.data) - self.pos:
             raise ConfigError("checkpoint truncated")
         chunk = self.data[self.pos : self.pos + size]
         self.pos += size
         return chunk
 
+    def pack(self, fmt: str):
+        fmt = "<" + fmt
+        values = struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
+        return values if len(values) > 1 else values[0]
+
     def text(self) -> str:
         return self.raw(self.pack("I")).decode("utf-8")
 
-    def blob(self) -> bytes:
-        return self.raw(self.pack("Q"))
+    def schedule(self) -> EpsilonSchedule:
+        return EpsilonSchedule(*self.pack("ddQ"))
 
+    def array(self, shape) -> np.ndarray:
+        return np.frombuffer(self.raw(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
 
-def _schedule_tuple(sched: EpsilonSchedule):
-    return sched.start, sched.floor, sched.horizon
+    def values(self, n_states: int, n_goals: int | None, n_choices: int):
+        """One value section, which must have exactly these dimensions."""
+        backend, *dims, lr = self.pack("BIIId")
+        if backend >= len(_BACKENDS):
+            raise ConfigError(f"unknown value-function backend {backend}")
+        want = (n_states, n_goals or 0, n_choices)
+        if tuple(dims) != want:
+            raise ConfigError(
+                f"value-function dimensions {tuple(dims)} do not match the "
+                f"environment's (states, goals, choices) {want}"
+            )
+        if _BACKENDS[backend] == "tabular":
+            shape = (n_states, n_choices) if n_goals is None else (n_states, n_goals, n_choices)
+            body = self.array(shape)
+            vf = TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=lr)
+            vf.load_array(body)
+            return vf
+        hidden, train_steps = self.pack("IQ")
+        n_params = (n_states + (n_goals or 0) + 1) * hidden + (hidden + 1) * n_choices
+        if 2 * 8 * n_params > len(self.data) - self.pos:
+            raise ConfigError("checkpoint truncated")
+        vf = MlpQ(n_states, n_choices, n_goals=n_goals, hidden=hidden, learning_rate=lr)
+        vf.train_steps = train_steps
+        for arrays in (vf.params, vf.snapshot):
+            for name in vf.PARAM_NAMES:
+                arrays[name][...] = self.array(arrays[name].shape)
+        return vf
 
 
 def dump_agent(agent, env) -> bytes:
-    w = _Writer()
-    w.raw(_MAGIC)
     if isinstance(agent, HierarchicalAgent):
         kind = "hdqn"
     elif isinstance(agent, FlatQAgent):
         kind = "flat"
     else:
         raise TypeError(f"cannot checkpoint {type(agent).__name__}")
-    w.pack("IB", _VERSION, _KINDS[kind])
+    w = _Writer()
+    w.parts.append(_MAGIC)
+    w.pack("IB", _VERSION, _KINDS.index(kind))
 
     if isinstance(env, ChainEnv):
         w.text("chain")
@@ -112,45 +158,49 @@ def dump_agent(agent, env) -> bytes:
     else:
         raise TypeError(f"cannot checkpoint environment {type(env).__name__}")
 
-    if kind == "hdqn":
-        w.pack(
-            "QQQQ",
-            agent.primitive_steps,
-            agent.joint_steps,
-            agent.meta_decisions,
-            agent.completed_options,
-        )
-        w.pack("d", agent.gamma)
-        w.pack("ddQ", *_schedule_tuple(agent.eps1))
-        w.pack("ddQ", *_schedule_tuple(agent.eps2))
-        tracker = agent.tracker
-        w.pack("IId", tracker.n_goals, tracker.window, tracker.floor)
-        for outcomes in tracker.dump():
-            w.pack("I", len(outcomes))
-            w.raw(bytes(int(o) for o in outcomes))
-        w.blob(dump_value_function(agent.q1))
-        w.blob(dump_value_function(agent.q2))
-    else:
-        w.pack("QQQQ", agent.primitive_steps, 0, 0, 0)
-        w.pack("d", agent.gamma)
-        w.pack("ddQ", *_schedule_tuple(agent.eps))
-        w.pack("ddQ", *_schedule_tuple(agent.eps))
-        w.pack("IId", 0, 1, 0.1)
-        w.blob(dump_value_function(agent.q))
-    return w.bytes()
+    if kind == "flat":
+        w.pack("Qd", agent.primitive_steps, agent.gamma)
+        w.schedule(agent.eps)
+        w.values(agent.q)
+        return b"".join(w.parts)
+
+    w.pack(
+        "QQQQd",
+        agent.primitive_steps,
+        agent.joint_steps,
+        agent.meta_decisions,
+        agent.completed_options,
+        agent.gamma,
+    )
+    w.schedule(agent.eps1)
+    w.schedule(agent.eps2)
+    tracker = agent.tracker
+    w.pack("Id", tracker.window, tracker.floor)
+    for outcomes in tracker.dump():
+        w.pack("I", len(outcomes))
+        w.parts.append(bytes(int(o) for o in outcomes))
+    w.values(agent.q1)
+    w.values(agent.q2)
+    return b"".join(w.parts)
 
 
 def load_agent(data: bytes):
     """Rebuild (agent, env, agent_kind) from checkpoint bytes."""
-    r = _Reader(data)
+    try:
+        return _load(_Reader(data))
+    except ValueError as exc:  # a decoder or a constructor rejected a field
+        raise ConfigError(f"bad checkpoint: {exc}") from None
+
+
+def _load(r: _Reader):
     if r.raw(4) != _MAGIC:
         raise ConfigError("not a checkpoint file (bad magic)")
     version, kind_id = r.pack("IB")
     if version != _VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
-    if kind_id not in _KIND_NAMES:
+    if kind_id >= len(_KINDS):
         raise ConfigError(f"unknown agent kind {kind_id}")
-    kind = _KIND_NAMES[kind_id]
+    kind = _KINDS[kind_id]
 
     env_name = r.text()
     layout = r.text()
@@ -162,60 +212,50 @@ def load_agent(data: bytes):
     else:
         raise ConfigError(f"unknown environment {env_name!r} in checkpoint")
 
-    primitive_steps, joint_steps, meta_decisions, completed_options = r.pack("QQQQ")
-    gamma = r.pack("d")
-    s1, f1, h1 = r.pack("ddQ")
-    s2, f2, h2 = r.pack("ddQ")
-    n_goals, window, floor = r.pack("IId")
-    windows = []
-    for _ in range(n_goals):
-        count = r.pack("I")
-        windows.append([bool(b) for b in r.raw(count)])
-
-    try:
-        q_low = load_value_function(r.blob())
-    except ValueError as exc:
-        raise ConfigError(f"bad value function in checkpoint: {exc}") from None
-
     if kind == "flat":
         if env_name != "chain":
             raise ConfigError("flat-agent checkpoint must target the chain environment")
+        primitive_steps, gamma = r.pack("Qd")
+        eps = r.schedule()
+        q = r.values(env.n_states, None, env.n_actions)
+        _check_end(r)
         agent = FlatQAgent(
-            q_low.n_states,
-            q_low.n_choices,
-            learning_rate=q_low.learning_rate,
+            env.n_states,
+            env.n_actions,
+            learning_rate=q.learning_rate,
             gamma=gamma,
-            eps=EpsilonSchedule(s1, f1, h1),
+            eps=eps,
         )
-        agent.q = q_low
+        agent.q = q
         agent.primitive_steps = primitive_steps
         return agent, env, kind
 
-    q_meta = load_value_function(r.blob())
-    if q_low.n_goals != q_meta.n_choices:
-        raise ConfigError(
-            "checkpoint mismatch: low level conditions on "
-            f"{q_low.n_goals} goals but meta level picks over {q_meta.n_choices}"
-        )
+    n_goals = len(goal_set(env))
+    primitive_steps, joint_steps, meta_decisions, completed_options, gamma = r.pack("QQQQd")
+    eps1 = r.schedule()
+    eps2 = r.schedule()
+    window, floor = r.pack("Id")
+    windows = [[bool(b) for b in r.raw(r.pack("I"))] for _ in range(n_goals)]
+    q1 = r.values(env.n_states, n_goals, env.n_actions)
+    q2 = r.values(env.n_states, None, n_goals)
+    _check_end(r)
+    # The constructor's fresh estimators are replaced by the loaded ones.
     agent = HierarchicalAgent(
-        q_low.n_states,
-        q_low.n_choices,
-        q_meta.n_choices,
-        backend=q_low.kind,
-        learning_rate=q_low.learning_rate,
+        env.n_states,
+        env.n_actions,
+        n_goals,
+        backend=q1.kind,
+        learning_rate=q1.learning_rate,
         gamma=gamma,
-        eps1=EpsilonSchedule(s1, f1, h1),
-        eps2=EpsilonSchedule(s2, f2, h2),
+        eps1=eps1,
+        eps2=eps2,
         eps1_floor=floor,
         tracker_window=window,
-        hidden=getattr(q_low, "hidden", 64) or 64,
+        hidden=q1.hidden if q1.kind == "mlp" else 64,  # only sizes networks
     )
-    agent.q1 = q_low
-    agent.q2 = q_meta
-    try:
-        agent.tracker.load(windows)
-    except ValueError as exc:
-        raise ConfigError(f"bad tracker section in checkpoint: {exc}") from None
+    agent.q1 = q1
+    agent.q2 = q2
+    agent.tracker.load(windows)
     agent.primitive_steps = primitive_steps
     agent.joint_steps = joint_steps
     agent.meta_decisions = meta_decisions
@@ -223,9 +263,9 @@ def load_agent(data: bytes):
     return agent, env, kind
 
 
-def save_agent(path, agent, env) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_agent(agent, env))
+def _check_end(r: _Reader) -> None:
+    if r.pos != len(r.data):
+        raise ConfigError(f"{len(r.data) - r.pos} trailing bytes after the checkpoint")
 
 
 def read_agent(path):

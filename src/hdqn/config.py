@@ -6,6 +6,7 @@ only what differs.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 
 from hdqn.errors import ConfigError
@@ -41,8 +42,6 @@ class ExperimentConfig:
     step_limit: int = 500
     layout: str = ""
     workers: int = 0
-    eval_episodes: int = 100
-    eval_epsilon: float = 0.1
     out_dir: str = "results"
 
     def validate(self) -> "ExperimentConfig":
@@ -63,8 +62,8 @@ class ExperimentConfig:
             raise bad("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise bad("seeds must be distinct")
-        if any(s < 0 for s in self.seeds):
-            raise bad("seeds must be non-negative")
+        if any(not 0 <= s < 2**64 for s in self.seeds):
+            raise bad("seeds must be non-negative 64-bit integers (below 2**64)")
         for name in (
             "episodes",
             "eps1_horizon",
@@ -80,7 +79,6 @@ class ExperimentConfig:
             "reward_window",
             "visit_window",
             "step_limit",
-            "eval_episodes",
         ):
             if getattr(self, name) < 1:
                 raise bad(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -90,18 +88,19 @@ class ExperimentConfig:
             raise bad(f"workers must be >= 0 (0 means auto), got {self.workers}")
         if self.learning_rate <= 0:
             raise bad(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.backend == "tabular" and self.learning_rate > 1:
+            raise bad(f"learning_rate must be <= 1 for tabular values, got {self.learning_rate}")
         if not 0.0 <= self.gamma <= 1.0:
             raise bad(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.eps_floor <= 1.0:
             raise bad(f"eps_floor must be in [0, 1], got {self.eps_floor}")
-        if not 0.0 <= self.eval_epsilon <= 1.0:
-            raise bad(f"eval_epsilon must be in [0, 1], got {self.eval_epsilon}")
         if self.layout and self.env != "keydoor":
             raise bad("layout applies to the keydoor environment only")
         return self
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_COMMENT = re.compile(r"\s+#")
 
 
 def _parse_seeds(raw: str):
@@ -138,17 +137,20 @@ def _coerce(key: str, raw: str):
 def parse_config(text: str, source: str = "<config>") -> dict:
     """Parse flat key=value lines into a field dict.
 
-    Lines are `key = value`; `#` starts a comment; blank lines ignored.
-    Diagnostics carry the source name and 1-based line number.
+    Lines are `key = value`; blank lines are ignored. A `#` starts a
+    comment only as the first non-blank character of a line or after whitespace
+    inside a value, so `layout = #######/#.A.LL#/...` keeps its walls
+    while `episodes = 200   # short run` drops the comment. Diagnostics
+    carry the source name and 1-based line number.
     """
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         key, eq, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
+        raw = _COMMENT.split(raw.strip(), maxsplit=1)[0]
         if not eq or not key:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}")
         if key not in _FIELD_TYPES:

@@ -1,11 +1,13 @@
 """Goal space and goal-achievement checking.
 
-A goal is the predicate <agent, reaches, target>. For the chain task
-every observed state is a target; for the key-door task the targets are
-the four non-hazard entities (key, door, both ladders), checked purely
-on cell configuration: reaching the door counts whether or not the key
-is held. Reaching pays a fixed unit intrinsic reward; intermediate steps
-pay nothing. Intrinsic reward never appears in any extrinsic total.
+A goal is the predicate <agent, reaches, target>; every goal has the
+same subject and relation, so a GoalSpec records only the target. For
+the chain task every observed state is a target; for the key-door task
+the targets are the four non-hazard entities (key, door, both ladders),
+checked purely on cell configuration: reaching the door counts whether
+or not the key is held. Critic.reached is the predicate; the agent pays
+the low level INTRINSIC_REWARD on a step that satisfies it and nothing
+otherwise. Intrinsic reward never appears in any extrinsic total.
 """
 from __future__ import annotations
 
@@ -21,15 +23,8 @@ KEYDOOR_GOAL_KINDS = ("key", "door", "ladder_bl", "ladder_br")
 
 class GoalSpec(NamedTuple):
     goal_id: int
-    entity1: str
-    relation: str
-    entity2: "int | str"  # chain: target state id; key-door: entity kind
+    target: "int | str"  # chain: target state id; key-door: entity kind
     name: str
-
-
-class CriticVerdict(NamedTuple):
-    reached: bool
-    intrinsic_reward: float
 
 
 def goal_set(env) -> list[GoalSpec]:
@@ -39,30 +34,24 @@ def goal_set(env) -> list[GoalSpec]:
     reproducibility contract.
     """
     if isinstance(env, ChainEnv):
-        return [
-            GoalSpec(i, "agent", "reaches", i, f"s{i + 1}")
-            for i in range(env.n_states)
-        ]
+        return [GoalSpec(i, i, f"s{i + 1}") for i in range(env.n_states)]
     if isinstance(env, KeyDoorEnv):
-        return [
-            GoalSpec(i, "agent", "reaches", kind, kind)
-            for i, kind in enumerate(KEYDOOR_GOAL_KINDS)
-        ]
+        return [GoalSpec(i, kind, kind) for i, kind in enumerate(KEYDOOR_GOAL_KINDS)]
     raise TypeError(f"no goal set defined for {type(env).__name__}")
 
 
 class Critic:
     """Checks goal predicates against post-step states.
 
-    Evaluation is pure: the verdict depends only on the goal and the
-    states passed in, never on episode history.
+    The check is pure: it depends only on the goal and the state passed
+    in, never on episode history.
     """
 
     def __init__(self, env):
         self.env = env
         self.goals = goal_set(env)
         if isinstance(env, ChainEnv):
-            self._targets = [g.entity2 for g in self.goals]
+            self._targets = [g.target for g in self.goals]
             self._agent_index = lambda s: s
         else:
             cells = {e.kind: e.position for e in env.entities(0)}
@@ -77,14 +66,6 @@ class Critic:
         return len(self.goals)
 
     def reached(self, goal_id: int, s_after: int) -> bool:
-        """Fast predicate check used inside the training loop."""
+        """Whether the post-step state s_after satisfies goal goal_id."""
         return self._agent_index(s_after) == self._targets[goal_id]
 
-    def evaluate(
-        self, goal: GoalSpec, s_before: int, action: int, s_after: int
-    ) -> CriticVerdict:
-        if not (0 <= goal.goal_id < len(self.goals)) or self.goals[goal.goal_id] != goal:
-            raise ValueError(f"goal {goal!r} is not in this environment's goal set")
-        if self.reached(goal.goal_id, s_after):
-            return CriticVerdict(True, INTRINSIC_REWARD)
-        return CriticVerdict(False, 0.0)

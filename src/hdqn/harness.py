@@ -76,7 +76,7 @@ class SeedResult:
     goal_names: tuple = ()
 
     def columns(self, cfg: ExperimentConfig) -> dict:
-        if cfg.env == "chain" and self.visits is not None:
+        if self.visits is not None:
             return metrics.chain_columns(
                 self.rewards, self.visits, cfg.reward_window, cfg.visit_window
             )
@@ -174,20 +174,16 @@ def write_outputs(cfg: ExperimentConfig, results: list, out_dir: str) -> list:
     """Emit per-seed CSVs, checkpoints, and the cross-seed aggregate."""
     os.makedirs(out_dir, exist_ok=True)
     stem = file_stem(cfg)
+    header, agg_header = metrics.HEADERS[cfg.env]
     written = []
     per_seed_cols = []
     for res in results:
         cols = res.columns(cfg)
         per_seed_cols.append(cols)
         csv_path = os.path.join(out_dir, f"{stem}_seed{res.seed}.csv")
-        if cfg.env == "chain":
-            metrics.write_csv(csv_path, metrics.CHAIN_HEADER, metrics.chain_rows(res.seed, cols))
-        else:
-            metrics.write_csv(
-                csv_path,
-                metrics.KEYDOOR_HEADER,
-                metrics.keydoor_rows(res.seed, cols, res.goal_names),
-            )
+        metrics.write_csv(
+            csv_path, header, metrics.csv_rows(header, cols, res.seed, res.goal_names)
+        )
         written.append(csv_path)
         ckpt_path = os.path.join(out_dir, f"{stem}_seed{res.seed}.ckpt")
         with open(ckpt_path, "wb") as fh:
@@ -196,18 +192,11 @@ def write_outputs(cfg: ExperimentConfig, results: list, out_dir: str) -> list:
 
     agg = metrics.aggregate(per_seed_cols)
     agg_path = os.path.join(out_dir, f"{stem}_aggregate.csv")
-    if cfg.env == "chain":
-        metrics.write_csv(
-            agg_path,
-            metrics.aggregate_header(metrics.CHAIN_HEADER),
-            metrics.chain_aggregate_rows(agg),
-        )
-    else:
-        metrics.write_csv(
-            agg_path,
-            metrics.aggregate_header(metrics.KEYDOOR_HEADER),
-            metrics.keydoor_aggregate_rows(agg, results[0].goal_names),
-        )
+    metrics.write_csv(
+        agg_path,
+        agg_header,
+        metrics.csv_rows(agg_header, agg, goal_names=results[0].goal_names),
+    )
     written.append(agg_path)
     return written
 

@@ -1,20 +1,40 @@
-"""Per-episode metric columns and CSV emission.
+"""Per-episode metric columns, CSV emission and cross-seed aggregation.
 
 All columns are trailing-window statistics computed after training from
 raw per-episode tallies, so logging costs nothing during the run and two
 identical runs serialize to identical bytes. Floats are written with
 repr(), the shortest round-trip form.
+
+A column holds one value per episode, or one per goal per episode as an
+(episodes, n_goals) array. One row writer serves every CSV: the header
+names the columns, and a header with a "goal" column gets one row per
+goal per episode (long format).
 """
 from __future__ import annotations
 
 import numpy as np
 
 CHAIN_STATES = ("s3", "s4", "s5", "s6")  # reported visit columns, ids 2..5
+CHAIN_METRICS = ("reward_ma",) + tuple(f"visits_{name}" for name in CHAIN_STATES)
+KEYDOOR_METRICS = ("reward_ma", "pick_frac", "success_rate")
 
-CHAIN_HEADER = ("seed", "episode", "reward_ma") + tuple(
-    f"visits_{name}" for name in CHAIN_STATES
-)
+
+def _mean_sem(names) -> tuple:
+    return tuple(f"{name}_{stat}" for name in names for stat in ("mean", "sem"))
+
+
+CHAIN_HEADER = ("seed", "episode") + CHAIN_METRICS
 KEYDOOR_HEADER = ("seed", "episode", "reward_ma", "goal", "pick_frac", "success_rate")
+CHAIN_AGGREGATE_HEADER = ("episode",) + _mean_sem(CHAIN_METRICS)
+KEYDOOR_AGGREGATE_HEADER = ("episode", "goal") + _mean_sem(KEYDOOR_METRICS)
+
+_ROW_BLOCK = 4096  # rows turned into Python objects at a time by csv_rows
+
+# env -> (per-seed header, aggregate header)
+HEADERS = {
+    "chain": (CHAIN_HEADER, CHAIN_AGGREGATE_HEADER),
+    "keydoor": (KEYDOOR_HEADER, KEYDOOR_AGGREGATE_HEADER),
+}
 
 
 def trailing_sum(values, window: int) -> np.ndarray:
@@ -61,18 +81,24 @@ def chain_columns(rewards, visit_counts, reward_window: int, visit_window: int) 
 
 
 def keydoor_columns(rewards, pick_counts, success_counts, window: int) -> dict:
-    """Column arrays for one key-door seed, keyed per goal id.
+    """Column arrays for one key-door seed.
 
     pick_counts/success_counts: (episodes, n_goals) per-episode tallies.
+    pick_frac and success_rate are (episodes, n_goals) arrays.
     """
     picks = np.asarray(pick_counts, dtype=np.float64)
     succ = np.asarray(success_counts, dtype=np.float64)
     total_picks = picks.sum(axis=1)
-    cols = {"reward_ma": trailing_mean(rewards, window)}
-    for g in range(picks.shape[1]):
-        cols[f"pick_frac_{g}"] = windowed_ratio(picks[:, g], total_picks, window)
-        cols[f"success_rate_{g}"] = windowed_ratio(succ[:, g], picks[:, g], window)
-    return cols
+    goals = range(picks.shape[1])
+    return {
+        "reward_ma": trailing_mean(rewards, window),
+        "pick_frac": np.column_stack(
+            [windowed_ratio(picks[:, g], total_picks, window) for g in goals]
+        ),
+        "success_rate": np.column_stack(
+            [windowed_ratio(succ[:, g], picks[:, g], window) for g in goals]
+        ),
+    }
 
 
 def format_cell(value) -> str:
@@ -90,25 +116,36 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(format_cell(cell) for cell in row) + "\n")
 
 
-def chain_rows(seed: int, cols: dict):
-    n = len(cols["reward_ma"])
-    names = ["reward_ma"] + [f"visits_{s}" for s in CHAIN_STATES]
-    for i in range(n):
-        yield [seed, i + 1] + [cols[name][i] for name in names]
+def csv_rows(header, cols: dict, seed: int | None = None, goal_names=()):
+    """CSV rows in header order, as tuples.
 
+    "seed" is the given seed, "episode" the 1-based episode index and
+    "goal" the goal name; every other name is a column of cols. With a
+    "goal" column there is one row per goal per episode, episode-major,
+    and a per-episode column repeats across its episode's rows. Each
+    name is resolved to a whole column once; the columns are then zipped
+    a block of rows at a time, which bounds the Python objects alive.
+    """
+    per_episode = len(goal_names) if "goal" in header else 1
+    n_episodes = len(next(iter(cols.values())))
+    n_rows = n_episodes * per_episode
 
-def keydoor_rows(seed: int, cols: dict, goal_names) -> "iter":
-    n = len(cols["reward_ma"])
-    for i in range(n):
-        for g, goal in enumerate(goal_names):
-            yield [
-                seed,
-                i + 1,
-                cols["reward_ma"][i],
-                goal,
-                cols[f"pick_frac_{g}"][i],
-                cols[f"success_rate_{g}"][i],
-            ]
+    def column(name) -> np.ndarray:
+        if name == "seed":
+            return np.full(n_rows, seed, dtype=object)
+        if name == "episode":
+            return np.arange(n_rows) // per_episode + 1
+        if name == "goal":
+            return np.tile(np.asarray(goal_names, dtype=object), n_episodes)
+        col = np.asarray(cols[name])
+        return col.ravel() if col.ndim > 1 else col.repeat(per_episode)
+
+    columns = [column(name) for name in header]
+    for name, col in zip(header, columns):
+        if len(col) != n_rows:
+            raise ValueError(f"column {name!r} has {len(col)} values for {n_rows} rows")
+    for lo in range(0, n_rows, _ROW_BLOCK):
+        yield from zip(*[col[lo : lo + _ROW_BLOCK].tolist() for col in columns])
 
 
 def aggregate(per_seed_cols: list) -> dict:
@@ -116,67 +153,25 @@ def aggregate(per_seed_cols: list) -> dict:
 
     Seeds may have different episode counts (step-budgeted phases); each
     index aggregates the seeds that reached it. SEM uses ddof=1 and is
-    0.0 where only one seed contributes.
+    0.0 where only one seed contributes. Shorter seeds are zero-padded
+    and masked out, so equal and ragged lengths take the same path.
     """
-    names = list(per_seed_cols[0])
-    lengths = [len(cols[names[0]]) for cols in per_seed_cols]
-    n_max = max(lengths)
+    lengths = np.array([len(next(iter(cols.values()))) for cols in per_seed_cols])
+    n_max = int(lengths.max())
+    present = np.arange(n_max) < lengths[:, None]  # (seeds, episodes)
+    count = present.sum(axis=0)
     out = {}
-    for name in names:
-        stacked = [np.asarray(cols[name]) for cols in per_seed_cols]
-        if min(lengths) == n_max:
-            block = np.stack(stacked)
-            mean = block.mean(axis=0)
-            if len(stacked) > 1:
-                sem = block.std(axis=0, ddof=1) / np.sqrt(len(stacked))
-            else:
-                sem = np.zeros(n_max)
-        else:
-            mean = np.empty(n_max)
-            sem = np.zeros(n_max)
-            for i in range(n_max):
-                here = np.array([arr[i] for arr in stacked if len(arr) > i])
-                mean[i] = here.mean()
-                if len(here) > 1:
-                    sem[i] = here.std(ddof=1) / np.sqrt(len(here))
+    for name in per_seed_cols[0]:
+        trailing = np.shape(per_seed_cols[0][name])[1:]
+        block = np.zeros((len(per_seed_cols), n_max) + trailing)
+        for k, cols in enumerate(per_seed_cols):
+            block[k, : lengths[k]] = cols[name]
+        extra = (1,) * len(trailing)
+        mask = present.reshape(present.shape + extra)
+        n = count.reshape(count.shape + extra)
+        mean = block.sum(axis=0) / n
+        dev = np.where(mask, block - mean, 0.0)
+        var = (dev * dev).sum(axis=0) / np.maximum(n - 1, 1)
         out[f"{name}_mean"] = mean
-        out[f"{name}_sem"] = sem
+        out[f"{name}_sem"] = np.where(n > 1, np.sqrt(var) / np.sqrt(n), 0.0)
     return out
-
-
-def aggregate_header(base_header) -> tuple:
-    metric_names = [h for h in base_header if h not in ("seed", "episode", "goal")]
-    cols = ["episode"]
-    if "goal" in base_header:
-        cols.append("goal")
-    for name in metric_names:
-        cols.append(f"{name}_mean")
-        cols.append(f"{name}_sem")
-    return tuple(cols)
-
-
-def chain_aggregate_rows(agg: dict):
-    names = ["reward_ma"] + [f"visits_{s}" for s in CHAIN_STATES]
-    n = len(agg["reward_ma_mean"])
-    for i in range(n):
-        row = [i + 1]
-        for name in names:
-            row.append(agg[f"{name}_mean"][i])
-            row.append(agg[f"{name}_sem"][i])
-        yield row
-
-
-def keydoor_aggregate_rows(agg: dict, goal_names):
-    n = len(agg["reward_ma_mean"])
-    for i in range(n):
-        for g, goal in enumerate(goal_names):
-            yield [
-                i + 1,
-                goal,
-                agg["reward_ma_mean"][i],
-                agg["reward_ma_sem"][i],
-                agg[f"pick_frac_{g}_mean"][i],
-                agg[f"pick_frac_{g}_sem"][i],
-                agg[f"success_rate_{g}_mean"][i],
-                agg[f"success_rate_{g}_sem"][i],
-            ]

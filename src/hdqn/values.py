@@ -12,14 +12,16 @@ one it serves the meta level: values are indexed (state, choice) where
 choices are goals, and batches are 5-tuples (state, choice, reward,
 next_state, terminal). Replay transition tuples match these shapes
 field-for-field.
+
+Estimators have no file format of their own: checkpoint.py writes their
+arrays (as_array/load_array for tables, params and snapshot for
+networks) as sections of the agent checkpoint.
 """
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from hdqn.errors import ConfigError, DivergenceError
+from hdqn.errors import DivergenceError
 
 
 class TabularQ:
@@ -253,15 +255,6 @@ class MlpQ:
         bootstrap = qn.max(axis=1) * (1.0 - np.asarray(term, dtype=np.float64))
         return np.asarray(r, dtype=np.float64) + gamma * bootstrap
 
-    def batch_loss(self, batch: list, gamma: float) -> float:
-        """Mean squared error of the batch under current parameters."""
-        s, g, a, r, sn, term = self._split_batch(batch)
-        y = self._targets(g, r, sn, term, gamma)
-        x = self.encode(s, g)
-        q = self._forward(self.params, x)[2]
-        picked = q[np.arange(len(batch)), np.asarray(a, dtype=np.int64)]
-        return float(np.mean((picked - y) ** 2))
-
     def loss_and_grads(self, batch: list, gamma: float):
         """Pre-step batch loss and its gradient for every parameter."""
         s, g, a, r, sn, term = self._split_batch(batch)
@@ -308,110 +301,8 @@ class MlpQ:
         expected = sum(p.size for p in self.params.values())
         if flat.size != expected:
             raise ValueError(f"expected {expected} parameters, got {flat.size}")
-        _fill_params(self.params, flat, self.PARAM_NAMES)
-
-
-def _fill_params(params: dict, flat: np.ndarray, names) -> None:
-    pos = 0
-    for name in names:
-        p = params[name]
-        p[...] = flat[pos : pos + p.size].reshape(p.shape)
-        pos += p.size
-
-
-# -- serialization -----------------------------------------------------
-#
-# Flat binary layout, little-endian throughout:
-#   magic   4s   b"HQVF"
-#   version u32  1
-#   kind    u32  0 = tabular, 1 = mlp
-#   dims    u32 x 4: n_states, n_goals (0 = none), hidden (0 for tabular),
-#                    n_choices
-#   lr      f64
-#   steps   u64  training steps so far (0 for tabular)
-#   body    f64 array: the table in C order, or w1,b1,w2,b2 live
-#           parameters followed by the same four snapshot arrays.
-
-_MAGIC = b"HQVF"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIIIdQ")
-
-
-def _body(vf) -> np.ndarray:
-    if vf.kind == "tabular":
-        return vf.as_array().ravel()
-    parts = [vf.params[n].ravel() for n in vf.PARAM_NAMES]
-    parts += [vf.snapshot[n].ravel() for n in vf.PARAM_NAMES]
-    return np.concatenate(parts)
-
-
-def dump_value_function(vf) -> bytes:
-    kind = 0 if vf.kind == "tabular" else 1
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        kind,
-        vf.n_states,
-        vf.n_goals or 0,
-        getattr(vf, "hidden", 0),
-        vf.n_choices,
-        vf.learning_rate,
-        getattr(vf, "train_steps", 0),
-    )
-    return header + _body(vf).astype("<f8").tobytes()
-
-
-def load_value_function(blob: bytes):
-    if len(blob) < _HEADER.size:
-        raise ConfigError("value-function blob too short for its header")
-    magic, version, kind, n_states, n_goals, hidden, n_choices, lr, steps = (
-        _HEADER.unpack_from(blob)
-    )
-    if magic != _MAGIC:
-        raise ConfigError("not a value-function blob (bad magic)")
-    if version != _VERSION:
-        raise ConfigError(f"unsupported value-function version {version}")
-    body = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    goals = n_goals or None
-    if kind == 0:
-        try:
-            vf = TabularQ(n_states, n_choices, n_goals=goals, learning_rate=lr)
-        except ValueError as e:
-            raise ConfigError(f"bad tabular value-function header: {e}") from e
-        shape = (
-            (n_states, n_choices) if goals is None else (n_states, goals, n_choices)
-        )
-        if body.size != np.prod(shape):
-            raise ConfigError("tabular value-function body has the wrong size")
-        vf.load_array(body.reshape(shape))
-        return vf
-    if kind == 1:
-        try:
-            vf = MlpQ(
-                n_states,
-                n_choices,
-                n_goals=goals,
-                hidden=hidden,
-                learning_rate=lr,
-                init_rng=np.random.default_rng(0),
-            )
-        except ValueError as e:
-            raise ConfigError(f"bad network value-function header: {e}") from e
-        vf.train_steps = steps
-        half = vf.flat_params().size
-        if body.size != 2 * half:
-            raise ConfigError("network value-function body has the wrong size")
-        _fill_params(vf.params, body[:half], MlpQ.PARAM_NAMES)
-        _fill_params(vf.snapshot, body[half:], MlpQ.PARAM_NAMES)
-        return vf
-    raise ConfigError(f"unknown value-function kind {kind}")
-
-
-def save_value_function(path, vf) -> None:
-    with open(path, "wb") as f:
-        f.write(dump_value_function(vf))
-
-
-def read_value_function(path):
-    with open(path, "rb") as f:
-        return load_value_function(f.read())
+        pos = 0
+        for name in self.PARAM_NAMES:
+            p = self.params[name]
+            p[...] = flat[pos : pos + p.size].reshape(p.shape)
+            pos += p.size

@@ -60,10 +60,10 @@ def finite_difference_grads(net: MlpQ, batch, gamma: float, h: float = 1e-5) -> 
         bumped = base.copy()
         bumped[i] += h
         net.load_flat_params(bumped)
-        plus = net.batch_loss(batch, gamma)
+        plus = net.loss_and_grads(batch, gamma)[0]
         bumped[i] -= 2 * h
         net.load_flat_params(bumped)
-        minus = net.batch_loss(batch, gamma)
+        minus = net.loss_and_grads(batch, gamma)[0]
         grads[i] = (plus - minus) / (2 * h)
     net.load_flat_params(base)
     return grads

@@ -27,6 +27,10 @@ from hdqn.replay import ReplayBuffer
 from helpers import gradcheck_worst_rel_err
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+# Frozen-policy evaluation of the key-door checkpoints: the defaults of
+# `hdqn eval --episodes/--epsilon`.
+EVAL_EPISODES = 100
+EVAL_EPSILON = 0.1
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -156,8 +160,8 @@ def test_keydoor_learning_and_goal_shift(keydoor):
         summary = evaluate_policy(
             agent,
             env,
-            episodes=cfg.eval_episodes,
-            epsilon=cfg.eval_epsilon,
+            episodes=EVAL_EPISODES,
+            epsilon=EVAL_EPSILON,
             seed=9000 + r.seed,
             critic=critic,
         )

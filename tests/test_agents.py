@@ -62,9 +62,9 @@ def test_intrinsic_reward_gating():
     env, critic, agent = chain_agent()
     run_episodes(env, critic, agent, 50)
     for t in agent.d1.oldest_first():
-        verdict = critic.evaluate(critic.goals[t.goal], t.state, t.action, t.next_state)
-        assert (t.intrinsic_reward > 0) == verdict.reached
-        if verdict.reached:
+        reached = critic.reached(t.goal, t.next_state)
+        assert (t.intrinsic_reward > 0) == reached
+        if reached:
             assert t.episode_or_goal_terminal
 
 

@@ -65,6 +65,26 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old,new,flags",
+    [
+        ("learning_rate = 0.1", "learning_rate = 1.5", []),
+        ("learning_rate = 0.1", "learning_rate = 1.5\nagent = flat", []),
+        ("seeds = 0,1", f"seeds = {2**64}", []),
+        ("", "", ["--seed", str(2**64)]),
+    ],
+    ids=["tabular-rate", "flat-rate", "config-seed", "flag-seed"],
+)
+def test_out_of_range_inputs_exit_1(tmp_path, capsys, old, new, flags):
+    """Inputs that once passed validation and then crashed in training."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY.replace(old, new) if old else TINY)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "r"), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: invalid config:")
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_runs_on_written_checkpoint(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "results"
     main(["run", "--config", str(tiny_cfg), "--out", str(out)])

@@ -1,7 +1,9 @@
 import pytest
 
 from hdqn.config import ExperimentConfig, default_config, load_config, parse_config
+from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import ConfigError
+from hdqn.harness import build_env
 
 
 def test_defaults_are_the_chain_experiment():
@@ -83,7 +85,9 @@ def test_line_number_points_at_offender():
         {"eps_floor": -0.1},
         {"pretrain_steps": -1},
         {"layout": "####/#AK#/####"},  # layout without keydoor env
-        {"eval_epsilon": 2.0},
+        {"learning_rate": 1.5},  # tabular values need a step size in (0, 1]
+        {"agent": "flat", "learning_rate": 1.5},
+        {"seeds": (2**64,)},  # beyond the 64-bit seed space
     ],
 )
 def test_validation_rejects(overrides):
@@ -101,6 +105,15 @@ def test_load_config_roundtrip(tmp_path):
         50,
         (0, 1),
     )
+
+
+def test_walled_layout_loads_from_config_file(tmp_path):
+    layout = "#######/#.A.LL#/#.SS..#/#K...D#/#######"
+    path = tmp_path / "room.cfg"
+    path.write_text(f"# custom room\nenv = keydoor\nlayout = {layout}   # walls kept\n")
+    cfg = load_config(str(path))
+    assert cfg.layout == layout
+    assert build_env(cfg).layout == KeyDoorEnv(layout).layout
 
 
 def test_load_config_overrides_win(tmp_path):

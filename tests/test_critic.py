@@ -1,7 +1,8 @@
 import pytest
 
 from hdqn import rng
-from hdqn.critic import INTRINSIC_REWARD, Critic, GoalSpec, goal_set
+from hdqn.agents import EpsilonSchedule, HierarchicalAgent
+from hdqn.critic import INTRINSIC_REWARD, Critic, goal_set
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import DOWN, LEFT, KeyDoorEnv
 
@@ -11,14 +12,14 @@ def test_chain_goal_set():
     assert len(goals) == 6
     assert [g.goal_id for g in goals] == list(range(6))
     assert [g.name for g in goals] == ["s1", "s2", "s3", "s4", "s5", "s6"]
-    assert all(g.entity1 == "agent" and g.relation == "reaches" for g in goals)
+    assert [g.target for g in goals] == list(range(6))
     assert goals == goal_set(ChainEnv())
 
 
 def test_keydoor_goal_set():
     goals = goal_set(KeyDoorEnv())
     assert [g.name for g in goals] == ["key", "door", "ladder_bl", "ladder_br"]
-    assert [g.entity2 for g in goals] == ["key", "door", "ladder_bl", "ladder_br"]
+    assert [g.target for g in goals] == ["key", "door", "ladder_bl", "ladder_br"]
 
 
 def test_unknown_env_rejected():
@@ -28,22 +29,32 @@ def test_unknown_env_rejected():
 
 def test_chain_goal_predicate():
     critic = Critic(ChainEnv())
-    top = critic.goals[5]
-    assert critic.evaluate(top, 4, 1, 5) == (True, INTRINSIC_REWARD)
-    assert critic.evaluate(top, 5, 0, 4) == (False, 0.0)
-    # Verdict depends on s_after only.
-    for s_before in range(6):
-        for a in (0, 1):
-            assert critic.evaluate(top, s_before, a, 5).reached
+    for g in critic.goals:
+        for s_after in range(6):
+            assert critic.reached(g.goal_id, s_after) == (s_after == g.target)
 
 
 def test_intrinsic_positive_iff_reached_chain():
-    critic = Critic(ChainEnv())
-    for g in critic.goals:
-        for s_after in range(6):
-            verdict = critic.evaluate(g, 1, 0, s_after)
-            assert (verdict.intrinsic_reward > 0) == verdict.reached
-            assert verdict.reached == (s_after == g.entity2)
+    """The low level is paid INTRINSIC_REWARD on exactly the steps that
+    satisfy the critic's predicate, and nothing on any other step."""
+    env = ChainEnv()
+    critic = Critic(env)
+    agent = HierarchicalAgent(
+        env.n_states,
+        env.n_actions,
+        critic.n_goals,
+        seed=2,
+        learning_rate=0.1,
+        eps1=EpsilonSchedule(horizon=200),
+        eps2=EpsilonSchedule(horizon=200),
+    )
+    env_gen = rng.stream(2, rng.ENV)
+    for _ in range(30):
+        agent.run_episode(env, critic, "joint", env_gen)
+    paid = [t.intrinsic_reward for t in agent.d1.oldest_first()]
+    assert set(paid) == {0.0, INTRINSIC_REWARD}
+    for t in agent.d1.oldest_first():
+        assert (t.intrinsic_reward == INTRINSIC_REWARD) == critic.reached(t.goal, t.next_state)
 
 
 def test_keydoor_goal_predicates():
@@ -51,42 +62,33 @@ def test_keydoor_goal_predicates():
     critic = Critic(env)
     gen = rng.stream(0, rng.ENV)
     s = env.reset(gen)
-    by_name = {g.name: g for g in critic.goals}
+    by_name = {g.name: g.goal_id for g in critic.goals}
     # Walk to the key: goal "key" is reached on the pickup step.
     for a in [LEFT] * 4 + [DOWN] * 5:
-        s_prev, (s, _, _) = s, env.step(a, gen)
-        assert not critic.evaluate(by_name["key"], s_prev, a, s).reached
-    s_prev, (s, r, _) = s, env.step(DOWN, gen)
+        s, _, _ = env.step(a, gen)
+        assert not critic.reached(by_name["key"], s)
+    s, r, _ = env.step(DOWN, gen)
     assert r == 100.0
-    assert critic.evaluate(by_name["key"], s_prev, DOWN, s).reached
-    assert not critic.evaluate(by_name["door"], s_prev, DOWN, s).reached
+    assert critic.reached(by_name["key"], s)
+    assert not critic.reached(by_name["door"], s)
 
 
 def test_door_goal_ignores_key_possession():
     """The critic checks cells only; door is a valid goal without the key."""
     env = KeyDoorEnv()
     critic = Critic(env)
-    door = critic.goals[1]
+    door = critic.goals[1].goal_id
     # State with the agent on the door cell, no key.
     s = env.encode(env.layout.door, 0, 0, False)
-    assert critic.evaluate(door, 0, 0, s).reached
-    assert critic.evaluate(door, 0, 0, env.reset(rng.stream(0, rng.ENV))).reached is False
+    assert critic.reached(door, s)
+    assert critic.reached(door, env.reset(rng.stream(0, rng.ENV))) is False
 
 
 def test_ladder_goals():
     env = KeyDoorEnv()
     critic = Critic(env)
     for name, cell in (("ladder_bl", env.layout.ladder_bl), ("ladder_br", env.layout.ladder_br)):
-        goal = next(g for g in critic.goals if g.name == name)
+        goal = next(g.goal_id for g in critic.goals if g.name == name)
         s = env.encode(cell, 3, 1, True)
-        assert critic.evaluate(goal, 0, 0, s).reached
+        assert critic.reached(goal, s)
 
-
-def test_foreign_goal_rejected():
-    critic = Critic(ChainEnv())
-    fake = GoalSpec(2, "agent", "reaches", 5, "s6")  # id does not match target
-    with pytest.raises(ValueError):
-        critic.evaluate(fake, 0, 0, 5)
-    out_of_range = GoalSpec(17, "agent", "reaches", 17, "s18")
-    with pytest.raises(ValueError):
-        critic.evaluate(out_of_range, 0, 0, 5)

@@ -55,10 +55,9 @@ def test_keydoor_columns_fractions():
     picks = [[2, 0], [1, 1]]
     succ = [[1, 0], [1, 1]]
     cols = metrics.keydoor_columns(rewards, picks, succ, window=10)
-    np.testing.assert_allclose(cols["pick_frac_0"], [1.0, 0.75])
-    np.testing.assert_allclose(cols["pick_frac_1"], [0.0, 0.25])
-    np.testing.assert_allclose(cols["success_rate_0"], [0.5, 2 / 3])
-    np.testing.assert_allclose(cols["success_rate_1"], [0.0, 1.0])
+    assert cols["pick_frac"].shape == cols["success_rate"].shape == (2, 2)
+    np.testing.assert_allclose(cols["pick_frac"], [[1.0, 0.0], [0.75, 0.25]])
+    np.testing.assert_allclose(cols["success_rate"], [[0.5, 0.0], [2 / 3, 1.0]])
 
 
 def test_format_cell():
@@ -104,6 +103,53 @@ def test_aggregate_mean_equals_arithmetic_mean_within_1e12():
     assert np.max(np.abs(agg["m_mean"] - manual)) < 1e-12
 
 
+def per_index_aggregate(per_seed_cols: list) -> dict:
+    """Reference: the per-episode-index loop the masked aggregate replaced."""
+    out = {}
+    for name in per_seed_cols[0]:
+        stacked = [np.asarray(cols[name]) for cols in per_seed_cols]
+        n_max = max(len(arr) for arr in stacked)
+        mean = np.empty(n_max)
+        sem = np.zeros(n_max)
+        for i in range(n_max):
+            here = np.array([arr[i] for arr in stacked if len(arr) > i])
+            mean[i] = here.mean()
+            if len(here) > 1:
+                sem[i] = here.std(ddof=1) / np.sqrt(len(here))
+        out[f"{name}_mean"] = mean
+        out[f"{name}_sem"] = sem
+    return out
+
+
+@pytest.mark.parametrize("n_seeds", range(1, 11))
+def test_aggregate_matches_per_index_reference(n_seeds):
+    """Bit-identical up to 7 ragged seeds. From 8 seeds on, numpy's 1-D
+    sum in the reference switches to 8-way pairwise summation, so only
+    the last bits may differ."""
+    gen = np.random.default_rng(n_seeds)
+    for _ in range(50):
+        lengths = gen.integers(1, 30, size=n_seeds)
+        cols = [{"m": gen.normal(size=n) * 10.0 ** gen.integers(-3, 3)} for n in lengths]
+        got, want = metrics.aggregate(cols), per_index_aggregate(cols)
+        for key in want:
+            if n_seeds <= 7:
+                np.testing.assert_array_equal(got[key], want[key])
+            else:
+                np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+
+
+def test_aggregate_per_goal_columns_match_per_goal_aggregates():
+    gen = np.random.default_rng(11)
+    lengths = (5, 9, 7)
+    cols = [{"p": gen.random((n, 3))} for n in lengths]
+    agg = metrics.aggregate(cols)
+    assert agg["p_mean"].shape == agg["p_sem"].shape == (9, 3)
+    for g in range(3):
+        ref = metrics.aggregate([{"p": c["p"][:, g]} for c in cols])
+        np.testing.assert_array_equal(agg["p_mean"][:, g], ref["p_mean"])
+        np.testing.assert_array_equal(agg["p_sem"][:, g], ref["p_sem"])
+
+
 def test_row_generators():
     cols = {
         "reward_ma": np.array([0.5]),
@@ -112,25 +158,38 @@ def test_row_generators():
         "visits_s5": np.array([3.0]),
         "visits_s6": np.array([4.0]),
     }
-    rows = list(metrics.chain_rows(9, cols))
-    assert rows == [[9, 1, 0.5, 1.0, 2.0, 3.0, 4.0]]
+    rows = list(metrics.csv_rows(metrics.CHAIN_HEADER, cols, 9))
+    assert rows == [(9, 1, 0.5, 1.0, 2.0, 3.0, 4.0)]
 
     kcols = {
-        "reward_ma": np.array([7.0]),
-        "pick_frac_0": np.array([0.25]),
-        "success_rate_0": np.array([1.0]),
-        "pick_frac_1": np.array([0.75]),
-        "success_rate_1": np.array([0.5]),
+        "reward_ma": np.array([7.0, 8.0]),
+        "pick_frac": np.array([[0.25, 0.75], [0.5, 0.5]]),
+        "success_rate": np.array([[1.0, 0.5], [0.0, 1.0]]),
     }
-    krows = list(metrics.keydoor_rows(2, kcols, ("key", "door")))
+    krows = list(metrics.csv_rows(metrics.KEYDOOR_HEADER, kcols, 2, ("key", "door")))
     assert krows == [
-        [2, 1, 7.0, "key", 0.25, 1.0],
-        [2, 1, 7.0, "door", 0.75, 0.5],
+        (2, 1, 7.0, "key", 0.25, 1.0),
+        (2, 1, 7.0, "door", 0.75, 0.5),
+        (2, 2, 8.0, "key", 0.5, 0.0),
+        (2, 2, 8.0, "door", 0.5, 1.0),
     ]
+
+    agg = metrics.aggregate([kcols, kcols])
+    arows = list(
+        metrics.csv_rows(metrics.KEYDOOR_AGGREGATE_HEADER, agg, goal_names=("key", "door"))
+    )
+    assert arows[1] == (1, "door", 7.0, 0.0, 0.75, 0.0, 0.5, 0.0)
+    assert len(arows) == 4
+
+
+def test_row_generator_rejects_mismatched_columns():
+    cols = {"reward_ma": np.array([1.0, 2.0]), "visits_s3": np.array([1.0])}
+    with pytest.raises(ValueError):
+        list(metrics.csv_rows(("episode", "reward_ma", "visits_s3"), cols))
 
 
 def test_aggregate_headers():
-    assert metrics.aggregate_header(metrics.CHAIN_HEADER) == (
+    assert metrics.CHAIN_AGGREGATE_HEADER == (
         "episode",
         "reward_ma_mean",
         "reward_ma_sem",
@@ -143,4 +202,13 @@ def test_aggregate_headers():
         "visits_s6_mean",
         "visits_s6_sem",
     )
-    assert metrics.aggregate_header(metrics.KEYDOOR_HEADER)[:2] == ("episode", "goal")
+    assert metrics.KEYDOOR_AGGREGATE_HEADER == (
+        "episode",
+        "goal",
+        "reward_ma_mean",
+        "reward_ma_sem",
+        "pick_frac_mean",
+        "pick_frac_sem",
+        "success_rate_mean",
+        "success_rate_sem",
+    )

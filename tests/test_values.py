@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import gradcheck_worst_rel_err
-from hdqn.errors import ConfigError, DivergenceError
-from hdqn.values import (
-    MlpQ,
-    TabularQ,
-    dump_value_function,
-    load_value_function,
-    read_value_function,
-    save_value_function,
-)
+from hdqn.errors import DivergenceError
+from hdqn.values import MlpQ, TabularQ
 
 # -- tabular -----------------------------------------------------------
 
@@ -204,7 +197,7 @@ def test_loss_decreases_on_fixed_batch():
     batch = [
         (s, a, float(gen.normal()), 0, True) for s in range(4) for a in range(2)
     ]
-    first = net.batch_loss(batch, 0.99)
+    first = net.loss_and_grads(batch, 0.99)[0]
     last = 0.0
     for _ in range(1000):
         last = net.train_on(batch, 0.99)
@@ -218,64 +211,6 @@ def test_divergence_raises():
         net.train_on([(0, 0, 1.0, 1, True)], 0.99)
 
 
-def test_loss_and_grads_loss_matches_batch_loss():
-    gen = np.random.default_rng(7)
-    net = MlpQ(5, 3, n_goals=2, hidden=4, init_rng=gen)
-    batch = [(1, 0, 2, 0.7, 3, False), (4, 1, 0, -0.2, 0, True)]
-    loss, _ = net.loss_and_grads(batch, 0.9)
-    assert loss == pytest.approx(net.batch_loss(batch, 0.9), abs=1e-15)
-
-
 def test_gradient_check_small():
     # The full 100-instance sweep runs in the acceptance suite.
     assert gradcheck_worst_rel_err(n_instances=10, seed=1) < 1e-4
-
-
-# -- serialization -----------------------------------------------------
-
-
-def test_tabular_roundtrip(tmp_path):
-    t = TabularQ(4, 3, n_goals=2, learning_rate=0.25)
-    t.backup(1, 1, 2, 1.0, 2, True, 0.9)
-    path = tmp_path / "table.vf"
-    save_value_function(path, t)
-    back = read_value_function(path)
-    assert back.kind == "tabular"
-    assert (back.n_states, back.n_goals, back.n_choices) == (4, 2, 3)
-    assert back.learning_rate == 0.25
-    assert np.array_equal(back.as_array(), t.as_array())
-
-
-def test_meta_tabular_roundtrip(tmp_path):
-    t = TabularQ(6, 6, learning_rate=0.01)
-    t.backup(2, None, 5, 1.0, 3, False, 0.99)
-    path = tmp_path / "meta.vf"
-    save_value_function(path, t)
-    back = read_value_function(path)
-    assert back.n_goals is None
-    assert np.array_equal(back.as_array(), t.as_array())
-
-
-def test_mlp_roundtrip(tmp_path):
-    net = MlpQ(5, 2, n_goals=3, hidden=7, learning_rate=3e-4,
-               init_rng=np.random.default_rng(8))
-    net.train_on([(0, 1, 0, 0.5, 2, False)], 0.99)
-    path = tmp_path / "net.vf"
-    save_value_function(path, net)
-    back = read_value_function(path)
-    assert back.kind == "mlp"
-    assert (back.hidden, back.train_steps, back.learning_rate) == (7, 1, 3e-4)
-    assert np.array_equal(back.flat_params(), net.flat_params())
-    for k in net.PARAM_NAMES:
-        assert np.array_equal(back.snapshot[k], net.snapshot[k])
-    assert np.array_equal(back.values(1, 2), net.values(1, 2))
-
-
-def test_load_rejects_garbage():
-    with pytest.raises(ConfigError):
-        load_value_function(b"short")
-    good = dump_value_function(TabularQ(2, 2))
-    with pytest.raises(ConfigError):
-        load_value_function(b"XXXX" + good[4:])
-    with pytest.raises(ConfigError):
-        load_value_function(good[:-8])

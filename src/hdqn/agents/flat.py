@@ -4,6 +4,11 @@ The comparison baseline: one table over (state, action), online backups
 on every step (no replay), exploration annealed on a primitive-step
 clock. On the chain task this agent sees only the position, so the
 history-dependent payoff is invisible to it by design.
+
+The table is nested Python lists and the backup is written inline: one
+scalar update per step is where lists beat ndarray scalar access, and
+TabularQ's batch path would cost more than it saves. The rule is
+TabularQ.backup's, and a test holds the two equal.
 """
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ import numpy as np
 from hdqn import rng
 from hdqn.agents.exploration import EpsilonSchedule, eps_greedy
 from hdqn.agents.trace import EpisodeTrace
-from hdqn.values import TabularQ
 
 
 class FlatQAgent:
@@ -31,14 +35,16 @@ class FlatQAgent:
         self.seed = seed
         self.gamma = gamma
         self.eps = eps if eps is not None else EpsilonSchedule()
-        self.q = TabularQ(n_states, n_actions, learning_rate=learning_rate)
+        self.learning_rate = learning_rate
+        self.table = [[0.0] * n_actions for _ in range(n_states)]
         self._act_gen = rng.stream(seed, rng.CONTROLLER)
         self.primitive_steps = 0
 
     def run_episode(
         self, env, env_gen: np.random.Generator, count_visits: bool = False
     ) -> EpisodeTrace:
-        q = self.q
+        table = self.table
+        alpha = self.learning_rate
         gamma = self.gamma
         act_gen = self._act_gen
         n_actions = self.n_actions
@@ -48,10 +54,21 @@ class FlatQAgent:
         done = False
         while not done:
             epsilon = self.eps.value(self.primitive_steps)
-            a = eps_greedy(q.values(s), n_actions, epsilon, act_gen)
+            cell = table[s]
+            a = eps_greedy(cell, n_actions, epsilon, act_gen)
             s_next, r, done = env.step(a, env_gen)
             self.primitive_steps += 1
-            q.backup(s, None, a, r, s_next, done, gamma)
+            if done:
+                target = r
+            else:
+                row = table[s_next]
+                m = row[0]
+                for v in row:
+                    if v > m:
+                        m = v
+                target = r + gamma * m
+            cur = cell[a]
+            cell[a] = cur + alpha * (target - cur)
             trace.total_reward += r
             trace.steps += 1
             if visits is not None:
@@ -73,7 +90,7 @@ class FlatQAgent:
         trace = EpisodeTrace(state_visits=visits)
         done = False
         while not done:
-            a = eps_greedy(self.q.values(s), self.n_actions, epsilon, pick_gen)
+            a = eps_greedy(self.table[s], self.n_actions, epsilon, pick_gen)
             s, r, done = env.step(a, env_gen)
             trace.total_reward += r
             trace.steps += 1

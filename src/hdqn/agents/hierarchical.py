@@ -8,7 +8,8 @@ episode terminates. Environment rewards collected while an option runs
 are summed undiscounted into F and credited to the goal choice as one
 meta-scale transition; discounting enters only through the bootstrap.
 
-Both levels train from their own replay memory once per primitive step.
+Both levels train from their own replay memory once per primitive step:
+one minibatch of columns per level, through the estimator's train_on.
 Exploration at both levels is annealed 1 -> 0.1 on shared step clocks:
 the low level takes the smaller of a linear schedule (clock: primitive
 steps, all phases) and a per-goal rate derived from the tracker, so a
@@ -25,7 +26,7 @@ from hdqn import rng
 from hdqn.agents.exploration import EpsilonSchedule, GoalSuccessTracker, eps_greedy
 from hdqn.agents.trace import EpisodeTrace
 from hdqn.critic import INTRINSIC_REWARD
-from hdqn.replay import ControllerTransition, MetaTransition, ReplayBuffer
+from hdqn.replay import ReplayBuffer
 from hdqn.values import MlpQ, TabularQ
 
 PHASES = ("pretrain", "joint")
@@ -76,7 +77,10 @@ class HierarchicalAgent:
         tracker_window: int = 100,
         hidden: int = 64,
         target_sync: int = 1000,
+        estimators: tuple | None = None,
     ):
+        """estimators, when given, is a prebuilt (q1, q2) pair used in place
+        of fresh ones; backend, learning_rate and hidden are then unused."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if d1_warmup < 1 or d2_warmup < 1:
@@ -87,7 +91,6 @@ class HierarchicalAgent:
         self.n_actions = n_actions
         self.n_goals = n_goals
         self.seed = seed
-        self.backend = backend
         self.gamma = gamma
         self.batch_size = batch_size
         self.d1_warmup = d1_warmup
@@ -96,20 +99,23 @@ class HierarchicalAgent:
         self.eps1 = eps1 if eps1 is not None else EpsilonSchedule()
         self.eps2 = eps2 if eps2 is not None else EpsilonSchedule()
 
-        init_gen = rng.stream(seed, rng.INIT)
-        self.q1 = make_estimator(
-            backend, n_states, n_actions, n_goals, learning_rate, hidden, init_gen
-        )
-        self.q2 = make_estimator(
-            backend, n_states, n_goals, None, learning_rate, hidden, init_gen
-        )
-        self.d1 = ReplayBuffer(d1_capacity)
-        self.d2 = ReplayBuffer(d2_capacity)
+        if estimators is None:
+            init_gen = rng.stream(seed, rng.INIT)
+            estimators = (
+                make_estimator(
+                    backend, n_states, n_actions, n_goals, learning_rate, hidden, init_gen
+                ),
+                make_estimator(
+                    backend, n_states, n_goals, None, learning_rate, hidden, init_gen
+                ),
+            )
+        self.q1, self.q2 = estimators
+        self.backend = self.q1.kind
+        self.d1 = ReplayBuffer(d1_capacity, rng.stream(seed, rng.REPLAY_D1))
+        self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2), goal_axis=False)
         self.tracker = GoalSuccessTracker(n_goals, window=tracker_window, floor=eps1_floor)
         self._ctrl_gen = rng.stream(seed, rng.CONTROLLER)
         self._meta_gen = rng.stream(seed, rng.META)
-        self._d1_gen = rng.stream(seed, rng.REPLAY_D1)
-        self._d2_gen = rng.stream(seed, rng.REPLAY_D2)
 
         self.primitive_steps = 0
         self.joint_steps = 0  # the meta anneal clock
@@ -120,10 +126,10 @@ class HierarchicalAgent:
         """Schedule-bounded adaptive exploration rate for one goal."""
         return min(self.eps1.value(self.primitive_steps), self.tracker.epsilon(goal))
 
-    def _update(self, vf, buffer, warmup, gen) -> None:
+    def _update(self, vf, buffer, warmup) -> None:
         if len(buffer) < warmup:
             return
-        vf.train_on(buffer.sample(self.batch_size, gen), self.gamma)
+        vf.train_on(buffer.sample(self.batch_size), self.gamma)
         if vf.kind == "mlp" and vf.train_steps % self.target_sync == 0:
             vf.sync_target()
 
@@ -166,24 +172,17 @@ class HierarchicalAgent:
                     self.joint_steps += 1
                 reached = reached_check(g, s_next)
                 d1.push(
-                    ControllerTransition(
-                        s,
-                        g,
-                        a,
-                        INTRINSIC_REWARD if reached else 0.0,
-                        s_next,
-                        done or reached,
-                    )
+                    s, g, a, INTRINSIC_REWARD if reached else 0.0, s_next, done or reached
                 )
                 option_return += r
                 trace.total_reward += r
                 trace.steps += 1
                 if visits is not None:
                     visits[s_next] += 1
-                self._update(q1, d1, self.d1_warmup, self._d1_gen)
-                self._update(q2, d2, self.d2_warmup, self._d2_gen)
+                self._update(q1, d1, self.d1_warmup)
+                self._update(q2, d2, self.d2_warmup)
                 s = s_next
-            d2.push(MetaTransition(s0, g, option_return, s, done))
+            d2.push(s0, None, g, option_return, s, done)
             self.completed_options += 1
             tracker.record(g, reached)
             trace.goal_successes.append(reached)

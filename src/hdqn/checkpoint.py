@@ -64,21 +64,20 @@ class _Writer:
         self.pack("ddQ", sched.start, sched.floor, sched.horizon)
 
     def values(self, vf):
-        self.pack(
-            "BIIId",
-            _BACKENDS.index(vf.kind),
-            vf.n_states,
-            vf.n_goals or 0,
-            vf.n_choices,
-            vf.learning_rate,
-        )
         if vf.kind == "tabular":
-            arrays = [vf.as_array()]
-        else:
-            self.pack("IQ", vf.hidden, vf.train_steps)
-            arrays = [vf.params[n] for n in vf.PARAM_NAMES]
-            arrays += [vf.snapshot[n] for n in vf.PARAM_NAMES]
+            self.table(vf.n_goals, vf.learning_rate, vf.table)
+            return
+        self.pack("BIIId", 1, vf.n_states, vf.n_goals or 0, vf.n_choices, vf.learning_rate)
+        self.pack("IQ", vf.hidden, vf.train_steps)
+        arrays = [vf.params[n] for n in vf.PARAM_NAMES]
+        arrays += [vf.snapshot[n] for n in vf.PARAM_NAMES]
         self.parts.extend(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+
+    def table(self, n_goals: int | None, learning_rate: float, table):
+        """A tabular section; table has shape (states, [goals,] choices)."""
+        table = np.asarray(table, dtype="<f8")
+        self.pack("BIIId", 0, table.shape[0], n_goals or 0, table.shape[-1], learning_rate)
+        self.parts.append(table.tobytes())
 
 
 class _Reader:
@@ -122,7 +121,7 @@ class _Reader:
             shape = (n_states, n_choices) if n_goals is None else (n_states, n_goals, n_choices)
             body = self.array(shape)
             vf = TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=lr)
-            vf.load_array(body)
+            vf.table[...] = body
             return vf
         hidden, train_steps = self.pack("IQ")
         n_params = (n_states + (n_goals or 0) + 1) * hidden + (hidden + 1) * n_choices
@@ -161,7 +160,7 @@ def dump_agent(agent, env) -> bytes:
     if kind == "flat":
         w.pack("Qd", agent.primitive_steps, agent.gamma)
         w.schedule(agent.eps)
-        w.values(agent.q)
+        w.table(None, agent.learning_rate, agent.table)
         return b"".join(w.parts)
 
     w.pack(
@@ -219,6 +218,8 @@ def _load(r: _Reader):
         eps = r.schedule()
         q = r.values(env.n_states, None, env.n_actions)
         _check_end(r)
+        if q.kind != "tabular":
+            raise ConfigError("flat-agent checkpoint must hold a tabular value section")
         agent = FlatQAgent(
             env.n_states,
             env.n_actions,
@@ -226,7 +227,7 @@ def _load(r: _Reader):
             gamma=gamma,
             eps=eps,
         )
-        agent.q = q
+        agent.table = q.table.tolist()
         agent.primitive_steps = primitive_steps
         return agent, env, kind
 
@@ -239,22 +240,17 @@ def _load(r: _Reader):
     q1 = r.values(env.n_states, n_goals, env.n_actions)
     q2 = r.values(env.n_states, None, n_goals)
     _check_end(r)
-    # The constructor's fresh estimators are replaced by the loaded ones.
     agent = HierarchicalAgent(
         env.n_states,
         env.n_actions,
         n_goals,
-        backend=q1.kind,
-        learning_rate=q1.learning_rate,
         gamma=gamma,
         eps1=eps1,
         eps2=eps2,
         eps1_floor=floor,
         tracker_window=window,
-        hidden=q1.hidden if q1.kind == "mlp" else 64,  # only sizes networks
+        estimators=(q1, q2),
     )
-    agent.q1 = q1
-    agent.q2 = q2
     agent.tracker.load(windows)
     agent.primitive_steps = primitive_steps
     agent.joint_steps = joint_steps

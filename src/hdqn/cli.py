@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--checkpoint", required=True, help="checkpoint file from a run")
     eval_p.add_argument("--episodes", type=int, default=100)
     eval_p.add_argument("--epsilon", type=float, default=0.1)
-    eval_p.add_argument("--seed", type=int, default=0, help="base seed for evaluation rollouts")
+    eval_p.add_argument("--seed", type=int, default=0, help="seed of the evaluation rollouts' streams")
 
     oracle_p = sub.add_parser("oracle", help="print the exact chain solution")
     oracle_p.add_argument("--gamma", type=float, default=1.0)

@@ -222,7 +222,12 @@ class EvalSummary:
 
 
 def evaluate_policy(agent, env, episodes: int, epsilon: float, seed: int = 0, critic=None) -> EvalSummary:
-    """Frozen-policy rollouts; reports extrinsic reward and goal success."""
+    """Frozen-policy rollouts; reports extrinsic reward and goal success.
+
+    Episode i draws its environment and choice streams from the key
+    (seed, EVAL, i), disjoint from every training stream and from the
+    evaluation streams of every other seed.
+    """
     if isinstance(agent, HierarchicalAgent) and critic is None:
         critic = Critic(env)
     rewards = np.empty(episodes)
@@ -230,8 +235,8 @@ def evaluate_policy(agent, env, episodes: int, epsilon: float, seed: int = 0, cr
     hits: dict = {}
     names = tuple(g.name for g in goal_set(env)) if critic is not None else ()
     for i in range(episodes):
-        env_gen = rng.stream(seed + i, rng.ENV)
-        pick_gen = rng.stream(seed + i, rng.EVAL)
+        env_gen = rng.stream(seed, rng.EVAL, i, rng.ENV)
+        pick_gen = rng.stream(seed, rng.EVAL, i, rng.EVAL)
         if critic is None:
             trace = agent.eval_episode(env, epsilon, env_gen, pick_gen)
         else:

@@ -5,6 +5,8 @@ draw from their own generator so that adding, removing, or reordering
 draws in one consumer never perturbs the others. Streams are derived
 from a (seed, stream id) pair through numpy's SeedSequence spawning,
 which yields statistically independent, bit-reproducible generators.
+Evaluation episodes extend the key to (EVAL, episode, consumer), so they
+never replay a training stream, nor another seed's evaluation.
 """
 from __future__ import annotations
 
@@ -21,15 +23,15 @@ INIT = 5
 EVAL = 6
 
 
-def stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Return the generator for (seed, stream_id).
+def stream(seed: int, stream_id: int, *sub: int) -> np.random.Generator:
+    """Return the generator for (seed, stream_id, *sub).
 
-    The same pair always produces the same sequence. Distinct pairs give
+    The same key always produces the same sequence. Distinct keys give
     independent streams.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
     if stream_id < 0:
         raise ValueError(f"stream_id must be non-negative, got {stream_id}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, *sub))
     return np.random.Generator(np.random.PCG64(ss))

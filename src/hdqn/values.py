@@ -1,21 +1,21 @@
 """Goal-conditioned action-value estimators.
 
-Two interchangeable backends. TabularQ is an exact dense table updated
-by single-transition backups; MlpQ is a one-hidden-layer rectified
-linear network trained by plain stochastic gradient descent on squared
-error against frozen-snapshot bootstrap targets.
+Two interchangeable backends behind one minibatch contract. TabularQ is
+a dense table; MlpQ is a one-hidden-layer rectified linear network
+trained by plain stochastic gradient descent on squared error against
+frozen-snapshot bootstrap targets. A goal-conditioned table is the
+one-hot linear case of such a network, so both train the same way.
 
 With a goal axis (n_goals set) an estimator serves the low level:
-values are indexed (state, goal, action) and training batches are
-6-tuples (state, goal, action, reward, next_state, terminal). Without
-one it serves the meta level: values are indexed (state, choice) where
-choices are goals, and batches are 5-tuples (state, choice, reward,
-next_state, terminal). Replay transition tuples match these shapes
-field-for-field.
+values are indexed (state, goal, action). Without one it serves the
+meta level: values are indexed (state, choice) where choices are goals.
+train_on takes a minibatch as columns (s, g, a, r, s', term) of equal
+length, g None without a goal axis and term 1.0 where the transition
+ended its episode or option; ReplayBuffer.sample returns exactly this.
 
 Estimators have no file format of their own: checkpoint.py writes their
-arrays (as_array/load_array for tables, params and snapshot for
-networks) as sections of the agent checkpoint.
+arrays (the table, or params and snapshot) as sections of the agent
+checkpoint.
 """
 from __future__ import annotations
 
@@ -25,12 +25,15 @@ from hdqn.errors import DivergenceError
 
 
 class TabularQ:
-    """Dense zero-initialized value table.
+    """Dense zero-initialized value table, an ndarray of shape
+    (n_states, n_choices) or (n_states, n_goals, n_choices).
 
-    Storage is nested Python lists rather than an ndarray: backups
-    dominate training time on the small tasks, and plain list indexing
-    makes them several times faster than ndarray scalar access. Use
-    as_array() for a numpy view of the contents.
+    train_on is batch-synchronous, like a network's minibatch step:
+    every target comes from the table as it was before the batch, and a
+    cell that occurs k times in one batch moves by alpha * (sum of its k
+    deltas). At small alpha this matches backing the items up one after
+    another to first order; with no repeated cell and no cell whose row
+    is another item's bootstrap row, it matches exactly.
     """
 
     kind = "tabular"
@@ -51,26 +54,21 @@ class TabularQ:
         self.n_goals = n_goals
         self.learning_rate = learning_rate
         if n_goals is None:
-            self.table = [[0.0] * n_choices for _ in range(n_states)]
+            self.table = np.zeros((n_states, n_choices))
         else:
-            self.table = [
-                [[0.0] * n_choices for _ in range(n_goals)] for _ in range(n_states)
-            ]
-
-    def _check_state(self, state: int) -> None:
-        if not 0 <= state < self.n_states:
-            raise IndexError(f"state {state} out of range [0, {self.n_states})")
+            self.table = np.zeros((n_states, n_goals, n_choices))
 
     def values(self, state: int, goal: int | None = None) -> list:
         """Action values at a state (copy; mutating it has no effect)."""
-        self._check_state(state)
+        if not 0 <= state < self.n_states:
+            raise IndexError(f"state {state} out of range [0, {self.n_states})")
         if self.n_goals is None:
             if goal is not None:
                 raise IndexError("this table is not goal-conditioned")
-            return list(self.table[state])
+            return self.table[state].tolist()
         if goal is None or not 0 <= goal < self.n_goals:
             raise IndexError(f"goal {goal} out of range [0, {self.n_goals})")
-        return list(self.table[state][goal])
+        return self.table[state, goal].tolist()
 
     def backup(
         self,
@@ -82,82 +80,41 @@ class TabularQ:
         terminal: bool,
         gamma: float,
     ) -> None:
-        """Q(s[,g],a) += alpha * (r + gamma * max_a' Q(s'[,g],a') * !terminal - Q)."""
-        table = self.table
-        if goal is None:
-            row = table[next_state]
-            cell = table[state]
-        else:
-            row = table[next_state][goal]
-            cell = table[state][goal]
-        if terminal:
-            target = reward
-        else:
-            m = row[0]
-            for v in row:
-                if v > m:
-                    m = v
-            target = reward + gamma * m
-        cur = cell[action]
-        cell[action] = cur + self.learning_rate * (target - cur)
+        """Q(s[,g],a) += alpha * (r + gamma * max_a' Q(s'[,g],a') * !terminal - Q).
 
-    def train_on(self, batch: list, gamma: float) -> float:
-        """One backup per sampled transition, in batch order.
-
-        Equivalent to calling backup() on each item; unrolled here
-        because this loop is the training hot path. Returns the mean
-        squared pre-update temporal-difference error.
+        The one-transition case of train_on.
         """
-        table = self.table
-        alpha = self.learning_rate
-        err = 0.0
-        if self.n_goals is None:
-            for state, action, reward, next_state, terminal in batch:
-                if terminal:
-                    target = reward
-                else:
-                    row = table[next_state]
-                    m = row[0]
-                    for v in row:
-                        if v > m:
-                            m = v
-                    target = reward + gamma * m
-                cell = table[state]
-                cur = cell[action]
-                delta = target - cur
-                cell[action] = cur + alpha * delta
-                err += delta * delta
-        else:
-            for state, goal, action, reward, next_state, terminal in batch:
-                if terminal:
-                    target = reward
-                else:
-                    row = table[next_state][goal]
-                    m = row[0]
-                    for v in row:
-                        if v > m:
-                            m = v
-                    target = reward + gamma * m
-                cell = table[state][goal]
-                cur = cell[action]
-                delta = target - cur
-                cell[action] = cur + alpha * delta
-                err += delta * delta
-        return err / len(batch)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.float64)
-
-    def load_array(self, values: np.ndarray) -> None:
-        want = (
-            (self.n_states, self.n_choices)
-            if self.n_goals is None
-            else (self.n_states, self.n_goals, self.n_choices)
+        self.train_on(
+            (
+                np.array([state]),
+                None if goal is None else np.array([goal]),
+                np.array([action]),
+                np.array([reward], dtype=np.float64),
+                np.array([next_state]),
+                np.array([terminal], dtype=np.float64),
+            ),
+            gamma,
         )
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != want:
-            raise ValueError(f"expected table shape {want}, got {values.shape}")
-        self.table = values.tolist()
+
+    def train_on(self, columns: tuple, gamma: float) -> float:
+        """One batch-synchronous backup of every item in the columns.
+
+        Returns the mean squared pre-update temporal-difference error.
+        """
+        s, g, a, r, s_next, term = columns
+        table = self.table
+        if g is None:
+            cell = np.ravel_multi_index((s, a), table.shape)
+            bootstrap = table.take(s_next, axis=0)
+        else:
+            cell = np.ravel_multi_index((s, g, a), table.shape)
+            row_next = np.ravel_multi_index((s_next, g), table.shape[:2])
+            bootstrap = table.reshape(-1, self.n_choices).take(row_next, axis=0)
+        target = r + gamma * (1.0 - term) * bootstrap.max(axis=1)
+        cells = table.reshape(-1)
+        delta = target - cells.take(cell)
+        np.add.at(cells, cell, self.learning_rate * delta)
+        return float(delta @ delta) / delta.size
 
 
 class MlpQ:
@@ -241,33 +198,19 @@ class MlpQ:
         x = self.encode([state], None if self.n_goals is None else [goal])
         return self._forward(self.params, x)[2][0]
 
-    def _split_batch(self, batch: list):
-        if self.n_goals is None:
-            s, a, r, sn, term = zip(*batch)
-            g = None
-        else:
-            s, g, a, r, sn, term = zip(*batch)
-        return s, g, a, r, sn, term
-
-    def _targets(self, g, r, sn, term, gamma: float) -> np.ndarray:
-        xn = self.encode(sn, g)
-        qn = self._forward(self.snapshot, xn)[2]
-        bootstrap = qn.max(axis=1) * (1.0 - np.asarray(term, dtype=np.float64))
-        return np.asarray(r, dtype=np.float64) + gamma * bootstrap
-
-    def loss_and_grads(self, batch: list, gamma: float):
+    def loss_and_grads(self, columns: tuple, gamma: float):
         """Pre-step batch loss and its gradient for every parameter."""
-        s, g, a, r, sn, term = self._split_batch(batch)
-        y = self._targets(g, r, sn, term, gamma)
+        s, g, a, r, s_next, term = columns
+        qn = self._forward(self.snapshot, self.encode(s_next, g))[2]
+        y = r + gamma * (1.0 - term) * qn.max(axis=1)
         x = self.encode(s, g)
         z1, h, q = self._forward(self.params, x)
-        n = len(batch)
+        n = len(y)
         rows = np.arange(n)
-        cols = np.asarray(a, dtype=np.int64)
-        diff = q[rows, cols] - y
+        diff = q[rows, a] - y
         loss = float(np.mean(diff**2))
         gq = np.zeros_like(q)
-        gq[rows, cols] = 2.0 * diff / n
+        gq[rows, a] = 2.0 * diff / n
         gh = gq @ self.params["w2"].T
         gz1 = gh * (z1 > 0.0)
         grads = {
@@ -278,9 +221,9 @@ class MlpQ:
         }
         return loss, grads
 
-    def train_on(self, batch: list, gamma: float) -> float:
-        """One SGD step on the batch; returns the pre-step loss."""
-        loss, grads = self.loss_and_grads(batch, gamma)
+    def train_on(self, columns: tuple, gamma: float) -> float:
+        """One SGD step on the minibatch columns; returns the pre-step loss."""
+        loss, grads = self.loss_and_grads(columns, gamma)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss {loss!r}")
         lr = self.learning_rate

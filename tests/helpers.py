@@ -6,8 +6,28 @@ import numpy as np
 from hdqn.values import MlpQ
 
 
+def columns(batch) -> tuple:
+    """Minibatch columns (s, g, a, r, s', term) from transition tuples:
+    6-tuples (s, g, a, r, s', term), or 5-tuples without the goal."""
+    fields = [np.array(f) for f in zip(*batch)]
+    if len(fields) == 5:
+        fields.insert(1, None)
+    s, g, a, r, s_next, term = fields
+    return s, g, a, r.astype(np.float64), s_next, term.astype(np.float64)
+
+
+def stored(buf) -> dict:
+    """A replay ring's rows oldest first, one array per column."""
+    n = len(buf)
+    order = np.arange(n) if n < buf.capacity else np.roll(np.arange(n), -buf.cursor)
+    names = ("s", "g", "a", "s_next") if buf.goal_axis else ("s", "a", "s_next")
+    out = dict(zip(names, buf.ints[order].T))
+    out["r"], out["term"] = buf.floats[order].T
+    return out
+
+
 def random_net_and_batch(gen: np.random.Generator):
-    """A random small network plus a compatible random batch.
+    """A random small network plus a compatible random batch of columns.
 
     Instances whose hidden pre-activations sit within 1e-3 of the
     rectifier kink are rejected by returning None: central differences
@@ -43,10 +63,8 @@ def random_net_and_batch(gen: np.random.Generator):
         else:
             batch.append((s, int(gen.integers(n_goals)), a, r, sn, term))
 
-    if n_goals is None:
-        x = net.encode([b[0] for b in batch])
-    else:
-        x = net.encode([b[0] for b in batch], [b[1] for b in batch])
+    batch = columns(batch)
+    x = net.encode(batch[0], batch[1])
     z1 = x @ net.params["w1"] + net.params["b1"]
     if np.abs(z1).min() < 1e-3:
         return None

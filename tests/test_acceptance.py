@@ -24,7 +24,7 @@ from hdqn.harness import evaluate_policy, run_all_seeds, run_experiment
 from hdqn.metrics import trailing_mean
 from hdqn.replay import ReplayBuffer
 
-from helpers import gradcheck_worst_rel_err
+from helpers import gradcheck_worst_rel_err, stored
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 # Frozen-policy evaluation of the key-door checkpoints: the defaults of
@@ -195,20 +195,18 @@ def test_keydoor_learning_and_goal_shift(keydoor):
 
 def test_invariant_suites():
     # FIFO eviction
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, np.random.default_rng(3))
     for i in range(7):
-        buf.push(i)
-    fifo_ok = buf.oldest_first() == [4, 5, 6] and len(buf) == 3
+        buf.push(i, 0, 0, 0.0, i, False)
+    fifo_ok = stored(buf)["s"].tolist() == [4, 5, 6] and len(buf) == 3
 
     # sampling uniformity
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, np.random.default_rng(3))
     for i in range(10):
-        buf.push(i)
-    gen = np.random.default_rng(3)
+        buf.push(i, 0, 0, 0.0, i, False)
     counts = np.zeros(10)
     for _ in range(1000):
-        for item in buf.sample(100, gen):
-            counts[item] += 1
+        counts += np.bincount(buf.sample(100)[0], minlength=10)
     p = stats.chisquare(counts).pvalue
     uniform_ok = p > 0.01
 
@@ -246,11 +244,12 @@ def test_invariant_suites():
     persist_ok = True
     current = None
     boundaries = 0
-    for t in agent.d1.oldest_first():
+    d1 = stored(agent.d1)
+    for g, term in zip(d1["g"], d1["term"]):
         if current is None:
-            current = t.goal
-        persist_ok = persist_ok and t.goal == current
-        if t.episode_or_goal_terminal:
+            current = g
+        persist_ok = persist_ok and g == current
+        if term:
             current = None
             boundaries += 1
     persist_ok = persist_ok and boundaries == len(agent.d2)

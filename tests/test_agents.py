@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import stored
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
 from hdqn.critic import Critic
@@ -46,37 +47,37 @@ def test_time_scale_separation():
 def test_goal_persistence_within_options():
     env, critic, agent = chain_agent()
     run_episodes(env, critic, agent, 50)
+    d1 = stored(agent.d1)
     current = None
-    for t in agent.d1.oldest_first():
+    for g, term in zip(d1["g"], d1["term"]):
         if current is None:
-            current = t.goal
-        assert t.goal == current
-        if t.episode_or_goal_terminal:
+            current = g
+        assert g == current
+        if term:
             current = None
     # Option boundaries must line up: one meta transition per boundary.
-    boundaries = sum(t.episode_or_goal_terminal for t in agent.d1.oldest_first())
-    assert boundaries == len(agent.d2)
+    assert d1["term"].sum() == len(agent.d2)
 
 
 def test_intrinsic_reward_gating():
     env, critic, agent = chain_agent()
     run_episodes(env, critic, agent, 50)
-    for t in agent.d1.oldest_first():
-        reached = critic.reached(t.goal, t.next_state)
-        assert (t.intrinsic_reward > 0) == reached
+    d1 = stored(agent.d1)
+    for g, r, s_next, term in zip(d1["g"], d1["r"], d1["s_next"], d1["term"]):
+        reached = critic.reached(int(g), int(s_next))
+        assert (r > 0) == reached
         if reached:
-            assert t.episode_or_goal_terminal
+            assert term
 
 
 def test_meta_transitions_record_option_outcomes():
     env, critic, agent = chain_agent()
     traces = run_episodes(env, critic, agent, 30)
     picks = [g for tr in traces for g in tr.goal_picks]
-    stored = [t.goal for t in agent.d2.oldest_first()]
-    assert stored == picks
+    d2 = stored(agent.d2)
+    assert d2["a"].tolist() == picks  # the meta level's action is its goal choice
     # The last option of every episode ends with the terminal flag set.
-    terminals = [t.terminal for t in agent.d2.oldest_first()]
-    assert sum(terminals) == len(traces)
+    assert d2["term"].sum() == len(traces)
 
 
 def test_tracker_counts_option_attempts():
@@ -126,14 +127,14 @@ def test_phase_validation():
 
 def test_no_update_below_warmup():
     env, critic, agent = chain_agent(d1_warmup=10, d2_warmup=10)
-    before = agent.q1.as_array().copy()
+    before = agent.q1.table.copy()
     for _ in range(9):
-        agent.d1.push((0, 0, 0, 0.0, 1, False))
-    agent._update(agent.q1, agent.d1, 10, rng.stream(0, rng.REPLAY_D1))
-    assert np.array_equal(agent.q1.as_array(), before)
-    agent.d1.push((0, 0, 0, 1.0, 1, True))
-    agent._update(agent.q1, agent.d1, 10, rng.stream(0, rng.REPLAY_D1))
-    assert not np.array_equal(agent.q1.as_array(), before)
+        agent.d1.push(0, 0, 0, 0.0, 1, False)
+    agent._update(agent.q1, agent.d1, 10)
+    assert np.array_equal(agent.q1.table, before)
+    agent.d1.push(0, 0, 0, 1.0, 1, True)
+    agent._update(agent.q1, agent.d1, 10)
+    assert not np.array_equal(agent.q1.table, before)
 
 
 def test_chain_hdqn_learns_with_goal_chaining():
@@ -163,8 +164,8 @@ def test_eval_episode_mutates_nothing():
     env, critic, agent = chain_agent()
     run_episodes(env, critic, agent, 20)
     before = (
-        agent.q1.as_array().copy(),
-        agent.q2.as_array().copy(),
+        agent.q1.table.copy(),
+        agent.q2.table.copy(),
         len(agent.d1),
         len(agent.d2),
         agent.tracker.dump(),
@@ -175,8 +176,8 @@ def test_eval_episode_mutates_nothing():
         env, critic, 0.1, rng.stream(99, rng.ENV), rng.stream(99, rng.EVAL)
     )
     after = (
-        agent.q1.as_array(),
-        agent.q2.as_array(),
+        agent.q1.table,
+        agent.q2.table,
         len(agent.d1),
         len(agent.d2),
         agent.tracker.dump(),
@@ -202,8 +203,8 @@ def test_identical_seeds_identical_agents():
     env2, critic2, agent2 = chain_agent(seed=3)
     run_episodes(env1, critic1, agent1, 200, seed=3)
     run_episodes(env2, critic2, agent2, 200, seed=3)
-    assert np.array_equal(agent1.q1.as_array(), agent2.q1.as_array())
-    assert np.array_equal(agent1.q2.as_array(), agent2.q2.as_array())
+    assert np.array_equal(agent1.q1.table, agent2.q1.table)
+    assert np.array_equal(agent1.q2.table, agent2.q2.table)
     assert agent1.primitive_steps == agent2.primitive_steps
 
 
@@ -286,7 +287,7 @@ def test_flat_agent_matches_oracle_on_corridor():
     for _ in range(400):
         agent.run_episode(env, env_gen)
     oracle = value_iteration(corridor_model(), gamma=0.9)
-    learned = agent.q.as_array()
+    learned = np.array(agent.table)
     np.testing.assert_allclose(learned, oracle.q, atol=1e-3)
     assert list(learned.argmax(axis=1)[:2]) == list(oracle.policy[:2])
 

@@ -1,15 +1,22 @@
+import hashlib
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 
 from hdqn import rng
-from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
-from hdqn.checkpoint import dump_agent, load_agent, read_agent
+from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent, hierarchical
+from hdqn.checkpoint import _Writer, dump_agent, load_agent, read_agent
+from hdqn.config import load_config
 from hdqn.critic import Critic
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import ConfigError
+from hdqn.harness import run_seed
+from hdqn.values import MlpQ
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def trained_chain_agent(episodes=60):
@@ -38,8 +45,8 @@ def test_hdqn_roundtrip_preserves_everything():
     loaded, env2, kind = load_agent(blob)
     assert kind == "hdqn"
     assert isinstance(env2, ChainEnv)
-    np.testing.assert_array_equal(loaded.q1.as_array(), agent.q1.as_array())
-    np.testing.assert_array_equal(loaded.q2.as_array(), agent.q2.as_array())
+    np.testing.assert_array_equal(loaded.q1.table, agent.q1.table)
+    np.testing.assert_array_equal(loaded.q2.table, agent.q2.table)
     assert loaded.tracker.dump() == agent.tracker.dump()
     assert loaded.primitive_steps == agent.primitive_steps
     assert loaded.joint_steps == agent.joint_steps
@@ -67,7 +74,7 @@ def test_flat_roundtrip():
         agent.run_episode(env, env_gen)
     loaded, env2, kind = load_agent(dump_agent(agent, env))
     assert kind == "flat"
-    np.testing.assert_array_equal(loaded.q.as_array(), agent.q.as_array())
+    assert loaded.table == agent.table
     assert loaded.primitive_steps == agent.primitive_steps
     assert loaded.eps == agent.eps
     a = agent.eval_episode(env, 0.0, rng.stream(2, rng.ENV), rng.stream(2, rng.EVAL))
@@ -103,8 +110,8 @@ def test_tabular_roundtrip():
     assert q1.kind == "tabular"
     assert (q1.n_states, q1.n_goals, q1.n_choices) == (6, 6, 2)
     assert q1.learning_rate == 0.25
-    assert np.any(q1.as_array() != 0.0)
-    assert np.array_equal(q1.as_array(), agent.q1.as_array())
+    assert np.any(q1.table != 0.0)
+    assert np.array_equal(q1.table, agent.q1.table)
 
 
 def test_meta_tabular_roundtrip():
@@ -115,8 +122,8 @@ def test_meta_tabular_roundtrip():
     q2 = loaded.q2
     assert q2.n_goals is None
     assert (q2.n_states, q2.n_choices, q2.learning_rate) == (6, 6, 0.01)
-    assert np.any(q2.as_array() != 0.0)
-    assert np.array_equal(q2.as_array(), agent.q2.as_array())
+    assert np.any(q2.table != 0.0)
+    assert np.array_equal(q2.table, agent.q2.table)
 
 
 def test_mlp_roundtrip():
@@ -171,7 +178,7 @@ def test_file_roundtrip(tmp_path):
     path.write_bytes(dump_agent(agent, env))
     loaded, _, kind = read_agent(path)
     assert kind == "hdqn"
-    np.testing.assert_array_equal(loaded.q1.as_array(), agent.q1.as_array())
+    np.testing.assert_array_equal(loaded.q1.table, agent.q1.table)
 
 
 def test_corrupt_checkpoints_rejected(tmp_path):
@@ -229,6 +236,56 @@ def test_dump_of_load_reproduces_the_bytes():
     for a, e in ((agent, env), (flat, flat_env), (mlp, env), (kd_agent, keydoor)):
         blob = dump_agent(a, e)
         assert dump_agent(*load_agent(blob)[:2]) == blob
+
+
+@pytest.mark.parametrize(
+    "name,overrides",
+    [
+        ("chain_hdqn.cfg", {"episodes": 100}),
+        ("chain_flat.cfg", {"episodes": 100}),
+        ("keydoor_hdqn.cfg", {"pretrain_steps": 1000, "episodes": 1}),
+    ],
+)
+def test_shipped_config_checkpoints_reproduce_their_bytes(name, overrides):
+    cfg = load_config(CONFIGS / name, dict(overrides, seeds=(0,), workers=1))
+    blob = run_seed(cfg, 0).checkpoint
+    assert dump_agent(*load_agent(blob)[:2]) == blob
+
+
+def test_flat_checkpoint_bytes_pinned():
+    """The flat agent writes its list table as the same tabular section
+    bytes as when it held a TabularQ (digest recorded before the change)."""
+    cfg = load_config(CONFIGS / "chain_flat.cfg", {"seeds": (0,), "episodes": 300, "workers": 1})
+    digest = hashlib.sha256(run_seed(cfg, 0).checkpoint).hexdigest()
+    assert digest == "f212ee56563e969fbadf70c414f67594de2ad036a05e992b59778abcf2fdeabf"
+
+
+def test_load_builds_the_agent_around_the_read_estimators(monkeypatch):
+    """Loading allocates no estimator: MLP weights are never drawn only
+    to be thrown away."""
+    env = ChainEnv()
+    agent = HierarchicalAgent(6, 2, 6, backend="mlp", hidden=4, seed=3)
+    blob = dump_agent(agent, env)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_estimator called while loading")
+
+    monkeypatch.setattr(hierarchical, "make_estimator", refuse)
+    loaded, _, _ = load_agent(blob)
+    assert loaded.backend == "mlp"
+    np.testing.assert_array_equal(loaded.q1.flat_params(), agent.q1.flat_params())
+    with pytest.raises(AssertionError, match="make_estimator"):
+        HierarchicalAgent(6, 2, 6, backend="mlp", hidden=4, seed=3)
+
+
+def test_flat_checkpoint_with_a_network_section_rejected():
+    env, agent = flat_chain_agent()
+    blob = dump_agent(agent, env)
+    net = _Writer()
+    net.values(MlpQ(6, 2, hidden=3))
+    start = blob.index(struct.pack("<BIII", 0, 6, 0, 2))
+    with pytest.raises(ConfigError, match="tabular"):
+        load_agent(blob[:start] + b"".join(net.parts))
 
 
 @pytest.mark.parametrize(

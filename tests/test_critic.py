@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import stored
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, HierarchicalAgent
 from hdqn.critic import INTRINSIC_REWARD, Critic, goal_set
@@ -51,10 +52,10 @@ def test_intrinsic_positive_iff_reached_chain():
     env_gen = rng.stream(2, rng.ENV)
     for _ in range(30):
         agent.run_episode(env, critic, "joint", env_gen)
-    paid = [t.intrinsic_reward for t in agent.d1.oldest_first()]
-    assert set(paid) == {0.0, INTRINSIC_REWARD}
-    for t in agent.d1.oldest_first():
-        assert (t.intrinsic_reward == INTRINSIC_REWARD) == critic.reached(t.goal, t.next_state)
+    d1 = stored(agent.d1)
+    assert set(d1["r"].tolist()) == {0.0, INTRINSIC_REWARD}
+    for g, r, s_next in zip(d1["g"], d1["r"], d1["s_next"]):
+        assert (r == INTRINSIC_REWARD) == critic.reached(int(g), int(s_next))
 
 
 def test_keydoor_goal_predicates():

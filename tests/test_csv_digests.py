@@ -3,8 +3,11 @@
 This is the byte baseline: the digests were recorded before the CSV row
 writer and the cross-seed aggregate were rewritten, and must not move
 under refactors. A change that alters RNG consumption or the output
-format sets a new baseline here and says so in CHANGES.md. Checkpoint
-bytes are deliberately not pinned; their format is versioned.
+format sets a new baseline here and says so in CHANGES.md; the key-door
+digests were last re-recorded when replay began drawing its indices in
+blocks and the tabular update became batch-synchronous. The flat chain
+digests have never moved: that agent has no replay. Checkpoint bytes are
+deliberately not pinned; their format is versioned.
 """
 import hashlib
 import pathlib
@@ -40,9 +43,9 @@ PINNED = {
         {"seeds": (0, 1, 2), "pretrain_steps": 3000, "episodes": 5},
         {
             "keydoor_hdqn_seed0.csv": "fef0b8d4640f8d3969ccc9108f07439e4b608d20c24be6e05cb178c1f42fbb66",
-            "keydoor_hdqn_seed1.csv": "e3ab9a93e4e0106c5d308454ca2e4f02d900087d342d4287490bd21c5039d644",
-            "keydoor_hdqn_seed2.csv": "ac5226cbf1a67d97cc689d13c06b9f6039dca6200ee56026cb2381c1371883a5",
-            "keydoor_hdqn_aggregate.csv": "52d27de36e27c00d6cce002911664d6217d942586f6c8ab8efdb278c99545dd8",
+            "keydoor_hdqn_seed1.csv": "f9f823fd774d308072bd695a84606fcdcaa3da453c0698947c5bf0584ef1a8a5",
+            "keydoor_hdqn_seed2.csv": "7aac9d86645f87b47f710e17e550be3a854bf4f6c7112954848c68312c405548",
+            "keydoor_hdqn_aggregate.csv": "cea1e0c33ce78a087b83424e7bf96f4d03ccaddc20e8cd09914b1362e33817b8",
         },
     ),
 }

@@ -1,8 +1,11 @@
+import copy
 import csv
 
 import numpy as np
 import pytest
 
+from hdqn import rng
+from hdqn.agents import FlatQAgent
 from hdqn.checkpoint import read_agent
 from hdqn.config import default_config
 from hdqn.critic import Critic
@@ -201,3 +204,37 @@ def test_evaluate_policy_deterministic():
     a = evaluate_policy(agent, env, episodes=6, epsilon=0.3, seed=9, critic=critic)
     b = evaluate_policy(agent, env, episodes=6, epsilon=0.3, seed=9, critic=critic)
     assert np.array_equal(a.rewards, b.rewards)
+
+
+def peeked_eval_streams(seed: int, episodes: int = 4) -> list:
+    """The next draws of each evaluation episode's (env, pick) streams."""
+    env = ChainEnv()
+    agent = FlatQAgent(env.n_states, env.n_actions)
+    seen = []
+    play = agent.eval_episode
+
+    def spy(env, epsilon, env_gen, pick_gen):
+        seen.append((copy.deepcopy(env_gen).random(8), copy.deepcopy(pick_gen).random(8)))
+        return play(env, epsilon, env_gen, pick_gen)
+
+    agent.eval_episode = spy
+    evaluate_policy(agent, env, episodes=episodes, epsilon=0.5, seed=seed)
+    return seen
+
+
+def test_evaluation_does_not_replay_training_env_streams():
+    seed = 40
+    for i, (env_draws, pick_draws) in enumerate(peeked_eval_streams(seed)):
+        for training_seed in (seed, seed + i):
+            for stream_id in (rng.ENV, rng.EVAL):
+                train = rng.stream(training_seed, stream_id).random(8)
+                assert not np.array_equal(env_draws, train)
+                assert not np.array_equal(pick_draws, train)
+
+
+def test_adjacent_seeds_share_no_evaluation_stream():
+    k = 9000
+    a = {d.tobytes() for pair in peeked_eval_streams(k) for d in pair}
+    b = {d.tobytes() for pair in peeked_eval_streams(k + 1) for d in pair}
+    assert len(a) == len(b) == 8
+    assert not a & b

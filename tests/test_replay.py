@@ -4,105 +4,162 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import stored
 from hdqn import rng
-from hdqn.replay import ControllerTransition, MetaTransition, ReplayBuffer
+from hdqn.replay import UNIFORM_BLOCK, ReplayBuffer
+
+
+def ring(capacity, seed=0, goal_axis=True):
+    return ReplayBuffer(capacity, rng.stream(seed, rng.REPLAY_D1), goal_axis=goal_axis)
+
+
+def push_numbered(buf, i):
+    """A transition whose every field encodes i."""
+    buf.push(i, i + 1 if buf.goal_axis else None, i + 2, float(i), i + 3, i % 2)
 
 
 def test_push_grows_to_capacity_then_evicts_oldest():
-    buf = ReplayBuffer(2)
-    buf.push("a")
+    buf = ring(2)
+    push_numbered(buf, 0)
     assert len(buf) == 1
-    buf.push("b")
-    buf.push("c")
+    push_numbered(buf, 1)
+    push_numbered(buf, 2)
     assert len(buf) == 2
-    assert buf.oldest_first() == ["b", "c"]
+    assert stored(buf)["s"].tolist() == [1, 2]
 
 
-@given(capacity=st.integers(1, 10), n=st.integers(0, 35))
+@given(capacity=st.integers(1, 10), n=st.integers(0, 35), goal_axis=st.booleans())
 @settings(max_examples=200)
-def test_fifo_order_property(capacity, n):
-    buf = ReplayBuffer(capacity)
+def test_fifo_order_property(capacity, n, goal_axis):
+    buf = ring(capacity, goal_axis=goal_axis)
     for i in range(n):
-        buf.push(i)
-    expected = list(range(n))[-capacity:]
-    assert buf.oldest_first() == expected
+        push_numbered(buf, i)
+    kept = np.arange(n)[-capacity:] if n else np.arange(0)
+    rows = stored(buf)
     assert len(buf) == min(n, capacity)
+    assert rows["s"].tolist() == kept.tolist()
+    assert rows["a"].tolist() == (kept + 2).tolist()
+    assert rows["s_next"].tolist() == (kept + 3).tolist()
+    assert rows["r"].tolist() == kept.astype(float).tolist()
+    assert rows["term"].tolist() == (kept % 2).astype(float).tolist()
+    if goal_axis:
+        assert rows["g"].tolist() == (kept + 1).tolist()
 
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        ReplayBuffer(0)
+        ring(0)
 
 
 def test_sample_with_replacement_from_singleton():
-    buf = ReplayBuffer(5)
-    buf.push("only")
-    assert buf.sample(3, rng.stream(0, rng.REPLAY_D1)) == ["only"] * 3
+    buf = ring(5)
+    buf.push(4, 1, 0, 0.5, 3, True)
+    s, g, a, r, s_next, term = buf.sample(3)
+    assert s.tolist() == [4] * 3 and g.tolist() == [1] * 3 and a.tolist() == [0] * 3
+    assert r.tolist() == [0.5] * 3 and s_next.tolist() == [3] * 3 and term.tolist() == [1.0] * 3
+
+
+def test_meta_ring_has_no_goal_column():
+    buf = ring(5, goal_axis=False)
+    buf.push(2, None, 3, 1.5, 4, False)
+    s, g, a, r, s_next, term = buf.sample(2)
+    assert g is None
+    assert (s.tolist(), a.tolist(), r.tolist(), s_next.tolist(), term.tolist()) == (
+        [2, 2],
+        [3, 3],
+        [1.5, 1.5],
+        [4, 4],
+        [0.0, 0.0],
+    )
 
 
 def test_sample_is_deterministic_given_seed():
-    buf = ReplayBuffer(10)
-    for i in range(10):
-        buf.push(i)
-    a = buf.sample(32, rng.stream(4, rng.REPLAY_D1))
-    b = buf.sample(32, rng.stream(4, rng.REPLAY_D1))
-    assert a == b
+    def draws():
+        buf = ring(10, seed=4)
+        for i in range(10):
+            push_numbered(buf, i)
+        return [buf.sample(32)[0].tolist() for _ in range(200)]
+
+    assert draws() == draws()
 
 
 def test_sample_leaves_buffer_unchanged():
-    buf = ReplayBuffer(4)
+    buf = ring(4)
     for i in range(6):
-        buf.push(i)
-    before = buf.oldest_first()
-    buf.sample(16, rng.stream(1, rng.REPLAY_D2))
-    assert buf.oldest_first() == before
+        push_numbered(buf, i)
+    before = {k: v.copy() for k, v in stored(buf).items()}
+    for _ in range(10):
+        buf.sample(16)
+    after = stored(buf)
+    assert len(buf) == 4
+    assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 def test_sample_errors():
-    buf = ReplayBuffer(4)
+    buf = ring(4)
     with pytest.raises(ValueError):
-        buf.sample(1, rng.stream(0, rng.REPLAY_D1))
-    buf.push("x")
+        buf.sample(1)
+    push_numbered(buf, 0)
     with pytest.raises(ValueError):
-        buf.sample(0, rng.stream(0, rng.REPLAY_D1))
+        buf.sample(0)
 
 
 def test_sampling_uniformity_chi_square():
-    """100k draws from a 10-element buffer look uniform at p > 0.01."""
-    buf = ReplayBuffer(10)
+    """100k draws from a 10-element buffer look uniform at p > 0.01,
+    drawn both as one large minibatch and as many small ones."""
+    buf = ring(10)
     for i in range(10):
-        buf.push(i)
-    draws = buf.sample(100_000, rng.stream(0, rng.REPLAY_D1))
-    counts = np.bincount(draws, minlength=10)
-    assert counts.sum() == 100_000
-    p = stats.chisquare(counts).pvalue
-    assert p > 0.01, f"uniformity rejected: p={p}"
+        push_numbered(buf, i)
+    large = buf.sample(100_000)[0]
+    small = np.concatenate([buf.sample(32)[0] for _ in range(3125)])
+    for draws in (large, small):
+        counts = np.bincount(draws, minlength=10)
+        assert counts.sum() == 100_000
+        p = stats.chisquare(counts).pvalue
+        assert p > 0.01, f"uniformity rejected: p={p}"
 
 
-def test_transition_field_orders_match_training_batch_contract():
-    # Training code unpacks these tuples positionally; field order is law.
-    assert ControllerTransition._fields == (
-        "state",
-        "goal",
-        "action",
-        "intrinsic_reward",
-        "next_state",
-        "episode_or_goal_terminal",
-    )
-    assert MetaTransition._fields == (
-        "state0",
-        "goal",
-        "cumulative_extrinsic",
-        "state_next",
-        "terminal",
-    )
+@given(
+    growth=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    k=st.integers(1, 97),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_draws_in_range_and_uniform_while_growing(growth, k, seed):
+    """Uniforms drawn in blocks while the ring was smaller still cover the
+    whole current fill: each stage's draws are uniform over its rows."""
+    buf = ring(1000, seed=seed)
+    n = 0
+    for grow in growth:
+        for _ in range(grow):
+            push_numbered(buf, n)
+            n += 1
+        batches = -(-60 * n // k)  # at least 60 expected draws per row
+        draws = np.concatenate([buf.sample(k)[0] for _ in range(batches)])
+        assert 0 <= draws.min() and draws.max() < n
+        if n > 1:
+            assert stats.chisquare(np.bincount(draws, minlength=n)).pvalue > 1e-6
+
+
+def test_block_larger_than_minibatch_is_consumed_in_order():
+    """A block serves UNIFORM_BLOCK // k minibatches before the next draw."""
+    gen_copy = rng.stream(0, rng.REPLAY_D1)
+    buf = ring(UNIFORM_BLOCK)
+    for i in range(UNIFORM_BLOCK):
+        push_numbered(buf, i)
+    first = np.concatenate([buf.sample(64)[0] for _ in range(UNIFORM_BLOCK // 64)])
+    expected = (gen_copy.random(UNIFORM_BLOCK) * UNIFORM_BLOCK).astype(np.intp)
+    assert first.tolist() == expected.tolist()
 
 
 def test_disjoint_buffers_share_nothing():
-    d1 = ReplayBuffer(3)
-    d2 = ReplayBuffer(3)
-    d1.push(ControllerTransition(0, 1, 0, 1.0, 2, False))
+    d1 = ring(3)
+    d2 = ring(3, goal_axis=False)
+    d1.push(0, 1, 0, 1.0, 2, False)
     assert len(d2) == 0
-    d2.push(MetaTransition(0, 1, 0.5, 2, True))
+    d2.push(0, None, 1, 0.5, 2, True)
     assert len(d1) == 1
-    assert d1.oldest_first() != d2.oldest_first()
+    assert stored(d1)["g"].tolist() == [1]
+    assert stored(d2)["a"].tolist() == [1]
+    assert not np.shares_memory(d1.ints, d2.ints)
+

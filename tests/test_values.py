@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import gradcheck_worst_rel_err
+from helpers import columns, gradcheck_worst_rel_err
+from hdqn import rng
+from hdqn.agents import EpsilonSchedule, FlatQAgent
+from hdqn.envs.chain import ChainEnv
 from hdqn.errors import DivergenceError
 from hdqn.values import MlpQ, TabularQ
 
@@ -13,7 +16,8 @@ def test_fresh_tables_are_zero():
     assert meta.values(2) == [0.0, 0.0, 0.0]
     ctrl = TabularQ(4, 2, n_goals=3)
     assert ctrl.values(1, 2) == [0.0, 0.0]
-    assert np.all(ctrl.as_array() == 0.0)
+    assert ctrl.table.shape == (4, 3, 2)
+    assert np.all(ctrl.table == 0.0)
 
 
 def test_backup_arithmetic_terminal():
@@ -24,7 +28,7 @@ def test_backup_arithmetic_terminal():
 
 def test_backup_arithmetic_bootstrap():
     t = TabularQ(2, 2, learning_rate=0.1)
-    t.table[1][0] = 1.0
+    t.table[1, 0] = 1.0
     t.backup(0, None, 1, 0.0, 1, False, 0.99)
     assert t.values(0)[1] == pytest.approx(0.099)
 
@@ -32,41 +36,90 @@ def test_backup_arithmetic_bootstrap():
 def test_backup_touches_one_entry_only():
     t = TabularQ(3, 2, n_goals=4, learning_rate=0.5)
     t.backup(1, 2, 0, 1.0, 2, True, 0.9)
-    arr = t.as_array()
+    arr = t.table.copy()
     assert arr[1, 2, 0] == pytest.approx(0.5)
     arr[1, 2, 0] = 0.0
     assert np.all(arr == 0.0)
 
 
-def test_train_on_equals_sequential_backups():
+def test_train_on_targets_come_from_the_pre_batch_table():
+    """Item 0 raises Q(0, a=1); item 1 bootstraps from row 0 and must see
+    the old value, not the one item 0 wrote."""
+    t = TabularQ(3, 2, learning_rate=0.5)
+    t.table[0] = [0.0, 2.0]
+    t.train_on(columns([(0, 1, 10.0, 2, True), (1, 0, 0.0, 0, False)]), 0.9)
+    assert t.table[0, 1] == 2.0 + 0.5 * (10.0 - 2.0)
+    assert t.table[1, 0] == 0.5 * (0.9 * 2.0)
+
+
+def test_train_on_repeated_cell_adds_alpha_delta_per_item():
+    t = TabularQ(2, 2, n_goals=2, learning_rate=0.25)
+    t.table[0, 1, 0] = 1.0
+    t.table[1, 1] = [3.0, 4.0]
+    items = [(0, 1, 0, 2.0, 1, True), (0, 1, 0, 0.0, 1, False), (0, 1, 0, 5.0, 1, True)]
+    loss = t.train_on(columns(items), 0.5)
+    deltas = [2.0 - 1.0, 0.5 * 4.0 - 1.0, 5.0 - 1.0]
+    assert t.table[0, 1, 0] == pytest.approx(1.0 + 0.25 * sum(deltas), abs=1e-15)
+    assert loss == pytest.approx(np.mean(np.square(deltas)))
+    t.table[0, 1, 0] = 0.0
+    assert np.count_nonzero(t.table) == 2  # only the bootstrap row is left
+
+
+def sequential(t: TabularQ, items, gamma: float) -> None:
+    for item in items:
+        if len(item) == 5:
+            s, a, r, sn, term = item
+            t.backup(s, None, a, r, sn, term, gamma)
+        else:
+            t.backup(*item, gamma)
+
+
+@pytest.mark.parametrize("n_goals", [None, 4])
+def test_train_on_equals_sequential_backups_without_overlap(n_goals):
+    """Distinct cells in states 0-4, bootstrap rows in states 5-9: nothing
+    one item writes is read or written by another, so the batch-synchronous
+    update and item-by-item backups agree bit for bit."""
     gen = np.random.default_rng(3)
-    a_tab = TabularQ(5, 3, n_goals=4, learning_rate=0.3)
-    b_tab = TabularQ(5, 3, n_goals=4, learning_rate=0.3)
-    batch = [
-        (
-            int(gen.integers(5)),
-            int(gen.integers(4)),
-            int(gen.integers(3)),
-            float(gen.normal()),
-            int(gen.integers(5)),
-            bool(gen.integers(2)),
-        )
-        for _ in range(64)
-    ]
-    a_tab.train_on(batch, 0.95)
-    for s, g, a, r, sn, term in batch:
-        b_tab.backup(s, g, a, r, sn, term, 0.95)
-    assert np.array_equal(a_tab.as_array(), b_tab.as_array())
+    batch_tab = TabularQ(10, 3, n_goals=n_goals, learning_rate=0.3)
+    batch_tab.table[...] = gen.normal(size=batch_tab.table.shape)
+    seq_tab = TabularQ(10, 3, n_goals=n_goals, learning_rate=0.3)
+    seq_tab.table[...] = batch_tab.table
+    cells = {}
+    while len(cells) < 8:
+        goal = () if n_goals is None else (int(gen.integers(n_goals)),)
+        cell = (int(gen.integers(5)), *goal, int(gen.integers(3)))
+        cells[cell] = (float(gen.normal()), int(gen.integers(5, 10)), bool(gen.integers(2)))
+    items = [(*cell, *rest) for cell, rest in cells.items()]
+    before = batch_tab.table.copy()
+    batch_tab.train_on(columns(items), 0.95)
+    sequential(seq_tab, items, 0.95)
+    assert np.array_equal(batch_tab.table, seq_tab.table)
+    assert np.count_nonzero(batch_tab.table != before) == len(items)
 
 
-def test_train_on_equals_sequential_backups_meta_shape():
-    a_tab = TabularQ(4, 6, learning_rate=0.2)
-    b_tab = TabularQ(4, 6, learning_rate=0.2)
-    batch = [(0, 3, 1.0, 2, False), (2, 1, 0.0, 0, True), (0, 3, 0.5, 2, False)]
-    a_tab.train_on(batch, 0.9)
-    for s, c, r, sn, term in batch:
-        b_tab.backup(s, None, c, r, sn, term, 0.9)
-    assert np.array_equal(a_tab.as_array(), b_tab.as_array())
+def test_flat_agent_inline_rule_is_tabular_backup():
+    """The flat agent's per-step list update is TabularQ.backup: replaying
+    its transitions through backup rebuilds its table bit for bit."""
+    env = ChainEnv()
+    agent = FlatQAgent(6, 2, seed=3, learning_rate=0.3, gamma=0.9, eps=EpsilonSchedule(horizon=400))
+    steps = []
+    step = env.step
+
+    def recording_step(action, gen):
+        s = env.state_of(env.position)
+        out = step(action, gen)
+        steps.append((s, action, out.extrinsic_reward, out.next_state, out.terminal))
+        return out
+
+    env.step = recording_step
+    env_gen = rng.stream(3, rng.ENV)
+    for _ in range(200):
+        agent.run_episode(env, env_gen)
+    assert len(steps) == agent.primitive_steps
+    ref = TabularQ(6, 2, learning_rate=0.3)
+    sequential(ref, steps, 0.9)
+    assert np.any(ref.table != 0.0)
+    assert np.array_equal(np.array(agent.table), ref.table)
 
 
 def test_values_bounds_checking():
@@ -151,7 +204,7 @@ def test_perfect_targets_mean_zero_loss_and_no_update():
         (s, a, float(net.values(s)[a]), 0, True) for s in range(3) for a in range(2)
     ]
     before = net.flat_params()
-    loss = net.train_on(batch, 0.99)
+    loss = net.train_on(columns(batch), 0.99)
     assert loss == pytest.approx(0.0, abs=1e-24)
     assert np.allclose(net.flat_params(), before, atol=1e-12)
 
@@ -162,7 +215,7 @@ def test_hand_derived_sgd_step():
     net.params["w1"][...] = [[0.5], [0.0]]
     net.params["w2"][...] = [[0.25]]
     net.sync_target()
-    loss = net.train_on([(0, 0, 1.0, 1, True)], 0.99)
+    loss = net.train_on(columns([(0, 0, 1.0, 1, True)]), 0.99)
     # q = relu(0.5) * 0.25 = 0.125; loss = (0.125 - 1)^2 = 0.765625
     assert loss == pytest.approx(0.765625, abs=1e-15)
     # gradient: dq = 2*(q - y) = -1.75; dw2 = h*dq = -0.875; db2 = -1.75;
@@ -180,7 +233,7 @@ def test_snapshot_frozen_until_sync():
     snap_before = {k: v.copy() for k, v in net.snapshot.items()}
     batch = [(0, 0, 1.0, 1, False), (1, 1, -0.5, 2, False), (2, 0, 0.3, 3, True)]
     for _ in range(100):
-        net.train_on(batch, 0.95)
+        net.train_on(columns(batch), 0.95)
     for k in net.PARAM_NAMES:
         assert np.array_equal(net.snapshot[k], snap_before[k])
         assert not np.array_equal(net.params[k], snap_before[k])
@@ -197,10 +250,10 @@ def test_loss_decreases_on_fixed_batch():
     batch = [
         (s, a, float(gen.normal()), 0, True) for s in range(4) for a in range(2)
     ]
-    first = net.loss_and_grads(batch, 0.99)[0]
+    first = net.loss_and_grads(columns(batch), 0.99)[0]
     last = 0.0
     for _ in range(1000):
-        last = net.train_on(batch, 0.99)
+        last = net.train_on(columns(batch), 0.99)
     assert last < first / 10
 
 
@@ -208,9 +261,41 @@ def test_divergence_raises():
     net = MlpQ(3, 2, hidden=4, init_rng=np.random.default_rng(6))
     net.params["w2"][...] = np.inf
     with pytest.raises(DivergenceError):
-        net.train_on([(0, 0, 1.0, 1, True)], 0.99)
+        net.train_on(columns([(0, 0, 1.0, 1, True)]), 0.99)
 
 
 def test_gradient_check_small():
     # The full 100-instance sweep runs in the acceptance suite.
     assert gradcheck_worst_rel_err(n_instances=10, seed=1) < 1e-4
+
+
+def tuple_path_loss(net: MlpQ, batch, gamma: float) -> float:
+    """The loss as the per-transition tuple path computed it."""
+    total = 0.0
+    for item in batch:
+        if len(item) == 5:
+            (s, a, r, sn, term), g = item, None
+        else:
+            s, g, a, r, sn, term = item
+        nxt = net._forward(net.snapshot, net.encode([sn], None if g is None else [g]))[2][0]
+        y = r + (0.0 if term else gamma * nxt.max())
+        total += (net.values(s, g)[a] - y) ** 2
+    return total / len(batch)
+
+
+@pytest.mark.parametrize("n_goals", [None, 3])
+def test_loss_on_columns_equals_tuple_path(n_goals):
+    gen = np.random.default_rng(11)
+    net = MlpQ(5, 4, n_goals=n_goals, hidden=6, init_rng=gen)
+    for name in net.PARAM_NAMES:
+        net.snapshot[name] = net.snapshot[name] + gen.normal(0.0, 0.3, net.snapshot[name].shape)
+
+    def item():
+        goal = () if n_goals is None else (int(gen.integers(n_goals)),)
+        return (int(gen.integers(5)), *goal, int(gen.integers(4)), float(gen.normal()),
+                int(gen.integers(5)), bool(gen.integers(2)))
+
+    batch = [item() for _ in range(32)]
+    assert net.loss_and_grads(columns(batch), 0.9)[0] == pytest.approx(
+        tuple_path_loss(net, batch, 0.9), rel=1e-12
+    )

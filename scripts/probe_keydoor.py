@@ -1,66 +1,90 @@
-"""Diagnostic: watch the two-level agent learn the key-door task."""
+"""Diagnostic: watch the two-level agent learn the key-door task.
+
+Trains one seed of configs/keydoor_hdqn.cfg through the harness's own
+build_env and build_agent, printing per-goal success after pretraining
+and reward, success and goal-pick shares during joint training, then
+evaluates the frozen policy with harness.evaluate_policy (the streams
+`hdqn eval` uses). Flags override only the budget, the seed and the
+learning rate:
+
+    python scripts/probe_keydoor.py [--pretrain-steps N] [--episodes N]
+        [--seed K] [--learning-rate A]
+"""
+import argparse
+import pathlib
 import sys
 import time
 
 import numpy as np
 
 from hdqn import rng
-from hdqn.agents import EpsilonSchedule, HierarchicalAgent
-from hdqn.critic import Critic, goal_set
-from hdqn.envs.keydoor import KeyDoorEnv
+from hdqn.config import load_config
+from hdqn.errors import ConfigError
+from hdqn.harness import build_agent, build_env, evaluate_policy
 
-seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-pretrain_steps = int(sys.argv[2]) if len(sys.argv) > 2 else 200_000
-joint_episodes = int(sys.argv[3]) if len(sys.argv) > 3 else 5_000
-lr = float(sys.argv[4]) if len(sys.argv) > 4 else 0.00025
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "keydoor_hdqn.cfg"
+EVAL_EPISODES = 100
+EVAL_EPSILON = 0.1
 
-env = KeyDoorEnv()
-critic = Critic(env)
-names = [g.name for g in goal_set(env)]
-agent = HierarchicalAgent(
-    env.n_states, env.n_actions, critic.n_goals,
-    seed=seed, learning_rate=lr,
-    d1_capacity=1_000_000, d2_capacity=50_000,
-    d1_warmup=1000, d2_warmup=1000,
-    eps1=EpsilonSchedule(horizon=400_000),
-    eps2=EpsilonSchedule(horizon=100_000),
-)
-env_gen = rng.stream(seed, rng.ENV)
 
-t0 = time.time()
-n_pre = 0
-while agent.primitive_steps < pretrain_steps:
-    agent.run_episode(env, critic, "pretrain", env_gen)
-    n_pre += 1
-print(f"pretrain: {n_pre} episodes, {agent.primitive_steps} steps, "
-      f"{time.time()-t0:.0f}s, succ {[round(agent.tracker.success_rate(g), 2) for g in range(4)]}")
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pretrain-steps", type=int, help="default: the config's")
+    parser.add_argument("--episodes", type=int, help="joint episodes (default: the config's)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--learning-rate", type=float, help="default: the config's")
+    args = parser.parse_args(argv)
+    overrides = {"seeds": (args.seed,), "workers": 1}
+    for key in ("pretrain_steps", "episodes", "learning_rate"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
+    try:
+        cfg = load_config(CONFIG, overrides)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-rewards = []
-key_succ = []
-picks = []
-for ep in range(joint_episodes):
-    tr = agent.run_episode(env, critic, "joint", env_gen)
-    rewards.append(tr.total_reward)
-    for g, ok in zip(tr.goal_picks, tr.goal_successes):
-        picks.append(g)
-        if names[g] == "key":
-            key_succ.append(ok)
-    if (ep + 1) % 500 == 0:
-        block = slice(max(0, ep - 499), ep + 1)
-        frac = np.bincount(picks[-2000:], minlength=4) / max(1, len(picks[-2000:]))
-        print(
-            f"ep {ep+1:5d}  r_mean {np.mean(rewards[block]):7.2f}  "
-            f"eps2 {agent.eps2.value(agent.joint_steps):.2f}  "
-            f"succ {[round(agent.tracker.success_rate(g), 2) for g in range(4)]}  "
-            f"picks {[round(f, 2) for f in frac]}  "
-            f"({time.time()-t0:.0f}s)"
-        )
+    agent = build_agent(cfg, args.seed, build_env(cfg))
+    env_gen = rng.stream(args.seed, rng.ENV)
+    names = agent.goal_names
+    every = max(1, min(500, cfg.episodes // 10))
 
-print("goal names:", names)
-evals = [
-    agent.eval_episode(env, critic, 0.1, rng.stream(1000 + i, rng.ENV), rng.stream(1000 + i, rng.EVAL))
-    for i in range(100)
-]
-rs = [e.total_reward for e in evals]
-print(f"eval eps=0.1: mean {np.mean(rs):.1f}  frac400 {np.mean([r == 400 for r in rs]):.2f}  "
-      f"total {time.time()-t0:.0f}s  steps {agent.primitive_steps}")
+    def success_rates():
+        return [round(agent.tracker.success_rate(g), 2) for g in range(len(names))]
+
+    t0 = time.time()
+    n_pre = 0
+    while agent.primitive_steps < cfg.pretrain_steps:
+        agent.run_episode(env_gen, phase="pretrain")
+        n_pre += 1
+    print(f"pretrain: {n_pre} episodes, {agent.primitive_steps} steps, "
+          f"{time.time()-t0:.0f}s, succ {success_rates()}")
+
+    rewards = []
+    picks = []
+    for ep in range(cfg.episodes):
+        tr = agent.run_episode(env_gen)
+        rewards.append(tr.total_reward)
+        picks.extend(tr.goal_picks)
+        if (ep + 1) % every == 0:
+            recent = picks[-2000:]
+            frac = np.bincount(recent, minlength=len(names)) / max(1, len(recent))
+            print(
+                f"ep {ep+1:5d}  r_mean {np.mean(rewards[ep + 1 - every:]):7.2f}  "
+                f"eps2 {agent.eps2.value(agent.joint_steps):.2f}  "
+                f"succ {success_rates()}  picks {np.round(frac, 2).tolist()}  "
+                f"({time.time()-t0:.0f}s)"
+            )
+
+    print("goal names:", list(names))
+    summary = evaluate_policy(agent, EVAL_EPISODES, EVAL_EPSILON, seed=args.seed)
+    lo, hi = summary.ci95
+    success = {name: round(rate, 2) for name, rate in summary.goal_success.items()}
+    print(f"eval eps={EVAL_EPSILON}: mean {summary.mean_reward:.1f} [{lo:.1f}, {hi:.1f}]  "
+          f"frac400 {np.mean(summary.rewards == 400.0):.2f}  succ {success}")
+    print(f"total {time.time()-t0:.0f}s  steps {agent.primitive_steps}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,18 +20,20 @@ from hdqn.agents.trace import EpisodeTrace
 
 
 class FlatQAgent:
+    goal_names = ()
+
     def __init__(
         self,
-        n_states: int,
-        n_actions: int,
+        env,
         *,
         seed: int = 0,
         learning_rate: float = 0.00025,
         gamma: float = 0.99,
         eps: EpsilonSchedule | None = None,
     ):
-        self.n_states = n_states
-        self.n_actions = n_actions
+        self.env = env
+        self.n_states = n_states = env.n_states
+        self.n_actions = n_actions = env.n_actions
         self.seed = seed
         self.gamma = gamma
         self.eps = eps if eps is not None else EpsilonSchedule()
@@ -41,8 +43,9 @@ class FlatQAgent:
         self.primitive_steps = 0
 
     def run_episode(
-        self, env, env_gen: np.random.Generator, count_visits: bool = False
+        self, env_gen: np.random.Generator, count_visits: bool = False
     ) -> EpisodeTrace:
+        env = self.env
         table = self.table
         alpha = self.learning_rate
         gamma = self.gamma
@@ -78,13 +81,13 @@ class FlatQAgent:
 
     def eval_episode(
         self,
-        env,
         epsilon: float,
         env_gen: np.random.Generator,
         pick_gen: np.random.Generator,
         count_visits: bool = False,
     ) -> EpisodeTrace:
         """Frozen-policy rollout; no learning."""
+        env = self.env
         s = env.reset(env_gen)
         visits = [0] * self.n_states if count_visits else None
         trace = EpisodeTrace(state_visits=visits)

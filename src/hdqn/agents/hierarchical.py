@@ -1,9 +1,12 @@
 """The two-level agent.
 
-A meta level picks a goal from the current state with epsilon-greedy
-exploration over its own value function; the low level then picks
-primitive actions, paid a unit reward by the critic when the goal
-predicate is satisfied. The option ends when the goal is reached or the
+An agent is built for one environment and owns its internal critic,
+which it builds from that environment: the critic fixes the goal set
+and judges, after every primitive step, whether the current goal has
+been reached. A meta level picks a goal from the current state with
+epsilon-greedy exploration over its own value function; the low level
+then picks primitive actions, paid a unit reward when the critic says
+the goal is reached. The option ends when the goal is reached or the
 episode terminates. Environment rewards collected while an option runs
 are summed undiscounted into F and credited to the goal choice as one
 meta-scale transition; discounting enters only through the bootstrap.
@@ -25,7 +28,7 @@ import numpy as np
 from hdqn import rng
 from hdqn.agents.exploration import EpsilonSchedule, GoalSuccessTracker, eps_greedy
 from hdqn.agents.trace import EpisodeTrace
-from hdqn.critic import INTRINSIC_REWARD
+from hdqn.critic import INTRINSIC_REWARD, Critic
 from hdqn.replay import ReplayBuffer
 from hdqn.values import MlpQ, TabularQ
 
@@ -58,9 +61,7 @@ def make_estimator(
 class HierarchicalAgent:
     def __init__(
         self,
-        n_states: int,
-        n_actions: int,
-        n_goals: int,
+        env,
         *,
         seed: int = 0,
         backend: str = "tabular",
@@ -79,17 +80,21 @@ class HierarchicalAgent:
         target_sync: int = 1000,
         estimators: tuple | None = None,
     ):
-        """estimators, when given, is a prebuilt (q1, q2) pair used in place
-        of fresh ones; backend, learning_rate and hidden are then unused."""
+        """An agent for env: its critic, goal set and every dimension come
+        from env. estimators, when given, is a prebuilt (q1, q2) pair used in
+        place of fresh ones; backend, learning_rate and hidden are then unused."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if d1_warmup < 1 or d2_warmup < 1:
             raise ValueError("warm-up thresholds must be >= 1")
         if target_sync < 1:
             raise ValueError(f"target_sync must be >= 1, got {target_sync}")
-        self.n_states = n_states
-        self.n_actions = n_actions
-        self.n_goals = n_goals
+        self.env = env
+        self.critic = Critic(env)
+        self.goal_names = tuple(g.name for g in self.critic.goals)
+        self.n_states = n_states = env.n_states
+        self.n_actions = n_actions = env.n_actions
+        self.n_goals = n_goals = self.critic.n_goals
         self.seed = seed
         self.gamma = gamma
         self.batch_size = batch_size
@@ -135,21 +140,20 @@ class HierarchicalAgent:
 
     def run_episode(
         self,
-        env,
-        critic,
-        phase: str,
         env_gen: np.random.Generator,
         count_visits: bool = False,
+        phase: str = "joint",
     ) -> EpisodeTrace:
         if phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
         joint = phase == "joint"
+        env = self.env
         q1, q2 = self.q1, self.q2
         d1, d2 = self.d1, self.d2
         tracker = self.tracker
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen
         n_actions, n_goals = self.n_actions, self.n_goals
-        reached_check = critic.reached
+        reached_check = self.critic.reached
 
         s = env.reset(env_gen)
         visits = [0] * self.n_states if count_visits else None
@@ -190,15 +194,15 @@ class HierarchicalAgent:
 
     def eval_episode(
         self,
-        env,
-        critic,
         epsilon: float,
         env_gen: np.random.Generator,
         pick_gen: np.random.Generator,
         count_visits: bool = False,
     ) -> EpisodeTrace:
         """Frozen-policy rollout: no learning, no memory or tracker writes."""
+        env = self.env
         q1, q2 = self.q1, self.q2
+        reached_check = self.critic.reached
         s = env.reset(env_gen)
         visits = [0] * self.n_states if count_visits else None
         trace = EpisodeTrace(state_visits=visits)
@@ -210,7 +214,7 @@ class HierarchicalAgent:
             while not (done or reached):
                 a = eps_greedy(q1.values(s, g), self.n_actions, epsilon, pick_gen)
                 s, r, done = env.step(a, env_gen)
-                reached = critic.reached(g, s)
+                reached = reached_check(g, s)
                 trace.total_reward += r
                 trace.steps += 1
                 if visits is not None:

@@ -22,7 +22,7 @@ One binary container, little-endian, version 2. Layout:
 
 The environment fixes every dimension, so the reader checks each
 section's dimensions against the env's state and action counts and the
-critic's goal count, and each body's length, before it allocates the
+size of its goal set, and each body's length, before it allocates the
 estimator. Trailing bytes are rejected, and every malformed field
 raises ConfigError. Checkpoints hold everything a frozen-policy
 evaluation needs; replay contents are deliberately not persisted.
@@ -142,6 +142,8 @@ def dump_agent(agent, env) -> bytes:
         kind = "flat"
     else:
         raise TypeError(f"cannot checkpoint {type(agent).__name__}")
+    if env is not agent.env:
+        raise ValueError("env must be the environment the agent was built for")
     w = _Writer()
     w.parts.append(_MAGIC)
     w.pack("IB", _VERSION, _KINDS.index(kind))
@@ -220,13 +222,7 @@ def _load(r: _Reader):
         _check_end(r)
         if q.kind != "tabular":
             raise ConfigError("flat-agent checkpoint must hold a tabular value section")
-        agent = FlatQAgent(
-            env.n_states,
-            env.n_actions,
-            learning_rate=q.learning_rate,
-            gamma=gamma,
-            eps=eps,
-        )
+        agent = FlatQAgent(env, learning_rate=q.learning_rate, gamma=gamma, eps=eps)
         agent.table = q.table.tolist()
         agent.primitive_steps = primitive_steps
         return agent, env, kind
@@ -241,9 +237,7 @@ def _load(r: _Reader):
     q2 = r.values(env.n_states, None, n_goals)
     _check_end(r)
     agent = HierarchicalAgent(
-        env.n_states,
-        env.n_actions,
-        n_goals,
+        env,
         gamma=gamma,
         eps1=eps1,
         eps2=eps2,

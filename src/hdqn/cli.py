@@ -15,7 +15,6 @@ import sys
 from hdqn import oracle
 from hdqn.checkpoint import read_agent
 from hdqn.config import BACKENDS, default_config, load_config
-from hdqn.critic import Critic
 from hdqn.errors import ConfigError, DivergenceError
 from hdqn.harness import evaluate_policy, run_experiment
 
@@ -65,11 +64,10 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     if not 0.0 <= args.epsilon <= 1.0:
         raise ConfigError(f"--epsilon must be in [0, 1], got {args.epsilon}")
-    agent, env, kind = read_agent(args.checkpoint)
-    critic = Critic(env) if kind == "hdqn" else None
-    summary = evaluate_policy(
-        agent, env, args.episodes, args.epsilon, seed=args.seed, critic=critic
-    )
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
+    agent, _, kind = read_agent(args.checkpoint)
+    summary = evaluate_policy(agent, args.episodes, args.epsilon, seed=args.seed)
     lo, hi = summary.ci95
     print(f"agent: {kind}")
     print(f"episodes: {summary.episodes}  epsilon: {summary.epsilon}")

@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise bad("the flat baseline is defined for the chain environment only")
         if self.agent == "flat" and self.backend != "tabular":
             raise bad("the flat baseline is tabular only")
+        if self.agent == "flat" and self.pretrain_steps > 0:
+            raise bad("the flat baseline has no pretraining phase (pretrain_steps must be 0)")
         if not self.seeds:
             raise bad("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):

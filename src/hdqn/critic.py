@@ -5,9 +5,14 @@ same subject and relation, so a GoalSpec records only the target. For
 the chain task every observed state is a target; for the key-door task
 the targets are the four non-hazard entities (key, door, both ladders),
 checked purely on cell configuration: reaching the door counts whether
-or not the key is held. Critic.reached is the predicate; the agent pays
-the low level INTRINSIC_REWARD on a step that satisfies it and nothing
-otherwise. Intrinsic reward never appears in any extrinsic total.
+or not the key is held.
+
+Critic is the internal critic of the two-level agent: a
+HierarchicalAgent builds its own from the environment it is built for,
+and nothing else in the package constructs one. Critic.reached is the
+predicate; the agent pays the low level INTRINSIC_REWARD on a step that
+satisfies it and nothing otherwise. Intrinsic reward never appears in
+any extrinsic total.
 """
 from __future__ import annotations
 
@@ -48,7 +53,6 @@ class Critic:
     """
 
     def __init__(self, env):
-        self.env = env
         self.goals = goal_set(env)
         if isinstance(env, ChainEnv):
             self._targets = [g.target for g in self.goals]

@@ -40,18 +40,9 @@ class ChainEnv(Environment):
     def position(self) -> int:
         return self._position
 
-    @property
-    def visited_top(self) -> bool:
-        """Diagnostic only: hidden from the observed state."""
-        return self._visited_top
-
     @staticmethod
     def state_of(position: int) -> int:
         return position - 1
-
-    @staticmethod
-    def position_of(state: int) -> int:
-        return state + 1
 
     def reset(self, rng: np.random.Generator) -> int:
         self._position = self.start_position

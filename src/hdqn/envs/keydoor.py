@@ -218,10 +218,6 @@ class KeyDoorEnv(Environment):
 
     # -- dynamics ------------------------------------------------------
 
-    @property
-    def steps_elapsed(self) -> int:
-        return self._steps
-
     def reset(self, rng: np.random.Generator) -> int:
         self._agent = self.layout.spawn
         self._skull_off = 0

@@ -1,6 +1,11 @@
 """Multi-seed experiment driver.
 
 One seed = one independent agent, environment, and RNG stream family.
+build_agent is the only place that tells the agent kinds apart. Each
+agent is built for its environment (the hierarchical one builds its own
+critic from it), and both run and evaluate episodes through the same
+signatures, so run_seed and evaluate_policy drive either kind alike.
+
 Training logs raw per-episode tallies; windowed metric columns and CSVs
 are derived afterwards so identical runs produce identical bytes. Seeds
 run in worker processes when more than one CPU is available, with a
@@ -18,7 +23,6 @@ from hdqn import metrics, rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
 from hdqn.checkpoint import dump_agent
 from hdqn.config import ExperimentConfig
-from hdqn.critic import Critic, goal_set
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import DivergenceError
@@ -30,20 +34,17 @@ def build_env(cfg: ExperimentConfig):
     return KeyDoorEnv(cfg.layout or None, step_limit=cfg.step_limit)
 
 
-def build_agent(cfg: ExperimentConfig, seed: int, env, n_goals: int | None):
+def build_agent(cfg: ExperimentConfig, seed: int, env):
     if cfg.agent == "flat":
         return FlatQAgent(
-            env.n_states,
-            env.n_actions,
+            env,
             seed=seed,
             learning_rate=cfg.learning_rate,
             gamma=cfg.gamma,
             eps=EpsilonSchedule(1.0, cfg.eps_floor, cfg.eps1_horizon),
         )
     return HierarchicalAgent(
-        env.n_states,
-        env.n_actions,
-        n_goals,
+        env,
         seed=seed,
         backend=cfg.backend,
         learning_rate=cfg.learning_rate,
@@ -88,15 +89,8 @@ class SeedResult:
 def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     """Train one agent to the configured budget and tally every episode."""
     env = build_env(cfg)
-    if cfg.agent == "flat":
-        critic = None
-        goal_names = ()
-        n_goals = 0
-    else:
-        critic = Critic(env)
-        goal_names = tuple(g.name for g in goal_set(env))
-        n_goals = critic.n_goals
-    agent = build_agent(cfg, seed, env, n_goals)
+    agent = build_agent(cfg, seed, env)
+    n_goals = len(agent.goal_names)
     env_gen = rng.stream(seed, rng.ENV)
 
     track_visits = cfg.env == "chain"
@@ -109,7 +103,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         rewards.append(trace.total_reward)
         if track_visits:
             visits.append(trace.state_visits)
-        if critic is not None:
+        if n_goals:
             p = np.zeros(n_goals, dtype=np.int64)
             ok = np.zeros(n_goals, dtype=np.int64)
             for g, hit in zip(trace.goal_picks, trace.goal_successes):
@@ -122,33 +116,22 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
                 f"non-finite episode reward at episode {len(rewards)} (seed {seed})"
             )
 
-    pretrain_episodes = 0
-    if cfg.agent == "hdqn" and cfg.pretrain_steps > 0:
-        while agent.primitive_steps < cfg.pretrain_steps:
-            tally(
-                agent.run_episode(
-                    env, critic, "pretrain", env_gen, count_visits=track_visits
-                )
-            )
-            pretrain_episodes += 1
-
+    pretrain_episodes = 0  # validation allows pretraining for hdqn only
+    while agent.primitive_steps < cfg.pretrain_steps:
+        tally(agent.run_episode(env_gen, count_visits=track_visits, phase="pretrain"))
+        pretrain_episodes += 1
     for _ in range(cfg.episodes):
-        if cfg.agent == "flat":
-            tally(agent.run_episode(env, env_gen, count_visits=track_visits))
-        else:
-            tally(
-                agent.run_episode(env, critic, "joint", env_gen, count_visits=track_visits)
-            )
+        tally(agent.run_episode(env_gen, count_visits=track_visits))
 
     return SeedResult(
         seed=seed,
         rewards=np.asarray(rewards, dtype=np.float64),
         visits=np.asarray(visits, dtype=np.int64) if track_visits else None,
-        picks=np.asarray(picks, dtype=np.int64) if critic is not None else None,
-        successes=np.asarray(successes, dtype=np.int64) if critic is not None else None,
+        picks=np.asarray(picks, dtype=np.int64) if n_goals else None,
+        successes=np.asarray(successes, dtype=np.int64) if n_goals else None,
         pretrain_episodes=pretrain_episodes,
         checkpoint=dump_agent(agent, env),
-        goal_names=goal_names,
+        goal_names=agent.goal_names,
     )
 
 
@@ -221,34 +204,26 @@ class EvalSummary:
         return (self.mean_reward - half, self.mean_reward + half)
 
 
-def evaluate_policy(agent, env, episodes: int, epsilon: float, seed: int = 0, critic=None) -> EvalSummary:
+def evaluate_policy(agent, episodes: int, epsilon: float, seed: int = 0) -> EvalSummary:
     """Frozen-policy rollouts; reports extrinsic reward and goal success.
 
     Episode i draws its environment and choice streams from the key
     (seed, EVAL, i), disjoint from every training stream and from the
     evaluation streams of every other seed.
     """
-    if isinstance(agent, HierarchicalAgent) and critic is None:
-        critic = Critic(env)
     rewards = np.empty(episodes)
     attempts: dict = {}
     hits: dict = {}
-    names = tuple(g.name for g in goal_set(env)) if critic is not None else ()
     for i in range(episodes):
         env_gen = rng.stream(seed, rng.EVAL, i, rng.ENV)
         pick_gen = rng.stream(seed, rng.EVAL, i, rng.EVAL)
-        if critic is None:
-            trace = agent.eval_episode(env, epsilon, env_gen, pick_gen)
-        else:
-            trace = agent.eval_episode(env, critic, epsilon, env_gen, pick_gen)
-            for g, ok in zip(trace.goal_picks, trace.goal_successes):
-                attempts[g] = attempts.get(g, 0) + 1
-                hits[g] = hits.get(g, 0) + ok
+        trace = agent.eval_episode(epsilon, env_gen, pick_gen)
+        for g, ok in zip(trace.goal_picks, trace.goal_successes):
+            attempts[g] = attempts.get(g, 0) + 1
+            hits[g] = hits.get(g, 0) + ok
         rewards[i] = trace.total_reward
     sem = float(rewards.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
-    goal_success = {
-        names[g]: hits[g] / attempts[g] for g in sorted(attempts) if attempts[g]
-    }
+    goal_success = {agent.goal_names[g]: hits[g] / attempts[g] for g in sorted(attempts)}
     return EvalSummary(
         episodes=episodes,
         epsilon=epsilon,

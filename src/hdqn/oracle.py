@@ -113,8 +113,3 @@ def value_iteration(
     raise RuntimeError(
         f"value iteration did not reach residual {tol} in {max_iterations} iterations"
     )
-
-
-def solve_chain(gamma: float = 1.0, tol: float = 1e-10) -> ViResult:
-    """Optimal values for the fully observed chain task."""
-    return value_iteration(chain_model(), gamma=gamma, tol=tol)

@@ -236,16 +236,3 @@ class MlpQ:
         """snapshot := live parameters."""
         for name in self.PARAM_NAMES:
             np.copyto(self.snapshot[name], self.params[name])
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([self.params[n].ravel() for n in self.PARAM_NAMES])
-
-    def load_flat_params(self, flat: np.ndarray) -> None:
-        expected = sum(p.size for p in self.params.values())
-        if flat.size != expected:
-            raise ValueError(f"expected {expected} parameters, got {flat.size}")
-        pos = 0
-        for name in self.PARAM_NAMES:
-            p = self.params[name]
-            p[...] = flat[pos : pos + p.size].reshape(p.shape)
-            pos += p.size

@@ -72,19 +72,20 @@ def random_net_and_batch(gen: np.random.Generator):
 
 
 def finite_difference_grads(net: MlpQ, batch, gamma: float, h: float = 1e-5) -> np.ndarray:
-    base = net.flat_params()
-    grads = np.empty_like(base)
-    for i in range(base.size):
-        bumped = base.copy()
-        bumped[i] += h
-        net.load_flat_params(bumped)
-        plus = net.loss_and_grads(batch, gamma)[0]
-        bumped[i] -= 2 * h
-        net.load_flat_params(bumped)
-        minus = net.loss_and_grads(batch, gamma)[0]
-        grads[i] = (plus - minus) / (2 * h)
-    net.load_flat_params(base)
-    return grads
+    """Central differences, parameter by parameter in PARAM_NAMES order,
+    each perturbed in place and restored."""
+    grads = []
+    for name in net.PARAM_NAMES:
+        p = net.params[name]
+        for i in np.ndindex(p.shape):
+            base = p[i]
+            p[i] = base + h
+            plus = net.loss_and_grads(batch, gamma)[0]
+            p[i] = base - h
+            minus = net.loss_and_grads(batch, gamma)[0]
+            p[i] = base
+            grads.append((plus - minus) / (2 * h))
+    return np.array(grads)
 
 
 def gradcheck_worst_rel_err(n_instances: int = 100, seed: int = 0, h: float = 1e-5) -> float:

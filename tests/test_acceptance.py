@@ -18,7 +18,6 @@ from hdqn import oracle, rng
 from hdqn.agents import EpsilonSchedule, HierarchicalAgent
 from hdqn.checkpoint import load_agent
 from hdqn.config import load_config
-from hdqn.critic import Critic
 from hdqn.envs.chain import ChainEnv
 from hdqn.harness import evaluate_policy, run_all_seeds, run_experiment
 from hdqn.metrics import trailing_mean
@@ -155,15 +154,12 @@ def test_keydoor_learning_and_goal_shift(keydoor):
     passing = 0
     details = []
     for r in results:
-        agent, env, _ = load_agent(r.checkpoint)
-        critic = Critic(env)
+        agent, _, _ = load_agent(r.checkpoint)
         summary = evaluate_policy(
             agent,
-            env,
             episodes=EVAL_EPISODES,
             epsilon=EVAL_EPSILON,
             seed=9000 + r.seed,
-            critic=critic,
         )
         frac400 = float((summary.rewards == 400.0).mean())
         eval_ok = summary.mean_reward >= 100.0 and frac400 >= 0.2
@@ -221,12 +217,8 @@ def test_invariant_suites():
     )
 
     # time-scale separation and goal persistence on a live agent
-    env = ChainEnv()
-    critic = Critic(env)
     agent = HierarchicalAgent(
-        env.n_states,
-        env.n_actions,
-        critic.n_goals,
+        ChainEnv(),
         seed=5,
         learning_rate=0.05,
         eps1=EpsilonSchedule(horizon=2000),
@@ -234,7 +226,7 @@ def test_invariant_suites():
     )
     env_gen = rng.stream(5, rng.ENV)
     for _ in range(200):
-        agent.run_episode(env, critic, "joint", env_gen)
+        agent.run_episode(env_gen)
     scale_ok = (
         len(agent.d2) <= len(agent.d1)
         and agent.completed_options <= agent.primitive_steps

@@ -4,15 +4,12 @@ import pytest
 from helpers import stored
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
-from hdqn.critic import Critic
 from hdqn.envs.base import Environment, StepOutcome
 from hdqn.envs.chain import ChainEnv
 from hdqn.oracle import MdpModel, value_iteration
 
 
 def chain_agent(seed=0, **overrides):
-    env = ChainEnv()
-    critic = Critic(env)
     params = dict(
         seed=seed,
         learning_rate=0.05,
@@ -24,29 +21,25 @@ def chain_agent(seed=0, **overrides):
         eps2=EpsilonSchedule(horizon=500),
     )
     params.update(overrides)
-    agent = HierarchicalAgent(env.n_states, env.n_actions, critic.n_goals, **params)
-    return env, critic, agent
+    return HierarchicalAgent(ChainEnv(), **params)
 
 
-def run_episodes(env, critic, agent, n, phase="joint", seed=0, count_visits=False):
+def run_episodes(agent, n, phase="joint", seed=0, count_visits=False):
     env_gen = rng.stream(seed, rng.ENV)
-    return [
-        agent.run_episode(env, critic, phase, env_gen, count_visits=count_visits)
-        for _ in range(n)
-    ]
+    return [agent.run_episode(env_gen, count_visits=count_visits, phase=phase) for _ in range(n)]
 
 
 def test_time_scale_separation():
-    env, critic, agent = chain_agent()
-    run_episodes(env, critic, agent, 100)
+    agent = chain_agent()
+    run_episodes(agent, 100)
     assert agent.completed_options <= agent.primitive_steps
     assert len(agent.d1) == agent.primitive_steps  # under capacity
     assert len(agent.d2) == agent.completed_options
 
 
 def test_goal_persistence_within_options():
-    env, critic, agent = chain_agent()
-    run_episodes(env, critic, agent, 50)
+    agent = chain_agent()
+    run_episodes(agent, 50)
     d1 = stored(agent.d1)
     current = None
     for g, term in zip(d1["g"], d1["term"]):
@@ -60,19 +53,19 @@ def test_goal_persistence_within_options():
 
 
 def test_intrinsic_reward_gating():
-    env, critic, agent = chain_agent()
-    run_episodes(env, critic, agent, 50)
+    agent = chain_agent()
+    run_episodes(agent, 50)
     d1 = stored(agent.d1)
     for g, r, s_next, term in zip(d1["g"], d1["r"], d1["s_next"], d1["term"]):
-        reached = critic.reached(int(g), int(s_next))
+        reached = agent.critic.reached(int(g), int(s_next))
         assert (r > 0) == reached
         if reached:
             assert term
 
 
 def test_meta_transitions_record_option_outcomes():
-    env, critic, agent = chain_agent()
-    traces = run_episodes(env, critic, agent, 30)
+    agent = chain_agent()
+    traces = run_episodes(agent, 30)
     picks = [g for tr in traces for g in tr.goal_picks]
     d2 = stored(agent.d2)
     assert d2["a"].tolist() == picks  # the meta level's action is its goal choice
@@ -81,8 +74,8 @@ def test_meta_transitions_record_option_outcomes():
 
 
 def test_tracker_counts_option_attempts():
-    env, critic, agent = chain_agent()
-    traces = run_episodes(env, critic, agent, 40)
+    agent = chain_agent()
+    traces = run_episodes(agent, 40)
     n_options = sum(len(tr.goal_picks) for tr in traces)
     recorded = sum(
         min(agent.tracker.attempts(g), 10**9) for g in range(agent.n_goals)
@@ -94,17 +87,17 @@ def test_tracker_counts_option_attempts():
 
 
 def test_pretrain_pins_meta_epsilon_and_clock():
-    env, critic, agent = chain_agent()
-    run_episodes(env, critic, agent, 50, phase="pretrain")
+    agent = chain_agent()
+    run_episodes(agent, 50, phase="pretrain")
     assert agent.joint_steps == 0  # meta anneal clock frozen
     assert agent.meta_decisions > 0
     assert agent.primitive_steps > 0  # controller clock still runs
-    run_episodes(env, critic, agent, 10, phase="joint")
+    run_episodes(agent, 10, phase="joint")
     assert agent.joint_steps > 0
 
 
 def test_controller_epsilon_schedule_bound():
-    env, critic, agent = chain_agent(eps1=EpsilonSchedule(horizon=100))
+    agent = chain_agent(eps1=EpsilonSchedule(horizon=100))
     # No attempts yet: adaptive term is 1, the schedule dominates later.
     assert agent.controller_epsilon(0) == 1.0
     agent.primitive_steps = 50
@@ -120,13 +113,13 @@ def test_controller_epsilon_schedule_bound():
 
 
 def test_phase_validation():
-    env, critic, agent = chain_agent()
+    agent = chain_agent()
     with pytest.raises(ValueError):
-        agent.run_episode(env, critic, "warmup", rng.stream(0, rng.ENV))
+        agent.run_episode(rng.stream(0, rng.ENV), phase="warmup")
 
 
 def test_no_update_below_warmup():
-    env, critic, agent = chain_agent(d1_warmup=10, d2_warmup=10)
+    agent = chain_agent(d1_warmup=10, d2_warmup=10)
     before = agent.q1.table.copy()
     for _ in range(9):
         agent.d1.push(0, 0, 0, 0.0, 1, False)
@@ -140,19 +133,19 @@ def test_no_update_below_warmup():
 def test_chain_hdqn_learns_with_goal_chaining():
     """With a short budget and a hot learning rate the two-level agent
     should already beat the myopic 0.01 payoff on average."""
-    env, critic, agent = chain_agent(
+    agent = chain_agent(
         learning_rate=0.05,
         eps1=EpsilonSchedule(horizon=4000),
         eps2=EpsilonSchedule(horizon=4000),
     )
-    traces = run_episodes(env, critic, agent, 3000, seed=11)
+    traces = run_episodes(agent, 3000, seed=11)
     tail = [tr.total_reward for tr in traces[-500:]]
     assert np.mean(tail) > 0.05
 
 
 def test_trace_visit_counts():
-    env, critic, agent = chain_agent()
-    traces = run_episodes(env, critic, agent, 5, count_visits=True)
+    agent = chain_agent()
+    traces = run_episodes(agent, 5, count_visits=True)
     for tr in traces:
         assert tr.state_visits is not None
         assert sum(tr.state_visits) == tr.steps
@@ -161,8 +154,8 @@ def test_trace_visit_counts():
 
 
 def test_eval_episode_mutates_nothing():
-    env, critic, agent = chain_agent()
-    run_episodes(env, critic, agent, 20)
+    agent = chain_agent()
+    run_episodes(agent, 20)
     before = (
         agent.q1.table.copy(),
         agent.q2.table.copy(),
@@ -172,9 +165,7 @@ def test_eval_episode_mutates_nothing():
         agent.primitive_steps,
         agent.meta_decisions,
     )
-    tr = agent.eval_episode(
-        env, critic, 0.1, rng.stream(99, rng.ENV), rng.stream(99, rng.EVAL)
-    )
+    tr = agent.eval_episode(0.1, rng.stream(99, rng.ENV), rng.stream(99, rng.EVAL))
     after = (
         agent.q1.table,
         agent.q2.table,
@@ -191,30 +182,26 @@ def test_eval_episode_mutates_nothing():
 
 
 def test_eval_episode_deterministic():
-    env, critic, agent = chain_agent()
-    run_episodes(env, critic, agent, 20)
-    a = agent.eval_episode(env, critic, 0.1, rng.stream(5, rng.ENV), rng.stream(5, rng.EVAL))
-    b = agent.eval_episode(env, critic, 0.1, rng.stream(5, rng.ENV), rng.stream(5, rng.EVAL))
+    agent = chain_agent()
+    run_episodes(agent, 20)
+    a = agent.eval_episode(0.1, rng.stream(5, rng.ENV), rng.stream(5, rng.EVAL))
+    b = agent.eval_episode(0.1, rng.stream(5, rng.ENV), rng.stream(5, rng.EVAL))
     assert (a.total_reward, a.steps, a.goal_picks) == (b.total_reward, b.steps, b.goal_picks)
 
 
 def test_identical_seeds_identical_agents():
-    env1, critic1, agent1 = chain_agent(seed=3)
-    env2, critic2, agent2 = chain_agent(seed=3)
-    run_episodes(env1, critic1, agent1, 200, seed=3)
-    run_episodes(env2, critic2, agent2, 200, seed=3)
+    agent1 = chain_agent(seed=3)
+    agent2 = chain_agent(seed=3)
+    run_episodes(agent1, 200, seed=3)
+    run_episodes(agent2, 200, seed=3)
     assert np.array_equal(agent1.q1.table, agent2.q1.table)
     assert np.array_equal(agent1.q2.table, agent2.q2.table)
     assert agent1.primitive_steps == agent2.primitive_steps
 
 
 def test_mlp_backend_smoke():
-    env = ChainEnv()
-    critic = Critic(env)
     agent = HierarchicalAgent(
-        env.n_states,
-        env.n_actions,
-        critic.n_goals,
+        ChainEnv(),
         backend="mlp",
         learning_rate=1e-3,
         hidden=8,
@@ -224,17 +211,15 @@ def test_mlp_backend_smoke():
     )
     env_gen = rng.stream(0, rng.ENV)
     for _ in range(30):
-        agent.run_episode(env, critic, "joint", env_gen)
+        agent.run_episode(env_gen)
     assert agent.q1.train_steps > 0
     assert agent.q2.train_steps > 0
-    assert np.all(np.isfinite(agent.q1.flat_params()))
+    assert all(np.all(np.isfinite(p)) for p in agent.q1.params.values())
 
 
 def test_unknown_backend_rejected():
-    env = ChainEnv()
-    critic = Critic(env)
     with pytest.raises(ValueError):
-        HierarchicalAgent(6, 2, 6, backend="transformer")
+        HierarchicalAgent(ChainEnv(), backend="transformer")
 
 
 # -- flat baseline -----------------------------------------------------
@@ -279,13 +264,12 @@ def corridor_model() -> MdpModel:
 
 
 def test_flat_agent_matches_oracle_on_corridor():
-    env = CorridorEnv()
     agent = FlatQAgent(
-        3, 2, seed=1, learning_rate=0.5, gamma=0.9, eps=EpsilonSchedule(horizon=300)
+        CorridorEnv(), seed=1, learning_rate=0.5, gamma=0.9, eps=EpsilonSchedule(horizon=300)
     )
     env_gen = rng.stream(1, rng.ENV)
     for _ in range(400):
-        agent.run_episode(env, env_gen)
+        agent.run_episode(env_gen)
     oracle = value_iteration(corridor_model(), gamma=0.9)
     learned = np.array(agent.table)
     np.testing.assert_allclose(learned, oracle.q, atol=1e-3)
@@ -293,22 +277,20 @@ def test_flat_agent_matches_oracle_on_corridor():
 
 
 def test_flat_greedy_rollout_deterministic():
-    env = CorridorEnv()
-    agent = FlatQAgent(3, 2, seed=0, learning_rate=0.5, eps=EpsilonSchedule(horizon=50))
+    agent = FlatQAgent(CorridorEnv(), seed=0, learning_rate=0.5, eps=EpsilonSchedule(horizon=50))
     env_gen = rng.stream(0, rng.ENV)
     for _ in range(100):
-        agent.run_episode(env, env_gen)
-    a = agent.eval_episode(env, 0.0, rng.stream(1, rng.ENV), rng.stream(1, rng.EVAL))
-    b = agent.eval_episode(env, 0.0, rng.stream(2, rng.ENV), rng.stream(2, rng.EVAL))
+        agent.run_episode(env_gen)
+    a = agent.eval_episode(0.0, rng.stream(1, rng.ENV), rng.stream(1, rng.EVAL))
+    b = agent.eval_episode(0.0, rng.stream(2, rng.ENV), rng.stream(2, rng.EVAL))
     assert a.steps == b.steps == 2
     assert a.total_reward == b.total_reward == 1.0
 
 
 def test_flat_agent_on_chain_reward_support():
-    env = ChainEnv()
-    agent = FlatQAgent(6, 2, seed=2, learning_rate=0.1, eps=EpsilonSchedule(horizon=1000))
+    agent = FlatQAgent(ChainEnv(), seed=2, learning_rate=0.1, eps=EpsilonSchedule(horizon=1000))
     env_gen = rng.stream(2, rng.ENV)
-    traces = [agent.run_episode(env, env_gen, count_visits=True) for _ in range(300)]
+    traces = [agent.run_episode(env_gen, count_visits=True) for _ in range(300)]
     for tr in traces:
         assert tr.total_reward in (0.01, 1.0)
         assert tr.goal_picks == []

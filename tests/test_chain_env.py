@@ -136,5 +136,13 @@ def test_bad_action_raises():
 
 
 def test_state_position_mapping_roundtrip():
-    for pos in range(1, 7):
-        assert ChainEnv.position_of(ChainEnv.state_of(pos)) == pos
+    """The observed state id is the hidden position shifted by one, at
+    every step of a random walk."""
+    env = ChainEnv()
+    gen = rng.stream(4, rng.ENV)
+    s = env.reset(gen)
+    done = False
+    while not done:
+        assert s == ChainEnv.state_of(env.position) == env.position - 1
+        s, _, done = env.step(RIGHT, gen)
+    assert s == ChainEnv.state_of(1) == 0

@@ -9,7 +9,6 @@ from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent, hierarchical
 from hdqn.checkpoint import _Writer, dump_agent, load_agent, read_agent
 from hdqn.config import load_config
-from hdqn.critic import Critic
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import ConfigError
@@ -20,12 +19,8 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def trained_chain_agent(episodes=60):
-    env = ChainEnv()
-    critic = Critic(env)
     agent = HierarchicalAgent(
-        env.n_states,
-        env.n_actions,
-        critic.n_goals,
+        ChainEnv(),
         seed=4,
         learning_rate=0.1,
         d1_warmup=16,
@@ -35,12 +30,12 @@ def trained_chain_agent(episodes=60):
     )
     env_gen = rng.stream(4, rng.ENV)
     for _ in range(episodes):
-        agent.run_episode(env, critic, "joint", env_gen)
-    return env, critic, agent
+        agent.run_episode(env_gen)
+    return agent.env, agent
 
 
 def test_hdqn_roundtrip_preserves_everything():
-    env, critic, agent = trained_chain_agent()
+    env, agent = trained_chain_agent()
     blob = dump_agent(agent, env)
     loaded, env2, kind = load_agent(blob)
     assert kind == "hdqn"
@@ -58,34 +53,32 @@ def test_hdqn_roundtrip_preserves_everything():
 
 
 def test_roundtrip_evaluates_identically():
-    env, critic, agent = trained_chain_agent()
-    loaded, env2, _ = load_agent(dump_agent(agent, env))
-    critic2 = Critic(env2)
-    a = agent.eval_episode(env, critic, 0.1, rng.stream(7, rng.ENV), rng.stream(7, rng.EVAL))
-    b = loaded.eval_episode(env2, critic2, 0.1, rng.stream(7, rng.ENV), rng.stream(7, rng.EVAL))
+    env, agent = trained_chain_agent()
+    loaded, _, _ = load_agent(dump_agent(agent, env))
+    a = agent.eval_episode(0.1, rng.stream(7, rng.ENV), rng.stream(7, rng.EVAL))
+    b = loaded.eval_episode(0.1, rng.stream(7, rng.ENV), rng.stream(7, rng.EVAL))
     assert (a.total_reward, a.steps, a.goal_picks) == (b.total_reward, b.steps, b.goal_picks)
 
 
 def test_flat_roundtrip():
     env = ChainEnv()
-    agent = FlatQAgent(6, 2, seed=1, learning_rate=0.2, eps=EpsilonSchedule(horizon=300))
+    agent = FlatQAgent(env, seed=1, learning_rate=0.2, eps=EpsilonSchedule(horizon=300))
     env_gen = rng.stream(1, rng.ENV)
     for _ in range(100):
-        agent.run_episode(env, env_gen)
-    loaded, env2, kind = load_agent(dump_agent(agent, env))
+        agent.run_episode(env_gen)
+    loaded, _, kind = load_agent(dump_agent(agent, env))
     assert kind == "flat"
     assert loaded.table == agent.table
     assert loaded.primitive_steps == agent.primitive_steps
     assert loaded.eps == agent.eps
-    a = agent.eval_episode(env, 0.0, rng.stream(2, rng.ENV), rng.stream(2, rng.EVAL))
-    b = loaded.eval_episode(env2, 0.0, rng.stream(2, rng.ENV), rng.stream(2, rng.EVAL))
+    a = agent.eval_episode(0.0, rng.stream(2, rng.ENV), rng.stream(2, rng.EVAL))
+    b = loaded.eval_episode(0.0, rng.stream(2, rng.ENV), rng.stream(2, rng.EVAL))
     assert a.total_reward == b.total_reward
 
 
 def test_keydoor_env_reconstruction():
     env = KeyDoorEnv(step_limit=77)
-    critic = Critic(env)
-    agent = HierarchicalAgent(env.n_states, env.n_actions, critic.n_goals, seed=0)
+    agent = HierarchicalAgent(env, seed=0)
     loaded, env2, _ = load_agent(dump_agent(agent, env))
     assert isinstance(env2, KeyDoorEnv)
     assert env2.step_limit == 77
@@ -96,14 +89,13 @@ def test_keydoor_env_reconstruction():
 def test_custom_layout_survives():
     layout = "#######/#.A.LL#/#.SS..#/#K...D#/#######"
     env = KeyDoorEnv(layout)
-    critic = Critic(env)
-    agent = HierarchicalAgent(env.n_states, env.n_actions, critic.n_goals, seed=0)
+    agent = HierarchicalAgent(env, seed=0)
     _, env2, _ = load_agent(dump_agent(agent, env))
     assert env2.layout == env.layout
 
 
 def test_tabular_roundtrip():
-    env, critic, agent = trained_chain_agent()
+    env, agent = trained_chain_agent()
     agent.q1.learning_rate = 0.25
     loaded, _, _ = load_agent(dump_agent(agent, env))
     q1 = loaded.q1
@@ -116,7 +108,7 @@ def test_tabular_roundtrip():
 
 def test_meta_tabular_roundtrip():
     """The meta table has no goal axis; it keeps its own learning rate."""
-    env, critic, agent = trained_chain_agent()
+    env, agent = trained_chain_agent()
     agent.q2.learning_rate = 0.01
     loaded, _, _ = load_agent(dump_agent(agent, env))
     q2 = loaded.q2
@@ -129,11 +121,8 @@ def test_meta_tabular_roundtrip():
 def test_mlp_roundtrip():
     """Live parameters, the frozen snapshot, train_steps and the rate."""
     env = ChainEnv()
-    critic = Critic(env)
     agent = HierarchicalAgent(
-        env.n_states,
-        env.n_actions,
-        critic.n_goals,
+        env,
         backend="mlp",
         hidden=7,
         learning_rate=3e-4,
@@ -144,7 +133,7 @@ def test_mlp_roundtrip():
     )
     env_gen = rng.stream(8, rng.ENV)
     for _ in range(5):
-        agent.run_episode(env, critic, "joint", env_gen)
+        agent.run_episode(env_gen)
     assert agent.q1.train_steps > 0
     loaded, _, _ = load_agent(dump_agent(agent, env))
     for name in ("q1", "q2"):
@@ -161,19 +150,17 @@ def test_mlp_roundtrip():
 
 def test_mlp_backend_roundtrip():
     env = ChainEnv()
-    critic = Critic(env)
-    agent = HierarchicalAgent(
-        env.n_states, env.n_actions, critic.n_goals, backend="mlp", hidden=5, seed=2
-    )
+    agent = HierarchicalAgent(env, backend="mlp", hidden=5, seed=2)
     loaded, _, _ = load_agent(dump_agent(agent, env))
     assert loaded.backend == "mlp"
     assert loaded.q1.hidden == 5
-    np.testing.assert_array_equal(loaded.q1.flat_params(), agent.q1.flat_params())
-    np.testing.assert_array_equal(loaded.q2.flat_params(), agent.q2.flat_params())
+    for q in ("q1", "q2"):
+        for name, p in getattr(agent, q).params.items():
+            np.testing.assert_array_equal(getattr(loaded, q).params[name], p)
 
 
 def test_file_roundtrip(tmp_path):
-    env, critic, agent = trained_chain_agent(episodes=10)
+    env, agent = trained_chain_agent(episodes=10)
     path = tmp_path / "agent.ckpt"
     path.write_bytes(dump_agent(agent, env))
     loaded, _, kind = read_agent(path)
@@ -182,7 +169,7 @@ def test_file_roundtrip(tmp_path):
 
 
 def test_corrupt_checkpoints_rejected(tmp_path):
-    env, critic, agent = trained_chain_agent(episodes=5)
+    env, agent = trained_chain_agent(episodes=5)
     blob = dump_agent(agent, env)
     with pytest.raises(ConfigError):
         load_agent(b"NOPE" + blob[4:])
@@ -196,7 +183,7 @@ def test_corrupt_checkpoints_rejected(tmp_path):
 
 
 def test_unsupported_version_rejected():
-    env, critic, agent = trained_chain_agent(episodes=5)
+    env, agent = trained_chain_agent(episodes=5)
     blob = bytearray(dump_agent(agent, env))
     blob[4] = 99
     with pytest.raises(ConfigError):
@@ -204,12 +191,11 @@ def test_unsupported_version_rejected():
 
 
 def flat_chain_agent():
-    env = ChainEnv()
-    agent = FlatQAgent(6, 2, seed=1, learning_rate=0.2, eps=EpsilonSchedule(horizon=300))
+    agent = FlatQAgent(ChainEnv(), seed=1, learning_rate=0.2, eps=EpsilonSchedule(horizon=300))
     env_gen = rng.stream(1, rng.ENV)
     for _ in range(20):
-        agent.run_episode(env, env_gen)
-    return env, agent
+        agent.run_episode(env_gen)
+    return agent.env, agent
 
 
 def corrupted(blob: bytes, old: bytes, new: bytes) -> bytes:
@@ -228,14 +214,24 @@ def test_dump_writes_only_what_the_flat_agent_has():
 
 
 def test_dump_of_load_reproduces_the_bytes():
-    env, critic, agent = trained_chain_agent(episodes=10)
+    env, agent = trained_chain_agent(episodes=10)
     flat_env, flat = flat_chain_agent()
-    mlp = HierarchicalAgent(6, 2, 6, backend="mlp", hidden=3, seed=2)
+    mlp = HierarchicalAgent(env, backend="mlp", hidden=3, seed=2)
     keydoor = KeyDoorEnv(step_limit=50)
-    kd_agent = HierarchicalAgent(keydoor.n_states, keydoor.n_actions, 4, seed=1)
+    kd_agent = HierarchicalAgent(keydoor, seed=1)
     for a, e in ((agent, env), (flat, flat_env), (mlp, env), (kd_agent, keydoor)):
         blob = dump_agent(a, e)
         assert dump_agent(*load_agent(blob)[:2]) == blob
+
+
+def test_dump_rejects_an_environment_the_agent_was_not_built_for():
+    """The environment block is the agent's own: a look-alike env with
+    another step limit would load back as a different task."""
+    agent = HierarchicalAgent(KeyDoorEnv(step_limit=500), seed=0)
+    with pytest.raises(ValueError, match="built for"):
+        dump_agent(agent, KeyDoorEnv(step_limit=50))
+    with pytest.raises(ValueError, match="built for"):
+        dump_agent(agent, ChainEnv())
 
 
 @pytest.mark.parametrize(
@@ -264,7 +260,7 @@ def test_load_builds_the_agent_around_the_read_estimators(monkeypatch):
     """Loading allocates no estimator: MLP weights are never drawn only
     to be thrown away."""
     env = ChainEnv()
-    agent = HierarchicalAgent(6, 2, 6, backend="mlp", hidden=4, seed=3)
+    agent = HierarchicalAgent(env, backend="mlp", hidden=4, seed=3)
     blob = dump_agent(agent, env)
 
     def refuse(*args, **kwargs):
@@ -273,9 +269,10 @@ def test_load_builds_the_agent_around_the_read_estimators(monkeypatch):
     monkeypatch.setattr(hierarchical, "make_estimator", refuse)
     loaded, _, _ = load_agent(blob)
     assert loaded.backend == "mlp"
-    np.testing.assert_array_equal(loaded.q1.flat_params(), agent.q1.flat_params())
+    for name, p in agent.q1.params.items():
+        np.testing.assert_array_equal(loaded.q1.params[name], p)
     with pytest.raises(AssertionError, match="make_estimator"):
-        HierarchicalAgent(6, 2, 6, backend="mlp", hidden=4, seed=3)
+        HierarchicalAgent(env, backend="mlp", hidden=4, seed=3)
 
 
 def test_flat_checkpoint_with_a_network_section_rejected():
@@ -297,20 +294,20 @@ def test_flat_checkpoint_with_a_network_section_rejected():
     ids=["start", "horizon"],
 )
 def test_bad_schedule_rejected(old, new):
-    env, critic, agent = trained_chain_agent(episodes=5)
+    env, agent = trained_chain_agent(episodes=5)
     with pytest.raises(ConfigError):
         load_agent(corrupted(dump_agent(agent, env), old, new))
 
 
 def test_bad_tracker_floor_rejected():
-    env, critic, agent = trained_chain_agent(episodes=5)
+    env, agent = trained_chain_agent(episodes=5)
     blob = corrupted(dump_agent(agent, env), struct.pack("<Id", 100, 0.1), struct.pack("<Id", 100, 5.0))
     with pytest.raises(ConfigError):
         load_agent(blob)
 
 
 def test_non_utf8_env_name_rejected():
-    env, critic, agent = trained_chain_agent(episodes=5)
+    env, agent = trained_chain_agent(episodes=5)
     blob = corrupted(dump_agent(agent, env), b"\x05\x00\x00\x00chain", b"\x05\x00\x00\x00ch\xffin")
     with pytest.raises(ConfigError):
         load_agent(blob)
@@ -325,7 +322,7 @@ def test_non_utf8_env_name_rejected():
     ],
 )
 def test_dimension_mismatch_rejected(old, new):
-    env, critic, agent = trained_chain_agent(episodes=5)
+    env, agent = trained_chain_agent(episodes=5)
     blob = corrupted(dump_agent(agent, env), struct.pack("<BIII", *old), struct.pack("<BIII", *new))
     with pytest.raises(ConfigError, match="dimensions"):
         load_agent(blob)
@@ -342,7 +339,7 @@ def test_flat_dimension_mismatch_rejected():
 
 def test_oversized_network_rejected_before_allocation():
     env = ChainEnv()
-    agent = HierarchicalAgent(6, 2, 6, backend="mlp", hidden=5, seed=2)
+    agent = HierarchicalAgent(env, backend="mlp", hidden=5, seed=2)
     blob = corrupted(
         dump_agent(agent, env), struct.pack("<IQ", 5, 0), struct.pack("<IQ", 2**32 - 1, 0)
     )
@@ -381,23 +378,22 @@ def assert_loads_or_config_error(blob: bytes, positions) -> None:
 
 
 def test_every_single_byte_corruption_is_handled():
-    env, critic, agent = trained_chain_agent(episodes=5)
+    env, agent = trained_chain_agent(episodes=5)
     blob = dump_agent(agent, env)
     assert_loads_or_config_error(blob, range(len(blob)))
     env, agent = flat_chain_agent()
     blob = dump_agent(agent, env)
     assert_loads_or_config_error(blob, range(len(blob)))
-    agent = HierarchicalAgent(6, 2, 6, backend="mlp", hidden=3, seed=2)
-    blob = dump_agent(agent, ChainEnv())
+    agent = HierarchicalAgent(ChainEnv(), backend="mlp", hidden=3, seed=2)
+    blob = dump_agent(agent, agent.env)
     assert_loads_or_config_error(blob, range(len(blob)))
 
 
 def test_keydoor_env_block_and_dimension_corruption_is_handled():
     """Damage that changes the environment must not size any allocation."""
     env = KeyDoorEnv(step_limit=50)
-    critic = Critic(env)
-    agent = HierarchicalAgent(env.n_states, env.n_actions, critic.n_goals, seed=0)
+    agent = HierarchicalAgent(env, seed=0)
     blob = dump_agent(agent, env)
     env_block = 9 + 4 + len("keydoor") + 4 + len(env.layout_text) + 4
-    q1 = blob.index(struct.pack("<BIII", 0, env.n_states, critic.n_goals, env.n_actions))
+    q1 = blob.index(struct.pack("<BIII", 0, env.n_states, agent.n_goals, env.n_actions))
     assert_loads_or_config_error(blob, [*range(env_block), *range(q1, q1 + 13)])

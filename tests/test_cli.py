@@ -119,6 +119,18 @@ def test_eval_rejects_bad_epsilon(tiny_cfg, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "2**64"])
+def test_eval_rejects_out_of_range_seed(tiny_cfg, tmp_path, capsys, seed):
+    """An evaluation seed outside the 64-bit stream space is a usage
+    error, not a traceback from stream derivation."""
+    out = tmp_path / "results"
+    main(["run", "--config", str(tiny_cfg), "--out", str(out)])
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(out / "chain_hdqn_seed0.ckpt"), "--seed", seed])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --seed")
+
+
 def test_oracle_prints_values(capsys):
     code = main(["oracle"])
     assert code == 0

@@ -88,6 +88,7 @@ def test_line_number_points_at_offender():
         {"learning_rate": 1.5},  # tabular values need a step size in (0, 1]
         {"agent": "flat", "learning_rate": 1.5},
         {"seeds": (2**64,)},  # beyond the 64-bit seed space
+        {"agent": "flat", "pretrain_steps": 10},  # the flat baseline never pretrains
     ],
 )
 def test_validation_rejects(overrides):

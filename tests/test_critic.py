@@ -38,12 +38,8 @@ def test_chain_goal_predicate():
 def test_intrinsic_positive_iff_reached_chain():
     """The low level is paid INTRINSIC_REWARD on exactly the steps that
     satisfy the critic's predicate, and nothing on any other step."""
-    env = ChainEnv()
-    critic = Critic(env)
     agent = HierarchicalAgent(
-        env.n_states,
-        env.n_actions,
-        critic.n_goals,
+        ChainEnv(),
         seed=2,
         learning_rate=0.1,
         eps1=EpsilonSchedule(horizon=200),
@@ -51,11 +47,11 @@ def test_intrinsic_positive_iff_reached_chain():
     )
     env_gen = rng.stream(2, rng.ENV)
     for _ in range(30):
-        agent.run_episode(env, critic, "joint", env_gen)
+        agent.run_episode(env_gen)
     d1 = stored(agent.d1)
     assert set(d1["r"].tolist()) == {0.0, INTRINSIC_REWARD}
     for g, r, s_next in zip(d1["g"], d1["r"], d1["s_next"]):
-        assert (r == INTRINSIC_REWARD) == critic.reached(int(g), int(s_next))
+        assert (r == INTRINSIC_REWARD) == agent.critic.reached(int(g), int(s_next))
 
 
 def test_keydoor_goal_predicates():

@@ -8,7 +8,6 @@ from hdqn import rng
 from hdqn.agents import FlatQAgent
 from hdqn.checkpoint import read_agent
 from hdqn.config import default_config
-from hdqn.critic import Critic
 from hdqn.envs.chain import ChainEnv
 from hdqn.harness import (
     build_agent,
@@ -183,10 +182,8 @@ def test_keydoor_experiment_csv(tmp_path):
 
 def test_evaluate_policy_summary():
     cfg = tiny_chain_config()
-    env = build_env(cfg)
-    critic = Critic(env)
-    agent = build_agent(cfg, 0, env, critic.n_goals)
-    summary = evaluate_policy(agent, env, episodes=12, epsilon=0.5, seed=5, critic=critic)
+    agent = build_agent(cfg, 0, build_env(cfg))
+    summary = evaluate_policy(agent, episodes=12, epsilon=0.5, seed=5)
     assert summary.episodes == 12
     assert len(summary.rewards) == 12
     assert summary.mean_reward == pytest.approx(sum(summary.rewards) / 12)
@@ -198,27 +195,24 @@ def test_evaluate_policy_summary():
 
 def test_evaluate_policy_deterministic():
     cfg = tiny_chain_config()
-    env = build_env(cfg)
-    critic = Critic(env)
-    agent = build_agent(cfg, 0, env, critic.n_goals)
-    a = evaluate_policy(agent, env, episodes=6, epsilon=0.3, seed=9, critic=critic)
-    b = evaluate_policy(agent, env, episodes=6, epsilon=0.3, seed=9, critic=critic)
+    agent = build_agent(cfg, 0, build_env(cfg))
+    a = evaluate_policy(agent, episodes=6, epsilon=0.3, seed=9)
+    b = evaluate_policy(agent, episodes=6, epsilon=0.3, seed=9)
     assert np.array_equal(a.rewards, b.rewards)
 
 
 def peeked_eval_streams(seed: int, episodes: int = 4) -> list:
     """The next draws of each evaluation episode's (env, pick) streams."""
-    env = ChainEnv()
-    agent = FlatQAgent(env.n_states, env.n_actions)
+    agent = FlatQAgent(ChainEnv())
     seen = []
     play = agent.eval_episode
 
-    def spy(env, epsilon, env_gen, pick_gen):
+    def spy(epsilon, env_gen, pick_gen):
         seen.append((copy.deepcopy(env_gen).random(8), copy.deepcopy(pick_gen).random(8)))
-        return play(env, epsilon, env_gen, pick_gen)
+        return play(epsilon, env_gen, pick_gen)
 
     agent.eval_episode = spy
-    evaluate_policy(agent, env, episodes=episodes, epsilon=0.5, seed=seed)
+    evaluate_policy(agent, episodes=episodes, epsilon=0.5, seed=seed)
     return seen
 
 

@@ -149,10 +149,11 @@ def test_skull_periodicity():
 
 def test_step_limit_truncates():
     env, _ = fresh(step_limit=7)
-    out, total = play(env, [UP] * 10)
+    out, before = play(env, [UP] * 6)
+    assert not out.terminal
+    out, last = play(env, [UP])  # the 7th step hits the limit
     assert out.terminal
-    assert total == pytest.approx(0.0)
-    assert env.steps_elapsed == 7
+    assert before + last == pytest.approx(0.0)
 
 
 def test_swap_through_skull_is_survivable():

@@ -6,7 +6,6 @@ from hdqn.oracle import (
     MdpModel,
     augmented_index,
     chain_model,
-    solve_chain,
     value_iteration,
 )
 
@@ -38,7 +37,7 @@ def test_rewards_only_on_entering_terminal():
 
 
 def test_solution_matches_frozen_values():
-    res = solve_chain()
+    res = value_iteration(chain_model())
     assert res.residual < 1e-10
     np.testing.assert_allclose(res.v[:6], V_NOT_VISITED, atol=1e-9)
     np.testing.assert_allclose(res.v[6:], V_VISITED, atol=1e-9)
@@ -50,14 +49,14 @@ def test_start_state_value_matches_ruin_closed_form():
     # probability (2-1)/(6-1); the payoff is 1 on that event, else 0.01.
     p_top = (2 - 1) / (6 - 1)
     closed_form = p_top * 1.0 + (1 - p_top) * 0.01
-    res = solve_chain()
+    res = value_iteration(chain_model())
     start = res.v[augmented_index(ChainEnv.start_position, False)]
     assert start == pytest.approx(closed_form, abs=1e-9)
     assert start == pytest.approx(0.208, abs=1e-3)
 
 
 def test_optimal_policy_shape():
-    res = solve_chain()
+    res = value_iteration(chain_model())
     # Before the top is visited: head right everywhere.
     for pos in range(2, 7):
         assert res.policy[augmented_index(pos, False)] == 1
@@ -70,7 +69,7 @@ def test_optimal_policy_shape():
 
 
 def test_terminal_states_have_zero_value():
-    res = solve_chain()
+    res = value_iteration(chain_model())
     assert res.v[augmented_index(1, False)] == 0.0
     assert res.v[augmented_index(1, True)] == 0.0
 

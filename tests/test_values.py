@@ -101,7 +101,7 @@ def test_flat_agent_inline_rule_is_tabular_backup():
     """The flat agent's per-step list update is TabularQ.backup: replaying
     its transitions through backup rebuilds its table bit for bit."""
     env = ChainEnv()
-    agent = FlatQAgent(6, 2, seed=3, learning_rate=0.3, gamma=0.9, eps=EpsilonSchedule(horizon=400))
+    agent = FlatQAgent(env, seed=3, learning_rate=0.3, gamma=0.9, eps=EpsilonSchedule(horizon=400))
     steps = []
     step = env.step
 
@@ -114,7 +114,7 @@ def test_flat_agent_inline_rule_is_tabular_backup():
     env.step = recording_step
     env_gen = rng.stream(3, rng.ENV)
     for _ in range(200):
-        agent.run_episode(env, env_gen)
+        agent.run_episode(env_gen)
     assert len(steps) == agent.primitive_steps
     ref = TabularQ(6, 2, learning_rate=0.3)
     sequential(ref, steps, 0.9)
@@ -203,10 +203,11 @@ def test_perfect_targets_mean_zero_loss_and_no_update():
     batch = [
         (s, a, float(net.values(s)[a]), 0, True) for s in range(3) for a in range(2)
     ]
-    before = net.flat_params()
+    before = {name: p.copy() for name, p in net.params.items()}
     loss = net.train_on(columns(batch), 0.99)
     assert loss == pytest.approx(0.0, abs=1e-24)
-    assert np.allclose(net.flat_params(), before, atol=1e-12)
+    for name, p in before.items():
+        assert np.allclose(net.params[name], p, atol=1e-12)
 
 
 def test_hand_derived_sgd_step():

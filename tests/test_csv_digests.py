@@ -8,7 +8,10 @@ digests were last re-recorded when replay began drawing its indices in
 blocks and the tabular update became batch-synchronous. The chain hdqn
 pin runs 2000 episodes: at 300 its bytes did not move under that same
 learning change, so it could not catch one. The flat chain
-digests have never moved: that agent has no replay. Checkpoint bytes are
+digests have never moved: that agent has no replay. Its pin runs 5000
+episodes so that each of its files crosses a row-block boundary of the
+CSV writer; those digests were recorded with the cell-at-a-time writer,
+before CSVs were formatted a column at a time. Checkpoint bytes are
 deliberately not pinned; their format is versioned.
 """
 import hashlib
@@ -33,12 +36,14 @@ PINNED = {
             "chain_hdqn_aggregate.csv": "b1713fedb75bad59c1a9cf6599f127538faedd12c273b0ccc813e65e4905b93b",
         },
     ),
+    # 5000 episodes is more than one metrics._ROW_BLOCK (4096 rows), so
+    # every file here is written in two blocks.
     "chain_flat.cfg": (
-        {"seeds": (0, 1), "episodes": 300},
+        {"seeds": (0, 1), "episodes": 5000},
         {
-            "chain_flat_seed0.csv": "320539e54b428b1cd98a5693cb7d6bad667f4324339b6c194aebce8b39dec262",
-            "chain_flat_seed1.csv": "a60902f8eceb86390c09a95f382d744b21f0ed9dbf5a395be460de45df6c2aea",
-            "chain_flat_aggregate.csv": "e81c834bc0f386a6d12bbb924f622e8f6bd475a8abd661e46d4c221265af397d",
+            "chain_flat_seed0.csv": "9b6f5bd7c06e262efaf12ccb6228d7e567124badb104c3084d0e1be2b35d92ef",
+            "chain_flat_seed1.csv": "4ecbf096568d2248ebe0eae55607a0541a68945a94ba54496241e41fecea912c",
+            "chain_flat_aggregate.csv": "9067e5adc7238898f52058354297495f5b5ca2fbcec0db25d34c7c5e6bd6e1c3",
         },
     ),
     # Pretraining runs whole episodes until its step budget is spent, so

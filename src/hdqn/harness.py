@@ -70,8 +70,8 @@ class SeedResult:
     seed: int
     rewards: np.ndarray  # (episodes,)
     visits: np.ndarray | None = None  # (episodes, n_states), chain only
-    picks: np.ndarray | None = None  # (episodes, n_goals)
-    successes: np.ndarray | None = None  # (episodes, n_goals)
+    picks: np.ndarray | None = None  # (episodes, n_goals), key-door only
+    successes: np.ndarray | None = None  # (episodes, n_goals), key-door only
     pretrain_episodes: int = 0
     checkpoint: bytes = b""
     goal_names: tuple = ()
@@ -93,7 +93,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     n_goals = len(agent.goal_names)
     env_gen = rng.stream(seed, rng.ENV)
 
-    track_visits = cfg.env == "chain"
+    track_visits = cfg.env == "chain"  # chain columns read visits, key-door ones goal tallies
     rewards: list[float] = []
     visits: list[list[int]] = []
     picks: list[np.ndarray] = []
@@ -103,7 +103,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         rewards.append(trace.total_reward)
         if track_visits:
             visits.append(trace.state_visits)
-        if n_goals:
+        else:
             p = np.zeros(n_goals, dtype=np.int64)
             ok = np.zeros(n_goals, dtype=np.int64)
             for g, hit in zip(trace.goal_picks, trace.goal_successes):
@@ -127,8 +127,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         seed=seed,
         rewards=np.asarray(rewards, dtype=np.float64),
         visits=np.asarray(visits, dtype=np.int64) if track_visits else None,
-        picks=np.asarray(picks, dtype=np.int64) if n_goals else None,
-        successes=np.asarray(successes, dtype=np.int64) if n_goals else None,
+        picks=None if track_visits else np.asarray(picks, dtype=np.int64),
+        successes=None if track_visits else np.asarray(successes, dtype=np.int64),
         pretrain_episodes=pretrain_episodes,
         checkpoint=dump_agent(agent, env),
         goal_names=agent.goal_names,
@@ -165,11 +165,11 @@ def write_outputs(cfg: ExperimentConfig, results: list, out_dir: str) -> list:
         per_seed_cols.append(cols)
         csv_path = os.path.join(out_dir, f"{stem}_seed{res.seed}.csv")
         metrics.write_csv(
-            csv_path, header, metrics.csv_rows(header, cols, res.seed, res.goal_names)
+            csv_path, header, metrics.csv_blocks(header, cols, res.seed, res.goal_names)
         )
         written.append(csv_path)
         ckpt_path = os.path.join(out_dir, f"{stem}_seed{res.seed}.ckpt")
-        with open(ckpt_path, "wb") as fh:
+        with metrics.atomic_open(ckpt_path, "wb") as fh:
             fh.write(res.checkpoint)
         written.append(ckpt_path)
 
@@ -178,7 +178,7 @@ def write_outputs(cfg: ExperimentConfig, results: list, out_dir: str) -> list:
     metrics.write_csv(
         agg_path,
         agg_header,
-        metrics.csv_rows(agg_header, agg, goal_names=results[0].goal_names),
+        metrics.csv_blocks(agg_header, agg, goal_names=results[0].goal_names),
     )
     written.append(agg_path)
     return written

@@ -6,11 +6,23 @@ identical runs serialize to identical bytes. Floats are written with
 repr(), the shortest round-trip form.
 
 A column holds one value per episode, or one per goal per episode as an
-(episodes, n_goals) array. One row writer serves every CSV: the header
-names the columns, and a header with a "goal" column gets one row per
-goal per episode (long format).
+(episodes, n_goals) array. One writer serves every CSV: the header names
+the columns, and a header with a "goal" column gets one row per goal per
+episode (long format).
+
+CSV text is made a column at a time, _ROW_BLOCK rows at a time: each
+column of a block is formatted by one call (str for integers and
+strings, repr for floats), and the block is joined into one text chunk.
+Within a block each distinct float is formatted once. That memo is keyed
+on the float's bits, not its value, because -0.0 == 0.0 but the two
+print differently. A CSV or checkpoint is written to a temporary sibling
+that replaces the target only once it is complete, so an error never
+leaves a half-written file.
 """
 from __future__ import annotations
+
+import contextlib
+import os
 
 import numpy as np
 
@@ -28,7 +40,7 @@ KEYDOOR_HEADER = ("seed", "episode", "reward_ma", "goal", "pick_frac", "success_
 CHAIN_AGGREGATE_HEADER = ("episode",) + _mean_sem(CHAIN_METRICS)
 KEYDOOR_AGGREGATE_HEADER = ("episode", "goal") + _mean_sem(KEYDOOR_METRICS)
 
-_ROW_BLOCK = 4096  # rows turned into Python objects at a time by csv_rows
+_ROW_BLOCK = 4096  # rows formatted into one text chunk at a time by csv_blocks
 
 # env -> (per-seed header, aggregate header)
 HEADERS = {
@@ -101,30 +113,55 @@ def keydoor_columns(rewards, pick_counts, success_counts, window: int) -> dict:
     }
 
 
-def format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def format_column(col: np.ndarray) -> list:
+    """The CSV text of each value of a 1-D column.
+
+    Integers and strings print with str(), floats with repr(). A float
+    column is formatted once per distinct bit pattern and indexed back,
+    so repeated values share one string.
+    """
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    bits = col.astype(np.float64, copy=False).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = list(map(repr, distinct.view(np.float64).tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Open a temporary sibling of path that replaces path on a clean exit.
+
+    On an exception the temporary file is removed and path is left as it
+    was, absent or whole.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write the header line, then each text chunk of blocks, atomically."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(cell) for cell in row) + "\n")
+        fh.writelines(blocks)
 
 
-def csv_rows(header, cols: dict, seed: int | None = None, goal_names=()):
-    """CSV rows in header order, as tuples.
+def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=()):
+    """CSV text in header order, one chunk of whole lines per row block.
 
     "seed" is the given seed, "episode" the 1-based episode index and
     "goal" the goal name; every other name is a column of cols. With a
     "goal" column there is one row per goal per episode, episode-major,
     and a per-episode column repeats across its episode's rows. Each
-    name is resolved to a whole column once; the columns are then zipped
-    a block of rows at a time, which bounds the Python objects alive.
+    name is resolved to a whole column once; each block of rows is then
+    formatted a column at a time, which bounds the strings alive.
     """
     per_episode = len(goal_names) if "goal" in header else 1
     n_episodes = len(next(iter(cols.values())))
@@ -145,7 +182,8 @@ def csv_rows(header, cols: dict, seed: int | None = None, goal_names=()):
         if len(col) != n_rows:
             raise ValueError(f"column {name!r} has {len(col)} values for {n_rows} rows")
     for lo in range(0, n_rows, _ROW_BLOCK):
-        yield from zip(*[col[lo : lo + _ROW_BLOCK].tolist() for col in columns])
+        text = [format_column(col[lo : lo + _ROW_BLOCK]) for col in columns]
+        yield "\n".join(map(",".join, zip(*text))) + "\n"
 
 
 def aggregate(per_seed_cols: list) -> dict:

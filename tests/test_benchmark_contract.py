@@ -1,11 +1,14 @@
-"""The benchmark under perfbench/ still finds every layer it times.
+"""The benchmark under perfbench/ still runs on the current package.
 
 perfbench/tracer.py wraps package functions and methods by name from
-outside the package, so renaming or removing one of them breaks the
-benchmark's traced run without failing anything under src/. Installing
-the tracer in a fresh interpreter catches that here. Only perfbench/ is
-read; nothing under it is imported into this process.
+outside the package, and perfbench/child.py hooks harness and metrics
+functions by name and signature, so renaming one of them or changing
+its signature breaks the benchmark without failing anything under src/.
+Installing the tracer, and running one toy repetition of a workload, in
+fresh interpreters catches that here. Only perfbench/ is read; nothing
+under it is imported into this process.
 """
+import json
 import os
 import pathlib
 import subprocess
@@ -25,3 +28,24 @@ def test_tracer_installs_on_the_current_package():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_child_runs_a_toy_chain_flat_repetition(tmp_path):
+    job = {
+        "src": str(ROOT / "src"),
+        "config": str(ROOT / "configs" / "chain_flat.cfg"),
+        "overrides": {"episodes": 300, "seeds": [0, 1], "workers": 1, "out_dir": str(tmp_path)},
+        "trace": 0,
+        "setup_only": False,
+    }
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(job)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["attempted"] == 2
+    assert report["failed"] == 0, report["errors"]

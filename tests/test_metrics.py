@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hdqn import metrics
@@ -60,18 +60,129 @@ def test_keydoor_columns_fractions():
     np.testing.assert_allclose(cols["success_rate"], [[0.5, 0.0], [2 / 3, 1.0]])
 
 
-def test_format_cell():
-    assert metrics.format_cell(3) == "3"
-    assert metrics.format_cell(np.int64(3)) == "3"
-    assert metrics.format_cell("door") == "door"
-    assert metrics.format_cell(0.1) == "0.1"
-    assert metrics.format_cell(np.float64(1 / 3)) == repr(1 / 3)
+def reference_cell(value) -> str:
+    """Reference: the cell-at-a-time formatter the column formatter replaced."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def reference_csv(header, cols, seed=None, goal_names=()) -> str:
+    """Reference: the CSV text, one cell and one row at a time."""
+    per_episode = len(goal_names) if "goal" in header else 1
+    lines = [",".join(header)]
+    for ep in range(len(next(iter(cols.values())))):
+        for k in range(per_episode):
+            row = []
+            for name in header:
+                if name == "seed":
+                    value = seed
+                elif name == "episode":
+                    value = ep + 1
+                elif name == "goal":
+                    value = goal_names[k]
+                else:
+                    col = np.asarray(cols[name])
+                    value = col[ep, k] if col.ndim > 1 else col[ep]
+                row.append(reference_cell(value))
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros, NaNs, infinities, subnormals, 2**53 < 1e16, inexact decimals
+EDGE_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308]
+EDGE_FLOATS += [1e16, 0.1, 1 / 3]
+
+
+@given(
+    st.lists(
+        st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True),
+        min_size=0,
+        max_size=60,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@example([0.0, -0.0, 0.0, -0.0], 1)
+@example([np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e16], 3)
+def test_format_column_matches_per_cell_reference(values, repeat):
+    """Every float is printed as repr(float(x)), with -0.0 and 0.0 (equal,
+    with equal hashes) kept apart in one block; repeated values included."""
+    col = np.repeat(np.array(values, dtype=np.float64), repeat)
+    assert metrics.format_column(col) == [reference_cell(x) for x in col]
+    ints = np.arange(-3, len(values)) * 10**12
+    assert metrics.format_column(ints) == [reference_cell(x) for x in ints]
+    names = np.array(["key", "door", "key"], dtype=object)
+    assert metrics.format_column(names) == ["key", "door", "key"]
+    seeds = np.full(3, 2**64 - 1, dtype=object)
+    assert metrics.format_column(seeds) == [str(2**64 - 1)] * 3
 
 
 def test_write_csv_bytes(tmp_path):
     path = tmp_path / "t.csv"
-    metrics.write_csv(path, ("a", "b"), [[1, 0.5], [2, 1 / 3]])
+    blocks = metrics.csv_blocks(("a", "b"), {"a": np.array([1, 2]), "b": np.array([0.5, 1 / 3])})
+    metrics.write_csv(path, ("a", "b"), blocks)
     assert path.read_bytes() == b"a,b\n1,0.5\n2,0.3333333333333333\n"
+
+
+def test_csv_blocks_match_per_cell_reference_across_blocks(tmp_path):
+    """A 3-goal long-format file over more than two row blocks: 4096 % 3
+    != 0, so episodes straddle block boundaries. Then the aggregate over
+    ragged seeds, whose later episodes have one seed and a 0.0 SEM."""
+    gen = np.random.default_rng(5)
+    goals = ("a", "b", "c")
+    per_seed = []
+    for n in (3001, 2950, 2731):
+        per_seed.append(
+            {
+                "reward_ma": gen.choice([0.0, -0.0, 0.25, 1e16, np.nan], size=n),
+                "pick_frac": gen.integers(0, 7, size=(n, 3)) / 7.0,
+                "success_rate": gen.random((n, 3)),
+            }
+        )
+    assert 3001 * len(goals) > 2 * metrics._ROW_BLOCK
+    path = tmp_path / "seed.csv"
+    header = metrics.KEYDOOR_HEADER
+    metrics.write_csv(path, header, metrics.csv_blocks(header, per_seed[0], 4, goals))
+    assert path.read_bytes() == reference_csv(header, per_seed[0], 4, goals).encode()
+
+    agg = metrics.aggregate(per_seed)
+    header = metrics.KEYDOOR_AGGREGATE_HEADER
+    path = tmp_path / "agg.csv"
+    metrics.write_csv(path, header, metrics.csv_blocks(header, agg, goal_names=goals))
+    assert path.read_bytes() == reference_csv(header, agg, goal_names=goals).encode()
+
+
+def failing_blocks():
+    yield "1,2\n"
+    raise RuntimeError("column went missing")
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        metrics.write_csv(path, ("a", "b"), failing_blocks())
+    assert list(tmp_path.iterdir()) == []
+
+    metrics.write_csv(path, ("a", "b"), ["3,4\n"])
+    with pytest.raises(RuntimeError):
+        metrics.write_csv(path, ("a", "b"), failing_blocks())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"a,b\n3,4\n"
+
+
+def test_atomic_open_binary_replaces_only_on_success(tmp_path):
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(b"old")
+    with pytest.raises(OSError):
+        with metrics.atomic_open(path, "wb") as fh:
+            fh.write(b"partial")
+            raise OSError("disk full")
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
+    with metrics.atomic_open(path, "wb") as fh:
+        fh.write(b"new")
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"new"
 
 
 def test_aggregate_mean_and_sem():
@@ -158,34 +269,41 @@ def test_row_generators():
         "visits_s5": np.array([3.0]),
         "visits_s6": np.array([4.0]),
     }
-    rows = list(metrics.csv_rows(metrics.CHAIN_HEADER, cols, 9))
-    assert rows == [(9, 1, 0.5, 1.0, 2.0, 3.0, 4.0)]
+    assert list(metrics.csv_blocks(metrics.CHAIN_HEADER, cols, 9)) == ["9,1,0.5,1.0,2.0,3.0,4.0\n"]
 
     kcols = {
         "reward_ma": np.array([7.0, 8.0]),
         "pick_frac": np.array([[0.25, 0.75], [0.5, 0.5]]),
         "success_rate": np.array([[1.0, 0.5], [0.0, 1.0]]),
     }
-    krows = list(metrics.csv_rows(metrics.KEYDOOR_HEADER, kcols, 2, ("key", "door")))
-    assert krows == [
-        (2, 1, 7.0, "key", 0.25, 1.0),
-        (2, 1, 7.0, "door", 0.75, 0.5),
-        (2, 2, 8.0, "key", 0.5, 0.0),
-        (2, 2, 8.0, "door", 0.5, 1.0),
+    ktext = "".join(metrics.csv_blocks(metrics.KEYDOOR_HEADER, kcols, 2, ("key", "door")))
+    assert ktext.splitlines() == [
+        "2,1,7.0,key,0.25,1.0",
+        "2,1,7.0,door,0.75,0.5",
+        "2,2,8.0,key,0.5,0.0",
+        "2,2,8.0,door,0.5,1.0",
     ]
+    assert ktext.endswith("\n")
 
     agg = metrics.aggregate([kcols, kcols])
-    arows = list(
-        metrics.csv_rows(metrics.KEYDOOR_AGGREGATE_HEADER, agg, goal_names=("key", "door"))
-    )
-    assert arows[1] == (1, "door", 7.0, 0.0, 0.75, 0.0, 0.5, 0.0)
+    arows = "".join(
+        metrics.csv_blocks(metrics.KEYDOOR_AGGREGATE_HEADER, agg, goal_names=("key", "door"))
+    ).splitlines()
+    assert arows[1] == "1,door,7.0,0.0,0.75,0.0,0.5,0.0"
     assert len(arows) == 4
+
+    # one chunk per block of rows, each holding whole lines
+    n = metrics._ROW_BLOCK + 1
+    chunks = list(metrics.csv_blocks(("episode", "m"), {"m": np.zeros(n)}))
+    assert [c.count("\n") for c in chunks] == [metrics._ROW_BLOCK, 1]
+    assert chunks[1] == f"{n},0.0\n"
+    assert list(metrics.csv_blocks(("episode", "m"), {"m": np.zeros(0)})) == []
 
 
 def test_row_generator_rejects_mismatched_columns():
     cols = {"reward_ma": np.array([1.0, 2.0]), "visits_s3": np.array([1.0])}
     with pytest.raises(ValueError):
-        list(metrics.csv_rows(("episode", "reward_ma", "visits_s3"), cols))
+        list(metrics.csv_blocks(("episode", "reward_ma", "visits_s3"), cols))
 
 
 def test_aggregate_headers():

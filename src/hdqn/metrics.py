@@ -160,8 +160,10 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=()):
     "goal" the goal name; every other name is a column of cols. With a
     "goal" column there is one row per goal per episode, episode-major,
     and a per-episode column repeats across its episode's rows. Each
-    name is resolved to a whole column once; each block of rows is then
-    formatted a column at a time, which bounds the strings alive.
+    name is resolved to a whole column once (the seed is formatted once,
+    and a column is copied only to repeat it per goal); each block of
+    rows is then formatted a column at a time, which bounds the strings
+    alive.
     """
     per_episode = len(goal_names) if "goal" in header else 1
     n_episodes = len(next(iter(cols.values())))
@@ -169,21 +171,34 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=()):
 
     def column(name) -> np.ndarray:
         if name == "seed":
-            return np.full(n_rows, seed, dtype=object)
+            return np.full(n_rows, str(seed), dtype=object)
         if name == "episode":
             return np.arange(n_rows) // per_episode + 1
         if name == "goal":
             return np.tile(np.asarray(goal_names, dtype=object), n_episodes)
         col = np.asarray(cols[name])
-        return col.ravel() if col.ndim > 1 else col.repeat(per_episode)
+        if col.ndim > 1:
+            return col.ravel()
+        return col.repeat(per_episode) if per_episode > 1 else col
 
     columns = [column(name) for name in header]
     for name, col in zip(header, columns):
         if len(col) != n_rows:
             raise ValueError(f"column {name!r} has {len(col)} values for {n_rows} rows")
     for lo in range(0, n_rows, _ROW_BLOCK):
-        text = [format_column(col[lo : lo + _ROW_BLOCK]) for col in columns]
-        yield "\n".join(map(",".join, zip(*text))) + "\n"
+        yield _block_text([col[lo : lo + _ROW_BLOCK] for col in columns])
+
+
+def _block_text(columns: list) -> str:
+    """CSV lines of equal-length column slices, as one newline-ended chunk.
+
+    The formatted columns are freed as soon as the lines are joined, and
+    the lines as soon as the chunk is made, so a block's strings are not
+    kept alive while its chunk is written.
+    """
+    lines = list(map(",".join, zip(*[format_column(col) for col in columns])))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def aggregate(per_seed_cols: list) -> dict:

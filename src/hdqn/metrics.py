@@ -192,9 +192,8 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=()):
 def _block_text(columns: list) -> str:
     """CSV lines of equal-length column slices, as one newline-ended chunk.
 
-    The formatted columns are freed as soon as the lines are joined, and
-    the lines as soon as the chunk is made, so a block's strings are not
-    kept alive while its chunk is written.
+    A function of its own so that the block's cell and line strings are
+    freed before its chunk is written.
     """
     lines = list(map(",".join, zip(*[format_column(col) for col in columns])))
     lines.append("")

@@ -11,13 +11,10 @@ the columns, and a header with a "goal" column gets one row per goal per
 episode (long format).
 
 CSV text is made a column at a time, _ROW_BLOCK rows at a time: each
-column of a block is formatted by one call (str for integers and
-strings, repr for floats), and the block is joined into one text chunk.
-Within a block each distinct float is formatted once. That memo is keyed
-on the float's bits, not its value, because -0.0 == 0.0 but the two
-print differently. A CSV or checkpoint is written to a temporary sibling
-that replaces the target only once it is complete, so an error never
-leaves a half-written file.
+column of a block is formatted by one call to str (which for a float is
+its repr), and the block is joined into one text chunk. A CSV or
+checkpoint is written to a temporary sibling that replaces the target
+only once it is complete, so an error never leaves a half-written file.
 """
 from __future__ import annotations
 
@@ -114,18 +111,8 @@ def keydoor_columns(rewards, pick_counts, success_counts, window: int) -> dict:
 
 
 def format_column(col: np.ndarray) -> list:
-    """The CSV text of each value of a 1-D column.
-
-    Integers and strings print with str(), floats with repr(). A float
-    column is formatted once per distinct bit pattern and indexed back,
-    so repeated values share one string.
-    """
-    if col.dtype.kind != "f":
-        return list(map(str, col.tolist()))
-    bits = col.astype(np.float64, copy=False).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = list(map(repr, distinct.view(np.float64).tolist()))
-    return list(map(text.__getitem__, inverse.tolist()))
+    """The CSV text of each value of a 1-D column."""
+    return list(map(str, col.tolist()))
 
 
 @contextlib.contextmanager

@@ -107,8 +107,8 @@ EDGE_FLOATS += [1e16, 0.1, 1 / 3]
 @example([0.0, -0.0, 0.0, -0.0], 1)
 @example([np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e16], 3)
 def test_format_column_matches_per_cell_reference(values, repeat):
-    """Every float is printed as repr(float(x)), with -0.0 and 0.0 (equal,
-    with equal hashes) kept apart in one block; repeated values included."""
+    """Every float is printed as repr(float(x)), with -0.0 and 0.0 mixed
+    in one block and repeated values included."""
     col = np.repeat(np.array(values, dtype=np.float64), repeat)
     assert metrics.format_column(col) == [reference_cell(x) for x in col]
     ints = np.arange(-3, len(values)) * 10**12

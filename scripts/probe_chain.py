@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         print(" ", s, [round(v, 3) for v in agent.q2.values(s)])
     print("q1 right-vs-left for goal s6:")
     for s in range(agent.n_states):
-        print(" ", s, [round(x, 3) for x in agent.q1.values(s, 5)])
+        print(" ", s, [round(x, 3) for x in agent.q1.values(s * agent.n_goals + 5)])
     return 0
 
 

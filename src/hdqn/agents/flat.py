@@ -84,19 +84,15 @@ class FlatQAgent:
         epsilon: float,
         env_gen: np.random.Generator,
         pick_gen: np.random.Generator,
-        count_visits: bool = False,
     ) -> EpisodeTrace:
         """Frozen-policy rollout; no learning."""
         env = self.env
         s = env.reset(env_gen)
-        visits = [0] * self.n_states if count_visits else None
-        trace = EpisodeTrace(state_visits=visits)
+        trace = EpisodeTrace()
         done = False
         while not done:
             a = eps_greedy(self.table[s], self.n_actions, epsilon, pick_gen)
             s, r, done = env.step(a, env_gen)
             trace.total_reward += r
             trace.steps += 1
-            if visits is not None:
-                visits[s] += 1
         return trace

@@ -11,6 +11,13 @@ episode terminates. Environment rewards collected while an option runs
 are summed undiscounted into F and credited to the goal choice as one
 meta-scale transition; discounting enters only through the bootstrap.
 
+The agent indexes both value functions by row, one index per input:
+the controller's row is state * n_goals + goal and the meta level's row
+is the state. It forms the controller row when an option starts and
+carries the next row forward from step to step, and it stores rows,
+not states, in replay (replay.py); estimators never see the goal axis
+except as part of a row.
+
 Both levels train from their own replay memory once per primitive step:
 one minibatch of columns per level, through the estimator's train_on.
 Exploration at both levels is annealed 1 -> 0.1 on shared step clocks:
@@ -117,7 +124,7 @@ class HierarchicalAgent:
         self.q1, self.q2 = estimators
         self.backend = self.q1.kind
         self.d1 = ReplayBuffer(d1_capacity, rng.stream(seed, rng.REPLAY_D1))
-        self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2), goal_axis=False)
+        self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2))
         self.tracker = GoalSuccessTracker(n_goals, window=tracker_window, floor=eps1_floor)
         self._ctrl_gen = rng.stream(seed, rng.CONTROLLER)
         self._meta_gen = rng.stream(seed, rng.META)
@@ -165,28 +172,28 @@ class HierarchicalAgent:
             g = eps_greedy(q2.values(s), n_goals, eps2, meta_gen)
             trace.goal_picks.append(g)
             s0 = s
+            row = s * n_goals + g
             option_return = 0.0
             reached = False
             eps1 = self.controller_epsilon(g)  # constant within the option
             while not (done or reached):
-                a = eps_greedy(q1.values(s, g), n_actions, eps1, ctrl_gen)
-                s_next, r, done = env.step(a, env_gen)
+                a = eps_greedy(q1.values(row), n_actions, eps1, ctrl_gen)
+                s, r, done = env.step(a, env_gen)
                 self.primitive_steps += 1
                 if joint:
                     self.joint_steps += 1
-                reached = reached_check(g, s_next)
-                d1.push(
-                    s, g, a, INTRINSIC_REWARD if reached else 0.0, s_next, done or reached
-                )
+                reached = reached_check(g, s)
+                row_next = s * n_goals + g
+                d1.push(row, a, INTRINSIC_REWARD if reached else 0.0, row_next, done or reached)
                 option_return += r
                 trace.total_reward += r
                 trace.steps += 1
                 if visits is not None:
-                    visits[s_next] += 1
+                    visits[s] += 1
                 self._update(q1, d1, self.d1_warmup)
                 self._update(q2, d2, self.d2_warmup)
-                s = s_next
-            d2.push(s0, None, g, option_return, s, done)
+                row = row_next
+            d2.push(s0, g, option_return, s, done)
             self.completed_options += 1
             tracker.record(g, reached)
             trace.goal_successes.append(reached)
@@ -197,27 +204,24 @@ class HierarchicalAgent:
         epsilon: float,
         env_gen: np.random.Generator,
         pick_gen: np.random.Generator,
-        count_visits: bool = False,
     ) -> EpisodeTrace:
         """Frozen-policy rollout: no learning, no memory or tracker writes."""
         env = self.env
         q1, q2 = self.q1, self.q2
+        n_goals = self.n_goals
         reached_check = self.critic.reached
         s = env.reset(env_gen)
-        visits = [0] * self.n_states if count_visits else None
-        trace = EpisodeTrace(state_visits=visits)
+        trace = EpisodeTrace()
         done = False
         while not done:
-            g = eps_greedy(q2.values(s), self.n_goals, epsilon, pick_gen)
+            g = eps_greedy(q2.values(s), n_goals, epsilon, pick_gen)
             trace.goal_picks.append(g)
             reached = False
             while not (done or reached):
-                a = eps_greedy(q1.values(s, g), self.n_actions, epsilon, pick_gen)
+                a = eps_greedy(q1.values(s * n_goals + g), self.n_actions, epsilon, pick_gen)
                 s, r, done = env.step(a, env_gen)
                 reached = reached_check(g, s)
                 trace.total_reward += r
                 trace.steps += 1
-                if visits is not None:
-                    visits[s] += 1
             trace.goal_successes.append(reached)
         return trace

@@ -17,8 +17,9 @@ One binary container, little-endian, version 2. Layout:
     value section: backend u8 (0 tabular, 1 mlp), n_states u32,
               n_goals u32 (0 = no goal axis), n_choices u32,
               learning_rate f8; mlp adds hidden u32 and train_steps u64;
-              then f8 arrays: the table in C order, or w1, b1, w2, b2
-              followed by their four snapshot arrays
+              then f8 arrays: the table, one row per (state[, goal])
+              in C order, or w1, b1, w2, b2 followed by their four
+              snapshot arrays
 
 The environment fixes every dimension, so the reader checks each
 section's dimensions against the env's state and action counts and the
@@ -65,7 +66,7 @@ class _Writer:
 
     def values(self, vf):
         if vf.kind == "tabular":
-            self.table(vf.n_goals, vf.learning_rate, vf.table)
+            self.table(vf.n_states, vf.n_goals, vf.learning_rate, vf.table)
             return
         self.pack("BIIId", 1, vf.n_states, vf.n_goals or 0, vf.n_choices, vf.learning_rate)
         self.pack("IQ", vf.hidden, vf.train_steps)
@@ -73,10 +74,10 @@ class _Writer:
         arrays += [vf.snapshot[n] for n in vf.PARAM_NAMES]
         self.parts.extend(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
 
-    def table(self, n_goals: int | None, learning_rate: float, table):
-        """A tabular section; table has shape (states, [goals,] choices)."""
+    def table(self, n_states: int, n_goals: int | None, learning_rate: float, table):
+        """A tabular section; table has one row per (state[, goal]) in C order."""
         table = np.asarray(table, dtype="<f8")
-        self.pack("BIIId", 0, table.shape[0], n_goals or 0, table.shape[-1], learning_rate)
+        self.pack("BIIId", 0, n_states, n_goals or 0, table.shape[-1], learning_rate)
         self.parts.append(table.tobytes())
 
 
@@ -118,8 +119,7 @@ class _Reader:
                 f"environment's (states, goals, choices) {want}"
             )
         if _BACKENDS[backend] == "tabular":
-            shape = (n_states, n_choices) if n_goals is None else (n_states, n_goals, n_choices)
-            body = self.array(shape)
+            body = self.array((n_states * (n_goals or 1), n_choices))
             vf = TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=lr)
             vf.table[...] = body
             return vf
@@ -162,7 +162,7 @@ def dump_agent(agent, env) -> bytes:
     if kind == "flat":
         w.pack("Qd", agent.primitive_steps, agent.gamma)
         w.schedule(agent.eps)
-        w.table(None, agent.learning_rate, agent.table)
+        w.table(agent.n_states, None, agent.learning_rate, agent.table)
         return b"".join(w.parts)
 
     w.pack(

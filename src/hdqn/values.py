@@ -6,12 +6,14 @@ trained by plain stochastic gradient descent on squared error against
 frozen-snapshot bootstrap targets. A goal-conditioned table is the
 one-hot linear case of such a network, so both train the same way.
 
-With a goal axis (n_goals set) an estimator serves the low level:
-values are indexed (state, goal, action). Without one it serves the
-meta level: values are indexed (state, choice) where choices are goals.
-train_on takes a minibatch as columns (s, g, a, r, s', term) of equal
-length, g None without a goal axis and term 1.0 where the transition
-ended its episode or option; ReplayBuffer.sample returns exactly this.
+Both are indexed by row. With a goal axis (n_goals set) an estimator
+serves the low level and has n_states * n_goals rows, row
+state * n_goals + goal; without one it serves the meta level, row =
+state, and its choices are goals. The agent forms rows; estimators take
+them as given. values(row) returns the action values at one row, and
+train_on takes a minibatch as columns (row, a, r, row', term) of equal
+length, row' the bootstrap row and term 1.0 where the transition ended
+its episode or option; ReplayBuffer.sample returns exactly this.
 
 Estimators have no file format of their own: checkpoint.py writes their
 arrays (the table, or params and snapshot) as sections of the agent
@@ -26,7 +28,8 @@ from hdqn.errors import DivergenceError
 
 class TabularQ:
     """Dense zero-initialized value table, an ndarray of shape
-    (n_states, n_choices) or (n_states, n_goals, n_choices).
+    (n_rows, n_choices) with n_rows = n_states * (n_goals or 1). Its C
+    order is that of an (n_states, n_goals, n_choices) array.
 
     train_on is batch-synchronous, like a network's minibatch step:
     every target comes from the table as it was before the batch, and a
@@ -53,44 +56,33 @@ class TabularQ:
         self.n_choices = n_choices
         self.n_goals = n_goals
         self.learning_rate = learning_rate
-        if n_goals is None:
-            self.table = np.zeros((n_states, n_choices))
-        else:
-            self.table = np.zeros((n_states, n_goals, n_choices))
+        self.table = np.zeros((n_states * (n_goals or 1), n_choices))
 
-    def values(self, state: int, goal: int | None = None) -> list:
-        """Action values at a state (copy; mutating it has no effect)."""
-        if not 0 <= state < self.n_states:
-            raise IndexError(f"state {state} out of range [0, {self.n_states})")
-        if self.n_goals is None:
-            if goal is not None:
-                raise IndexError("this table is not goal-conditioned")
-            return self.table[state].tolist()
-        if goal is None or not 0 <= goal < self.n_goals:
-            raise IndexError(f"goal {goal} out of range [0, {self.n_goals})")
-        return self.table[state, goal].tolist()
+    def values(self, row: int) -> list:
+        """Action values at a row (copy; mutating it has no effect)."""
+        if not 0 <= row < len(self.table):
+            raise IndexError(f"row {row} out of range [0, {len(self.table)})")
+        return self.table[row].tolist()
 
     def backup(
         self,
-        state: int,
-        goal: int | None,
+        row: int,
         action: int,
         reward: float,
-        next_state: int,
+        next_row: int,
         terminal: bool,
         gamma: float,
     ) -> None:
-        """Q(s[,g],a) += alpha * (r + gamma * max_a' Q(s'[,g],a') * !terminal - Q).
+        """Q(row,a) += alpha * (r + gamma * max_a' Q(row',a') * !terminal - Q).
 
         The one-transition case of train_on.
         """
         self.train_on(
             (
-                np.array([state]),
-                None if goal is None else np.array([goal]),
+                np.array([row]),
                 np.array([action]),
                 np.array([reward], dtype=np.float64),
-                np.array([next_state]),
+                np.array([next_row]),
                 np.array([terminal], dtype=np.float64),
             ),
             gamma,
@@ -101,16 +93,10 @@ class TabularQ:
 
         Returns the mean squared pre-update temporal-difference error.
         """
-        s, g, a, r, s_next, term = columns
+        row, a, r, row_next, term = columns
         table = self.table
-        if g is None:
-            cell = np.ravel_multi_index((s, a), table.shape)
-            bootstrap = table.take(s_next, axis=0)
-        else:
-            cell = np.ravel_multi_index((s, g, a), table.shape)
-            row_next = np.ravel_multi_index((s_next, g), table.shape[:2])
-            bootstrap = table.reshape(-1, self.n_choices).take(row_next, axis=0)
-        target = r + gamma * (1.0 - term) * bootstrap.max(axis=1)
+        cell = row * self.n_choices + a
+        target = r + gamma * (1.0 - term) * table.take(row_next, axis=0).max(axis=1)
         cells = table.reshape(-1)
         delta = target - cells.take(cell)
         np.add.at(cells, cell, self.learning_rate * delta)
@@ -121,8 +107,9 @@ class MlpQ:
     """One-hidden-layer rectified linear action-value network.
 
     Inputs are one-hot state vectors, concatenated with a one-hot goal
-    vector when goal-conditioned. A frozen snapshot of the parameters
-    supplies bootstrap targets and changes only on sync_target().
+    vector when goal-conditioned; encode splits each row into the two.
+    A frozen snapshot of the parameters supplies bootstrap targets and
+    changes only on sync_target().
     Weights start uniform in +/- 1/sqrt(fan_in); biases start at zero.
     """
 
@@ -165,19 +152,21 @@ class MlpQ:
     def input_dim(self) -> int:
         return self.n_states + (self.n_goals or 0)
 
-    def encode(self, states, goals=None) -> np.ndarray:
-        """One-hot (plus one-hot goal) rows for a batch of indices."""
-        states = np.asarray(states, dtype=np.int64)
-        n = states.shape[0]
+    @property
+    def n_rows(self) -> int:
+        return self.n_states * (self.n_goals or 1)
+
+    def encode(self, rows) -> np.ndarray:
+        """One-hot state (plus one-hot goal) inputs for a batch of rows."""
+        rows = np.asarray(rows, dtype=np.int64)
+        n = rows.shape[0]
         x = np.zeros((n, self.input_dim))
-        x[np.arange(n), states] = 1.0
-        if self.n_goals is not None:
-            if goals is None:
-                raise IndexError("goal-conditioned network needs goal indices")
-            goals = np.asarray(goals, dtype=np.int64)
+        if self.n_goals is None:
+            x[np.arange(n), rows] = 1.0
+        else:
+            states, goals = np.divmod(rows, self.n_goals)
+            x[np.arange(n), states] = 1.0
             x[np.arange(n), self.n_states + goals] = 1.0
-        elif goals is not None:
-            raise IndexError("this network is not goal-conditioned")
         return x
 
     @staticmethod
@@ -187,30 +176,24 @@ class MlpQ:
         q = h @ params["w2"] + params["b2"]
         return z1, h, q
 
-    def _check_indices(self, state, goal) -> None:
-        if not 0 <= state < self.n_states:
-            raise IndexError(f"state {state} out of range [0, {self.n_states})")
-        if self.n_goals is not None and not (goal is not None and 0 <= goal < self.n_goals):
-            raise IndexError(f"goal {goal} out of range [0, {self.n_goals})")
-
-    def values(self, state: int, goal: int | None = None) -> np.ndarray:
-        self._check_indices(state, goal)
-        x = self.encode([state], None if self.n_goals is None else [goal])
-        return self._forward(self.params, x)[2][0]
+    def values(self, row: int) -> np.ndarray:
+        if not 0 <= row < self.n_rows:
+            raise IndexError(f"row {row} out of range [0, {self.n_rows})")
+        return self._forward(self.params, self.encode([row]))[2][0]
 
     def loss_and_grads(self, columns: tuple, gamma: float):
         """Pre-step batch loss and its gradient for every parameter."""
-        s, g, a, r, s_next, term = columns
-        qn = self._forward(self.snapshot, self.encode(s_next, g))[2]
+        row, a, r, row_next, term = columns
+        qn = self._forward(self.snapshot, self.encode(row_next))[2]
         y = r + gamma * (1.0 - term) * qn.max(axis=1)
-        x = self.encode(s, g)
+        x = self.encode(row)
         z1, h, q = self._forward(self.params, x)
         n = len(y)
-        rows = np.arange(n)
-        diff = q[rows, a] - y
+        items = np.arange(n)
+        diff = q[items, a] - y
         loss = float(np.mean(diff**2))
         gq = np.zeros_like(q)
-        gq[rows, a] = 2.0 * diff / n
+        gq[items, a] = 2.0 * diff / n
         gh = gq @ self.params["w2"].T
         gz1 = gh * (z1 > 0.0)
         grads = {

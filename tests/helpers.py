@@ -7,22 +7,34 @@ from hdqn.values import MlpQ
 
 
 def columns(batch) -> tuple:
-    """Minibatch columns (s, g, a, r, s', term) from transition tuples:
-    6-tuples (s, g, a, r, s', term), or 5-tuples without the goal."""
-    fields = [np.array(f) for f in zip(*batch)]
-    if len(fields) == 5:
-        fields.insert(1, None)
-    s, g, a, r, s_next, term = fields
-    return s, g, a, r.astype(np.float64), s_next, term.astype(np.float64)
+    """Minibatch columns (row, a, r, row', term) from 5-tuples of the same."""
+    row, a, r, row_next, term = (np.array(f) for f in zip(*batch))
+    return row, a, r.astype(np.float64), row_next, term.astype(np.float64)
+
+
+def goal_rows(batch, n_goals: int) -> list:
+    """(row, a, r, row', term) tuples from (s, g, a, r, s', term) ones,
+    with the agent's controller rows s * n_goals + g and s' * n_goals + g."""
+    return [(s * n_goals + g, a, r, sn * n_goals + g, term) for s, g, a, r, sn, term in batch]
 
 
 def stored(buf) -> dict:
-    """A replay ring's rows oldest first, one array per column."""
+    """A replay ring's transitions oldest first, one array per column."""
     n = len(buf)
     order = np.arange(n) if n < buf.capacity else np.roll(np.arange(n), -buf.cursor)
-    names = ("s", "g", "a", "s_next") if buf.goal_axis else ("s", "a", "s_next")
-    out = dict(zip(names, buf.ints[order].T))
+    out = dict(zip(("row", "a", "row_next"), buf.ints[order].T))
     out["r"], out["term"] = buf.floats[order].T
+    return out
+
+
+def stored_controller(agent) -> dict:
+    """An agent's controller ring as stored(), plus each row split back
+    into state and goal: "s", "g" and "s_next". A controller transition
+    keeps its goal, so row and row' must split to the same goal."""
+    out = stored(agent.d1)
+    out["s"], out["g"] = np.divmod(out["row"], agent.n_goals)
+    out["s_next"], g_next = np.divmod(out["row_next"], agent.n_goals)
+    assert np.array_equal(g_next, out["g"])
     return out
 
 
@@ -58,13 +70,13 @@ def random_net_and_batch(gen: np.random.Generator):
         a = int(gen.integers(n_choices))
         r = float(gen.normal())
         term = bool(gen.integers(2))
-        if n_goals is None:
-            batch.append((s, a, r, sn, term))
-        else:
-            batch.append((s, int(gen.integers(n_goals)), a, r, sn, term))
+        if n_goals is not None:
+            g = int(gen.integers(n_goals))
+            s, sn = s * n_goals + g, sn * n_goals + g
+        batch.append((s, a, r, sn, term))
 
     batch = columns(batch)
-    x = net.encode(batch[0], batch[1])
+    x = net.encode(batch[0])
     z1 = x @ net.params["w1"] + net.params["b1"]
     if np.abs(z1).min() < 1e-3:
         return None

@@ -23,7 +23,7 @@ from hdqn.harness import evaluate_policy, run_all_seeds, run_experiment
 from hdqn.metrics import trailing_mean
 from hdqn.replay import ReplayBuffer
 
-from helpers import gradcheck_worst_rel_err, stored
+from helpers import gradcheck_worst_rel_err, stored, stored_controller
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 # Frozen-policy evaluation of the key-door checkpoints: the defaults of
@@ -193,13 +193,13 @@ def test_invariant_suites():
     # FIFO eviction
     buf = ReplayBuffer(3, np.random.default_rng(3))
     for i in range(7):
-        buf.push(i, 0, 0, 0.0, i, False)
-    fifo_ok = stored(buf)["s"].tolist() == [4, 5, 6] and len(buf) == 3
+        buf.push(i, 0, 0.0, i, False)
+    fifo_ok = stored(buf)["row"].tolist() == [4, 5, 6] and len(buf) == 3
 
     # sampling uniformity
     buf = ReplayBuffer(10, np.random.default_rng(3))
     for i in range(10):
-        buf.push(i, 0, 0, 0.0, i, False)
+        buf.push(i, 0, 0.0, i, False)
     counts = np.zeros(10)
     for _ in range(1000):
         counts += np.bincount(buf.sample(100)[0], minlength=10)
@@ -236,7 +236,7 @@ def test_invariant_suites():
     persist_ok = True
     current = None
     boundaries = 0
-    d1 = stored(agent.d1)
+    d1 = stored_controller(agent)
     for g, term in zip(d1["g"], d1["term"]):
         if current is None:
             current = g

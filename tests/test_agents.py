@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import stored
+from helpers import stored, stored_controller
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
 from hdqn.envs.base import Environment, StepOutcome
@@ -40,7 +40,7 @@ def test_time_scale_separation():
 def test_goal_persistence_within_options():
     agent = chain_agent()
     run_episodes(agent, 50)
-    d1 = stored(agent.d1)
+    d1 = stored_controller(agent)
     current = None
     for g, term in zip(d1["g"], d1["term"]):
         if current is None:
@@ -55,7 +55,7 @@ def test_goal_persistence_within_options():
 def test_intrinsic_reward_gating():
     agent = chain_agent()
     run_episodes(agent, 50)
-    d1 = stored(agent.d1)
+    d1 = stored_controller(agent)
     for g, r, s_next, term in zip(d1["g"], d1["r"], d1["s_next"], d1["term"]):
         reached = agent.critic.reached(int(g), int(s_next))
         assert (r > 0) == reached
@@ -121,11 +121,12 @@ def test_phase_validation():
 def test_no_update_below_warmup():
     agent = chain_agent(d1_warmup=10, d2_warmup=10)
     before = agent.q1.table.copy()
+    next_row = 1 * agent.n_goals + 0  # state 1, goal 0
     for _ in range(9):
-        agent.d1.push(0, 0, 0, 0.0, 1, False)
+        agent.d1.push(0, 0, 0.0, next_row, False)
     agent._update(agent.q1, agent.d1, 10)
     assert np.array_equal(agent.q1.table, before)
-    agent.d1.push(0, 0, 0, 1.0, 1, True)
+    agent.d1.push(0, 0, 1.0, next_row, True)
     agent._update(agent.q1, agent.d1, 10)
     assert not np.array_equal(agent.q1.table, before)
 

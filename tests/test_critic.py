@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import stored
+from helpers import stored_controller
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, HierarchicalAgent
 from hdqn.critic import INTRINSIC_REWARD, Critic, goal_set
@@ -48,7 +48,7 @@ def test_intrinsic_positive_iff_reached_chain():
     env_gen = rng.stream(2, rng.ENV)
     for _ in range(30):
         agent.run_episode(env_gen)
-    d1 = stored(agent.d1)
+    d1 = stored_controller(agent)
     assert set(d1["r"].tolist()) == {0.0, INTRINSIC_REWARD}
     for g, r, s_next in zip(d1["g"], d1["r"], d1["s_next"]):
         assert (r == INTRINSIC_REWARD) == agent.critic.reached(int(g), int(s_next))

@@ -9,13 +9,13 @@ from hdqn import rng
 from hdqn.replay import UNIFORM_BLOCK, ReplayBuffer
 
 
-def ring(capacity, seed=0, goal_axis=True):
-    return ReplayBuffer(capacity, rng.stream(seed, rng.REPLAY_D1), goal_axis=goal_axis)
+def ring(capacity, seed=0):
+    return ReplayBuffer(capacity, rng.stream(seed, rng.REPLAY_D1))
 
 
 def push_numbered(buf, i):
     """A transition whose every field encodes i."""
-    buf.push(i, i + 1 if buf.goal_axis else None, i + 2, float(i), i + 3, i % 2)
+    buf.push(i, i + 2, float(i), i + 3, i % 2)
 
 
 def test_push_grows_to_capacity_then_evicts_oldest():
@@ -25,25 +25,23 @@ def test_push_grows_to_capacity_then_evicts_oldest():
     push_numbered(buf, 1)
     push_numbered(buf, 2)
     assert len(buf) == 2
-    assert stored(buf)["s"].tolist() == [1, 2]
+    assert stored(buf)["row"].tolist() == [1, 2]
 
 
-@given(capacity=st.integers(1, 10), n=st.integers(0, 35), goal_axis=st.booleans())
+@given(capacity=st.integers(1, 10), n=st.integers(0, 35))
 @settings(max_examples=200)
-def test_fifo_order_property(capacity, n, goal_axis):
-    buf = ring(capacity, goal_axis=goal_axis)
+def test_fifo_order_property(capacity, n):
+    buf = ring(capacity)
     for i in range(n):
         push_numbered(buf, i)
     kept = np.arange(n)[-capacity:] if n else np.arange(0)
     rows = stored(buf)
     assert len(buf) == min(n, capacity)
-    assert rows["s"].tolist() == kept.tolist()
+    assert rows["row"].tolist() == kept.tolist()
     assert rows["a"].tolist() == (kept + 2).tolist()
-    assert rows["s_next"].tolist() == (kept + 3).tolist()
+    assert rows["row_next"].tolist() == (kept + 3).tolist()
     assert rows["r"].tolist() == kept.astype(float).tolist()
     assert rows["term"].tolist() == (kept % 2).astype(float).tolist()
-    if goal_axis:
-        assert rows["g"].tolist() == (kept + 1).tolist()
 
 
 def test_capacity_must_be_positive():
@@ -53,24 +51,10 @@ def test_capacity_must_be_positive():
 
 def test_sample_with_replacement_from_singleton():
     buf = ring(5)
-    buf.push(4, 1, 0, 0.5, 3, True)
-    s, g, a, r, s_next, term = buf.sample(3)
-    assert s.tolist() == [4] * 3 and g.tolist() == [1] * 3 and a.tolist() == [0] * 3
-    assert r.tolist() == [0.5] * 3 and s_next.tolist() == [3] * 3 and term.tolist() == [1.0] * 3
-
-
-def test_meta_ring_has_no_goal_column():
-    buf = ring(5, goal_axis=False)
-    buf.push(2, None, 3, 1.5, 4, False)
-    s, g, a, r, s_next, term = buf.sample(2)
-    assert g is None
-    assert (s.tolist(), a.tolist(), r.tolist(), s_next.tolist(), term.tolist()) == (
-        [2, 2],
-        [3, 3],
-        [1.5, 1.5],
-        [4, 4],
-        [0.0, 0.0],
-    )
+    buf.push(4, 0, 0.5, 3, True)
+    row, a, r, row_next, term = buf.sample(3)
+    assert row.tolist() == [4] * 3 and a.tolist() == [0] * 3
+    assert r.tolist() == [0.5] * 3 and row_next.tolist() == [3] * 3 and term.tolist() == [1.0] * 3
 
 
 def test_sample_is_deterministic_given_seed():
@@ -154,12 +138,12 @@ def test_block_larger_than_minibatch_is_consumed_in_order():
 
 def test_disjoint_buffers_share_nothing():
     d1 = ring(3)
-    d2 = ring(3, goal_axis=False)
-    d1.push(0, 1, 0, 1.0, 2, False)
+    d2 = ring(3)
+    d1.push(1, 0, 1.0, 2, False)
     assert len(d2) == 0
-    d2.push(0, None, 1, 0.5, 2, True)
+    d2.push(0, 1, 0.5, 2, True)
     assert len(d1) == 1
-    assert stored(d1)["g"].tolist() == [1]
+    assert stored(d1)["row"].tolist() == [1]
     assert stored(d2)["a"].tolist() == [1]
     assert not np.shares_memory(d1.ints, d2.ints)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import columns, gradcheck_worst_rel_err
+from helpers import columns, goal_rows, gradcheck_worst_rel_err
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent
 from hdqn.envs.chain import ChainEnv
@@ -15,30 +17,30 @@ def test_fresh_tables_are_zero():
     meta = TabularQ(4, 3)
     assert meta.values(2) == [0.0, 0.0, 0.0]
     ctrl = TabularQ(4, 2, n_goals=3)
-    assert ctrl.values(1, 2) == [0.0, 0.0]
-    assert ctrl.table.shape == (4, 3, 2)
+    assert ctrl.values(1 * 3 + 2) == [0.0, 0.0]
+    assert ctrl.table.shape == (4 * 3, 2)
     assert np.all(ctrl.table == 0.0)
 
 
 def test_backup_arithmetic_terminal():
     t = TabularQ(2, 2, learning_rate=0.1)
-    t.backup(0, None, 0, 1.0, 1, True, 0.99)
+    t.backup(0, 0, 1.0, 1, True, 0.99)
     assert t.values(0) == pytest.approx([0.1, 0.0])
 
 
 def test_backup_arithmetic_bootstrap():
     t = TabularQ(2, 2, learning_rate=0.1)
     t.table[1, 0] = 1.0
-    t.backup(0, None, 1, 0.0, 1, False, 0.99)
+    t.backup(0, 1, 0.0, 1, False, 0.99)
     assert t.values(0)[1] == pytest.approx(0.099)
 
 
 def test_backup_touches_one_entry_only():
     t = TabularQ(3, 2, n_goals=4, learning_rate=0.5)
-    t.backup(1, 2, 0, 1.0, 2, True, 0.9)
+    t.backup(1 * 4 + 2, 0, 1.0, 2 * 4 + 2, True, 0.9)
     arr = t.table.copy()
-    assert arr[1, 2, 0] == pytest.approx(0.5)
-    arr[1, 2, 0] = 0.0
+    assert arr[1 * 4 + 2, 0] == pytest.approx(0.5)
+    arr[1 * 4 + 2, 0] = 0.0
     assert np.all(arr == 0.0)
 
 
@@ -54,24 +56,20 @@ def test_train_on_targets_come_from_the_pre_batch_table():
 
 def test_train_on_repeated_cell_adds_alpha_delta_per_item():
     t = TabularQ(2, 2, n_goals=2, learning_rate=0.25)
-    t.table[0, 1, 0] = 1.0
-    t.table[1, 1] = [3.0, 4.0]
+    t.table[0 * 2 + 1, 0] = 1.0
+    t.table[1 * 2 + 1] = [3.0, 4.0]
     items = [(0, 1, 0, 2.0, 1, True), (0, 1, 0, 0.0, 1, False), (0, 1, 0, 5.0, 1, True)]
-    loss = t.train_on(columns(items), 0.5)
+    loss = t.train_on(columns(goal_rows(items, 2)), 0.5)
     deltas = [2.0 - 1.0, 0.5 * 4.0 - 1.0, 5.0 - 1.0]
-    assert t.table[0, 1, 0] == pytest.approx(1.0 + 0.25 * sum(deltas), abs=1e-15)
+    assert t.table[0 * 2 + 1, 0] == pytest.approx(1.0 + 0.25 * sum(deltas), abs=1e-15)
     assert loss == pytest.approx(np.mean(np.square(deltas)))
-    t.table[0, 1, 0] = 0.0
+    t.table[0 * 2 + 1, 0] = 0.0
     assert np.count_nonzero(t.table) == 2  # only the bootstrap row is left
 
 
 def sequential(t: TabularQ, items, gamma: float) -> None:
     for item in items:
-        if len(item) == 5:
-            s, a, r, sn, term = item
-            t.backup(s, None, a, r, sn, term, gamma)
-        else:
-            t.backup(*item, gamma)
+        t.backup(*item, gamma)
 
 
 @pytest.mark.parametrize("n_goals", [None, 4])
@@ -90,11 +88,67 @@ def test_train_on_equals_sequential_backups_without_overlap(n_goals):
         cell = (int(gen.integers(5)), *goal, int(gen.integers(3)))
         cells[cell] = (float(gen.normal()), int(gen.integers(5, 10)), bool(gen.integers(2)))
     items = [(*cell, *rest) for cell, rest in cells.items()]
+    if n_goals is not None:
+        items = goal_rows(items, n_goals)
     before = batch_tab.table.copy()
     batch_tab.train_on(columns(items), 0.95)
     sequential(seq_tab, items, 0.95)
     assert np.array_equal(batch_tab.table, seq_tab.table)
     assert np.count_nonzero(batch_tab.table != before) == len(items)
+
+
+def reference_train_on(table, lr, s, g, a, r, s_next, term, gamma) -> float:
+    """The update on an (s, [g,] a) table as it was written before rows:
+    goal-conditioned tables were (n_states, n_goals, n_choices) arrays
+    indexed through ravel_multi_index."""
+    if g is None:
+        cell = np.ravel_multi_index((s, a), table.shape)
+        bootstrap = table.take(s_next, axis=0)
+    else:
+        cell = np.ravel_multi_index((s, g, a), table.shape)
+        row_next = np.ravel_multi_index((s_next, g), table.shape[:2])
+        bootstrap = table.reshape(-1, table.shape[-1]).take(row_next, axis=0)
+    target = r + gamma * (1.0 - term) * bootstrap.max(axis=1)
+    cells = table.reshape(-1)
+    delta = target - cells.take(cell)
+    np.add.at(cells, cell, lr * delta)
+    return float(delta @ delta) / delta.size
+
+
+@given(
+    n_states=st.integers(1, 4),
+    n_goals=st.one_of(st.none(), st.integers(1, 3)),
+    n_choices=st.integers(1, 3),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    lr=st.floats(0.01, 1.0),
+    gamma=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_train_on_rows_is_bit_equal_to_the_state_goal_update(
+    n_states, n_goals, n_choices, sizes, lr, gamma, seed
+):
+    """Row-indexed train_on and the (s, g, a) reference leave bit-equal
+    tables and return bit-equal losses, batch after batch. The index
+    ranges are small, so batches repeat cells and bootstrap from rows
+    that other items write."""
+    gen = np.random.default_rng(seed)
+    t = TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=lr)
+    t.table[...] = gen.normal(size=t.table.shape)
+    ref = t.table.copy().reshape((n_states, n_choices) if n_goals is None else (n_states, n_goals, n_choices))
+    for k in sizes:
+        s, s_next = gen.integers(n_states, size=(2, k))
+        a = gen.integers(n_choices, size=k)
+        r = gen.normal(size=k)
+        term = gen.integers(2, size=k).astype(np.float64)
+        g = None if n_goals is None else gen.integers(n_goals, size=k)
+        if g is None:
+            row, row_next = s, s_next
+        else:
+            row, row_next = s * n_goals + g, s_next * n_goals + g
+        loss = t.train_on((row, a, r, row_next, term), gamma)
+        assert loss == reference_train_on(ref, lr, s, g, a, r, s_next, term, gamma)
+        assert np.array_equal(t.table.reshape(-1), ref.reshape(-1))
 
 
 def test_flat_agent_inline_rule_is_tabular_backup():
@@ -123,18 +177,18 @@ def test_flat_agent_inline_rule_is_tabular_backup():
 
 
 def test_values_bounds_checking():
-    t = TabularQ(3, 2, n_goals=2)
-    with pytest.raises(IndexError):
-        t.values(3, 0)
-    with pytest.raises(IndexError):
-        t.values(-1, 0)
-    with pytest.raises(IndexError):
-        t.values(0, 2)
-    with pytest.raises(IndexError):
-        t.values(0)  # goal required
-    meta = TabularQ(3, 2)
-    with pytest.raises(IndexError):
-        meta.values(0, 1)  # no goal axis
+    """Rows run over states times goals, or over states alone at the
+    meta level; both backends reject any other row."""
+    for vf in (TabularQ(3, 2, n_goals=2), MlpQ(3, 2, n_goals=2, hidden=2)):
+        assert len(vf.values(5)) == 2
+        for row in (6, -1):
+            with pytest.raises(IndexError):
+                vf.values(row)
+    for vf in (TabularQ(3, 2), MlpQ(3, 2, hidden=2)):
+        assert len(vf.values(2)) == 2
+        for row in (3, -1):
+            with pytest.raises(IndexError):
+                vf.values(row)
 
 
 def test_table_validation():
@@ -158,7 +212,7 @@ def test_toy_mdp_convergence_with_decaying_alpha():
         for a, (r, sn, term) in enumerate([(1.0, 1, True), (0.05, 0, False)]):
             counts[a] += 1
             t.learning_rate = 1.0 / counts[a]
-            t.backup(0, None, a, r, sn, term, gamma)
+            t.backup(0, a, r, sn, term, gamma)
     assert abs(t.values(0)[0] - 1.0) < 1e-6
     assert abs(t.values(0)[1] - 0.95) < 1e-6
 
@@ -176,12 +230,12 @@ def zeroed_net(**kw) -> MlpQ:
 
 def test_zero_net_outputs_zero():
     net = zeroed_net(n_states=4, n_choices=3, n_goals=2, hidden=5)
-    assert np.array_equal(net.values(1, 0), np.zeros(3))
+    assert np.array_equal(net.values(1 * 2 + 0), np.zeros(3))
 
 
 def test_encoding_is_one_or_two_hot():
     net = MlpQ(5, 2, n_goals=3, hidden=4, init_rng=np.random.default_rng(1))
-    x = net.encode([2, 4], [0, 2])
+    x = net.encode([2 * 3 + 0, 4 * 3 + 2])
     assert x.shape == (2, 8)
     assert np.array_equal(np.sort(np.unique(x)), [0.0, 1.0])
     assert np.array_equal(x.sum(axis=1), [2.0, 2.0])
@@ -190,10 +244,30 @@ def test_encoding_is_one_or_two_hot():
     meta = MlpQ(5, 3, init_rng=np.random.default_rng(1))
     xm = meta.encode([3])
     assert xm.sum() == 1.0 and xm[0, 3] == 1.0
-    with pytest.raises(IndexError):
-        meta.encode([0], [0])
-    with pytest.raises(IndexError):
-        net.encode([0])
+
+
+@given(
+    n_states=st.integers(1, 6),
+    n_goals=st.one_of(st.none(), st.integers(1, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_encode_rows_equals_the_state_goal_encoding(n_states, n_goals, seed):
+    """encode(rows) is the one-hot state plus one-hot goal input that
+    the network took as separate state and goal indices."""
+    gen = np.random.default_rng(seed)
+    net = MlpQ(n_states, 2, n_goals=n_goals, hidden=2)
+    n = int(gen.integers(1, 20))
+    states = gen.integers(n_states, size=n)
+    expected = np.zeros((n, n_states + (n_goals or 0)))
+    expected[np.arange(n), states] = 1.0
+    if n_goals is None:
+        rows = states
+    else:
+        goals = gen.integers(n_goals, size=n)
+        expected[np.arange(n), n_states + goals] = 1.0
+        rows = states * n_goals + goals
+    assert np.array_equal(net.encode(rows), expected)
 
 
 def test_perfect_targets_mean_zero_loss_and_no_update():
@@ -273,14 +347,10 @@ def test_gradient_check_small():
 def tuple_path_loss(net: MlpQ, batch, gamma: float) -> float:
     """The loss as the per-transition tuple path computed it."""
     total = 0.0
-    for item in batch:
-        if len(item) == 5:
-            (s, a, r, sn, term), g = item, None
-        else:
-            s, g, a, r, sn, term = item
-        nxt = net._forward(net.snapshot, net.encode([sn], None if g is None else [g]))[2][0]
+    for row, a, r, row_next, term in batch:
+        nxt = net._forward(net.snapshot, net.encode([row_next]))[2][0]
         y = r + (0.0 if term else gamma * nxt.max())
-        total += (net.values(s, g)[a] - y) ** 2
+        total += (net.values(row)[a] - y) ** 2
     return total / len(batch)
 
 
@@ -297,6 +367,8 @@ def test_loss_on_columns_equals_tuple_path(n_goals):
                 int(gen.integers(5)), bool(gen.integers(2)))
 
     batch = [item() for _ in range(32)]
+    if n_goals is not None:
+        batch = goal_rows(batch, n_goals)
     assert net.loss_and_grads(columns(batch), 0.9)[0] == pytest.approx(
         tuple_path_loss(net, batch, 0.9), rel=1e-12
     )

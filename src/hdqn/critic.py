@@ -58,10 +58,10 @@ class Critic:
             self._targets = [g.target for g in self.goals]
             self._agent_index = lambda s: s
         else:
-            cells = {e.kind: e.position for e in env.entities(0)}
+            # Layout fields are named after the goal kinds.
+            lay = env.layout
             self._targets = [
-                cell[1] * env.layout.width + cell[0]
-                for cell in (cells[k] for k in KEYDOOR_GOAL_KINDS)
+                y * lay.width + x for x, y in (getattr(lay, k) for k in KEYDOOR_GOAL_KINDS)
             ]
             self._agent_index = env.agent_cell_index
 

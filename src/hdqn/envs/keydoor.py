@@ -56,12 +56,6 @@ DEFAULT_LAYOUT = "\n".join(
 )
 
 
-class Entity(NamedTuple):
-    kind: str
-    position: tuple[int, int]
-    alive: bool
-
-
 class Layout(NamedTuple):
     width: int
     height: int
@@ -74,13 +68,17 @@ class Layout(NamedTuple):
     patrol: tuple  # patrol cells, left to right, all on one row
 
 
+def _rows(text: str) -> list[str]:
+    return [r for r in text.replace("/", "\n").splitlines() if r.strip()]
+
+
 def parse_layout(text: str) -> Layout:
     """Parse an ASCII map into a validated Layout.
 
     Accepts rows separated by newlines or by '/' (the single-line config
     form). Raises ConfigError on any violation of the grammar.
     """
-    rows = [r for r in text.replace("/", "\n").splitlines() if r.strip()]
+    rows = _rows(text)
     if not rows:
         raise ConfigError("layout: empty map")
     width = len(rows[0])
@@ -134,43 +132,25 @@ def parse_layout(text: str) -> Layout:
     )
 
 
-def render_layout(layout: Layout) -> str:
-    """Inverse of parse_layout: an ASCII map that parses back to `layout`."""
-    grid = [["." for _ in range(layout.width)] for _ in range(layout.height)]
-    for x, y in layout.walls:
-        grid[y][x] = "#"
-    for x, y in layout.patrol:
-        grid[y][x] = "S"
-    for mark, (x, y) in (
-        ("A", layout.spawn),
-        ("K", layout.key),
-        ("D", layout.door),
-        ("L", layout.ladder_bl),
-        ("L", layout.ladder_br),
-    ):
-        grid[y][x] = mark
-    return "\n".join("".join(row) for row in grid)
-
-
 class KeyDoorEnv(Environment):
     n_actions = 4
     key_reward = 100.0
     door_reward = 300.0
 
-    def __init__(self, layout: str | Layout | None = None, step_limit: int = 500):
+    def __init__(self, layout: str | None = None, step_limit: int = 500):
         if layout is None:
             layout = DEFAULT_LAYOUT
-        if not isinstance(layout, Layout):
-            layout = parse_layout(layout)
         if step_limit <= 0:
             raise ConfigError(f"step_limit must be positive, got {step_limit}")
-        self.layout = layout
-        self.layout_text = render_layout(layout)
+        self.layout = lay = parse_layout(layout)
+        # parse_layout accepts only map-cell characters, so its rows,
+        # newline-joined, are the map in canonical form.
+        self.layout_text = "\n".join(_rows(layout))
         self.step_limit = step_limit
-        self.patrol_len = len(layout.patrol)
+        self.patrol_len = len(lay.patrol)
         # State id = ((agent_cell_index * P + skull_offset) * 2 + dir) * 2 + has_key.
-        self.n_states = layout.width * layout.height * self.patrol_len * 2 * 2
-        self._agent = layout.spawn
+        self.n_states = lay.width * lay.height * self.patrol_len * 2 * 2
+        self._agent = lay.spawn
         self._skull_off = 0
         self._skull_dir = DIR_RIGHT
         self._has_key = False
@@ -192,29 +172,9 @@ class KeyDoorEnv(Environment):
         idx = self._cell_index(agent)
         return ((idx * self.patrol_len + skull_off) * 2 + skull_dir) * 2 + int(has_key)
 
-    def decode(self, state: int) -> tuple[tuple[int, int], int, int, bool]:
-        state, has_key = divmod(state, 2)
-        state, skull_dir = divmod(state, 2)
-        idx, skull_off = divmod(state, self.patrol_len)
-        x, y = idx % self.layout.width, idx // self.layout.width
-        return (x, y), skull_off, skull_dir, bool(has_key)
-
     def agent_cell_index(self, state: int) -> int:
         """Agent's flat cell index; cheap enough for per-step goal checks."""
         return state // (self.patrol_len * 4)
-
-    def entities(self, state: int) -> list[Entity]:
-        """Entity configuration for a state id; pure function of the id."""
-        agent, skull_off, _, has_key = self.decode(state)
-        lay = self.layout
-        return [
-            Entity("agent", agent, True),
-            Entity("key", lay.key, not has_key),
-            Entity("door", lay.door, True),
-            Entity("skull", lay.patrol[skull_off], True),
-            Entity("ladder_bl", lay.ladder_bl, True),
-            Entity("ladder_br", lay.ladder_br, True),
-        ]
 
     # -- dynamics ------------------------------------------------------
 

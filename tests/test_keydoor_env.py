@@ -26,6 +26,20 @@ def fresh(layout=None, step_limit=500):
     return env, state
 
 
+def configurations(env) -> dict:
+    """state id -> (agent cell, skull offset, skull heading, key flag)
+    for every configuration, built from encode alone."""
+    lay = env.layout
+    return {
+        env.encode((x, y), off, d, k): ((x, y), off, d, k)
+        for y in range(lay.height)
+        for x in range(lay.width)
+        for off in range(env.patrol_len)
+        for d in (0, 1)
+        for k in (False, True)
+    }
+
+
 def play(env, actions):
     gen = rng.stream(0, rng.ENV)
     total = 0.0
@@ -52,6 +66,7 @@ def test_default_layout_parses():
 def test_layout_accepts_slash_separated_rows():
     lay = parse_layout(DEFAULT_LAYOUT.replace("\n", "/"))
     assert lay == parse_layout(DEFAULT_LAYOUT)
+    assert KeyDoorEnv(DEFAULT_LAYOUT.replace("\n", "/")).layout_text == DEFAULT_LAYOUT
 
 
 @pytest.mark.parametrize(
@@ -75,15 +90,14 @@ def test_state_count_matches_factored_form():
 
 
 def test_encode_decode_roundtrip():
+    """encode is one-to-one onto range(n_states), so the table inverting
+    it decodes every id, and agent_cell_index reads the agent's cell."""
     env, _ = fresh()
     lay = env.layout
-    for agent in [(1, 1), (5, 4), (10, 7)]:
-        for off in range(env.patrol_len):
-            for d in (0, 1):
-                for k in (False, True):
-                    s = env.encode(agent, off, d, k)
-                    assert env.decode(s) == (agent, off, d, k)
-                    assert env.agent_cell_index(s) == agent[1] * lay.width + agent[0]
+    by_state = configurations(env)
+    assert sorted(by_state) == list(range(env.n_states))
+    for s, (agent, _, _, _) in by_state.items():
+        assert env.agent_cell_index(s) == agent[1] * lay.width + agent[0]
 
 
 def test_golden_run_scores_400():
@@ -100,9 +114,9 @@ def test_key_alone_scores_100_and_key_disappears():
     out, total = play(env, [LEFT] * 4 + [DOWN] * 6)
     assert not out.terminal
     assert total == pytest.approx(100.0)
-    kinds = {e.kind: e for e in env.entities(out.next_state)}
-    assert not kinds["key"].alive
-    assert kinds["agent"].position == (1, 7)
+    agent, _, _, has_key = configurations(env)[out.next_state]
+    assert has_key
+    assert agent == (1, 7)
     # Standing on the key cell again pays nothing new.
     out2, extra = play(env, [UP, DOWN])
     assert extra == pytest.approx(0.0)
@@ -119,7 +133,7 @@ def test_walls_block_movement():
     env, start = fresh()
     gen = rng.stream(0, rng.ENV)
     out = env.step(UP, gen)  # spawn is against the top wall
-    assert env.decode(out.next_state)[0] == env.layout.spawn
+    assert out.next_state == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
 
 
 def test_skull_collision_is_terminal_zero():
@@ -128,7 +142,7 @@ def test_skull_collision_is_terminal_zero():
     out, total = play(env, [LEFT] + [DOWN] * 8)
     assert out.terminal
     assert total == pytest.approx(0.0)
-    assert env.decode(out.next_state)[0] == (4, 7)
+    assert configurations(env)[out.next_state][0] == (4, 7)
 
 
 def test_skull_periodicity():
@@ -136,11 +150,12 @@ def test_skull_periodicity():
     env, state = fresh()
     gen = rng.stream(0, rng.ENV)
     period = 2 * (env.patrol_len - 1)
+    by_state = configurations(env)
     cells = []
     for _ in range(3 * period):
         state, _, done = env.step(UP, gen)  # agent pinned at the top wall
         assert not done
-        _, off, _, _ = env.decode(state)
+        _, off, _, _ = by_state[state]
         cells.append(off)
     for t, off in enumerate(cells):
         assert off == cells[t % period]
@@ -162,12 +177,13 @@ def test_swap_through_skull_is_survivable():
     lay = "#######/#.A.LL#/#.SS..#/#K...D#/#######"
     env, _ = fresh(layout=lay)
     gen = rng.stream(0, rng.ENV)
+    by_state = configurations(env)
     out = env.step(DOWN, gen)  # lands on the skull's vacated cell
     assert not out.terminal
-    assert env.decode(out.next_state)[0] == (2, 2)
+    assert by_state[out.next_state][0] == (2, 2)
     out = env.step(RIGHT, gen)  # true swap: agent and skull trade cells
     assert not out.terminal
-    agent, off, _, _ = env.decode(out.next_state)
+    agent, off, _, _ = by_state[out.next_state]
     assert agent == (3, 2)
     assert env.layout.patrol[off] == (2, 2)
 
@@ -188,13 +204,14 @@ def test_reward_budget_under_random_play():
 
 
 def test_entities_fresh_and_pure():
+    """A reset puts every entity at its start, the same on every reset:
+    the agent on its spawn, the skull on the leftmost patrol cell heading
+    right, the key not held; the other entities are fixed layout cells."""
     env, state = fresh()
-    ents = env.entities(state)
-    assert len(ents) == 6
-    assert all(e.alive for e in ents)
-    kinds = [e.kind for e in ents]
-    assert sorted(kinds) == ["agent", "door", "key", "ladder_bl", "ladder_br", "skull"]
-    assert env.entities(state) == ents
+    lay = env.layout
+    assert state == env.encode(lay.spawn, 0, DIR_RIGHT, False)
+    assert env.reset(rng.stream(1, rng.ENV)) == state
+    assert len({lay.spawn, lay.key, lay.door, lay.ladder_bl, lay.ladder_br}) == 5
 
 
 def test_step_before_reset_and_after_terminal_raise():

@@ -152,10 +152,6 @@ class MlpQ:
     def input_dim(self) -> int:
         return self.n_states + (self.n_goals or 0)
 
-    @property
-    def n_rows(self) -> int:
-        return self.n_states * (self.n_goals or 1)
-
     def encode(self, rows) -> np.ndarray:
         """One-hot state (plus one-hot goal) inputs for a batch of rows."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -177,8 +173,9 @@ class MlpQ:
         return z1, h, q
 
     def values(self, row: int) -> np.ndarray:
-        if not 0 <= row < self.n_rows:
-            raise IndexError(f"row {row} out of range [0, {self.n_rows})")
+        n_rows = self.n_states * (self.n_goals or 1)
+        if not 0 <= row < n_rows:
+            raise IndexError(f"row {row} out of range [0, {n_rows})")
         return self._forward(self.params, self.encode([row]))[2][0]
 
     def loss_and_grads(self, columns: tuple, gamma: float):

@@ -14,6 +14,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -30,12 +32,26 @@ def test_tracer_installs_on_the_current_package():
     assert proc.returncode == 0, proc.stderr
 
 
-def run_child(config: str, overrides: dict, trace: int) -> dict:
-    """One repetition of a workload through perfbench/child.py; its report."""
+@pytest.mark.parametrize(
+    "config, overrides, trace, called",
+    [
+        ("chain_flat.cfg", {"episodes": 300, "seeds": [0, 1]}, 0, ()),
+        # The hierarchical path under the tracer, with d2 past its warm-up
+        # so that the meta level's replay and update layers are called.
+        (
+            "keydoor_hdqn.cfg",
+            {"seeds": [0], "pretrain_steps": 3000, "episodes": 5, "d2_warmup": 10},
+            1,
+            ("values.train_on.q2.calls", "replay.sample.d2.calls"),
+        ),
+    ],
+    ids=["chain_flat", "keydoor_hdqn"],
+)
+def test_child_runs_a_toy_repetition(config, overrides, trace, called, tmp_path):
     job = {
         "src": str(ROOT / "src"),
         "config": str(ROOT / "configs" / config),
-        "overrides": overrides,
+        "overrides": dict(overrides, workers=1, out_dir=str(tmp_path)),
         "trace": trace,
         "setup_only": False,
     }
@@ -47,29 +63,8 @@ def run_child(config: str, overrides: dict, trace: int) -> dict:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_child_runs_a_toy_chain_flat_repetition(tmp_path):
-    overrides = {"episodes": 300, "seeds": [0, 1], "workers": 1, "out_dir": str(tmp_path)}
-    report = run_child("chain_flat.cfg", overrides, trace=0)
-    assert report["attempted"] == 2
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["attempted"] == len(overrides["seeds"])
     assert report["failed"] == 0, report["errors"]
-
-
-def test_child_traces_a_toy_keydoor_hdqn_repetition(tmp_path):
-    """The hierarchical path under the tracer, with d2 past its warm-up
-    so that the meta level's replay and update layers are called."""
-    overrides = {
-        "seeds": [0],
-        "pretrain_steps": 3000,
-        "episodes": 5,
-        "d2_warmup": 10,
-        "workers": 1,
-        "out_dir": str(tmp_path),
-    }
-    report = run_child("keydoor_hdqn.cfg", overrides, trace=1)
-    assert report["attempted"] == 1
-    assert report["failed"] == 0, report["errors"]
-    assert report["layers"]["values.train_on.q2.calls"] > 0
-    assert report["layers"]["replay.sample.d2.calls"] > 0
+    for name in called:
+        assert report["layers"][name] > 0, name

@@ -29,12 +29,10 @@ def stored(buf) -> dict:
 
 def stored_controller(agent) -> dict:
     """An agent's controller ring as stored(), plus each row split back
-    into state and goal: "s", "g" and "s_next". A controller transition
-    keeps its goal, so row and row' must split to the same goal."""
+    into state and goal: "s", "g", "s_next" and "g_next"."""
     out = stored(agent.d1)
     out["s"], out["g"] = np.divmod(out["row"], agent.n_goals)
-    out["s_next"], g_next = np.divmod(out["row_next"], agent.n_goals)
-    assert np.array_equal(g_next, out["g"])
+    out["s_next"], out["g_next"] = np.divmod(out["row_next"], agent.n_goals)
     return out
 
 

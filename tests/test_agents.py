@@ -50,6 +50,8 @@ def test_goal_persistence_within_options():
             current = None
     # Option boundaries must line up: one meta transition per boundary.
     assert d1["term"].sum() == len(agent.d2)
+    # The bootstrap row of a controller transition keeps its goal.
+    assert np.array_equal(d1["g_next"], d1["g"])
 
 
 def test_intrinsic_reward_gating():

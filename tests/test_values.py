@@ -135,7 +135,8 @@ def test_train_on_rows_is_bit_equal_to_the_state_goal_update(
     gen = np.random.default_rng(seed)
     t = TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=lr)
     t.table[...] = gen.normal(size=t.table.shape)
-    ref = t.table.copy().reshape((n_states, n_choices) if n_goals is None else (n_states, n_goals, n_choices))
+    shape = (n_states, n_choices) if n_goals is None else (n_states, n_goals, n_choices)
+    ref = t.table.reshape(shape).copy()
     for k in sizes:
         s, s_next = gen.integers(n_states, size=(2, k))
         a = gen.integers(n_choices, size=k)

@@ -14,9 +14,17 @@ meta-scale transition; discounting enters only through the bootstrap.
 The agent indexes both value functions by row, one index per input:
 the controller's row is state * n_goals + goal and the meta level's row
 is the state. It forms the controller row when an option starts and
-carries the next row forward from step to step, and it stores rows,
-not states, in replay (replay.py); estimators never see the goal axis
-except as part of a row.
+carries the next row forward from step to step; estimators never see
+the goal axis except as part of a row.
+
+Replay stores each transition as the four columns the update reads,
+(cell, row', r, disc) (replay.py). The agent forms them when it pushes,
+where it already knows how the transition ended. A controller step
+stores cell row * n_actions + a, row' at the next state with the same
+goal, the intrinsic reward, and disc 0.0 when the goal was reached or
+the episode ended, else gamma. An option stores cell s0 * n_goals + g,
+row' the state it ended in, F, and disc 0.0 when the episode ended,
+else gamma.
 
 Both levels train from their own replay memory once per primitive step:
 one minibatch of columns per level, through the estimator's train_on.
@@ -141,7 +149,7 @@ class HierarchicalAgent:
     def _update(self, vf, buffer, warmup) -> None:
         if len(buffer) < warmup:
             return
-        vf.train_on(buffer.sample(self.batch_size), self.gamma)
+        vf.train_on(buffer.sample(self.batch_size))
         if vf.kind == "mlp" and vf.train_steps % self.target_sync == 0:
             vf.sync_target()
 
@@ -161,6 +169,7 @@ class HierarchicalAgent:
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen
         n_actions, n_goals = self.n_actions, self.n_goals
         reached_check = self.critic.reached
+        gamma = self.gamma
 
         s = env.reset(env_gen)
         visits = [0] * self.n_states if count_visits else None
@@ -184,7 +193,12 @@ class HierarchicalAgent:
                     self.joint_steps += 1
                 reached = reached_check(g, s)
                 row_next = s * n_goals + g
-                d1.push(row, a, INTRINSIC_REWARD if reached else 0.0, row_next, done or reached)
+                d1.push(
+                    row * n_actions + a,
+                    row_next,
+                    INTRINSIC_REWARD if reached else 0.0,
+                    0.0 if done or reached else gamma,
+                )
                 option_return += r
                 trace.total_reward += r
                 trace.steps += 1
@@ -193,7 +207,7 @@ class HierarchicalAgent:
                 self._update(q1, d1, self.d1_warmup)
                 self._update(q2, d2, self.d2_warmup)
                 row = row_next
-            d2.push(s0, g, option_return, s, done)
+            d2.push(s0 * n_goals + g, s, option_return, 0.0 if done else gamma)
             self.completed_options += 1
             tracker.record(g, reached)
             trace.goal_successes.append(reached)

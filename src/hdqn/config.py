@@ -6,6 +6,7 @@ only what differs.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields, replace
 
@@ -88,8 +89,8 @@ class ExperimentConfig:
             raise bad(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
         if self.workers < 0:
             raise bad(f"workers must be >= 0 (0 means auto), got {self.workers}")
-        if self.learning_rate <= 0:
-            raise bad(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise bad(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.backend == "tabular" and self.learning_rate > 1:
             raise bad(f"learning_rate must be <= 1 for tabular values, got {self.learning_rate}")
         if not 0.0 <= self.gamma <= 1.0:

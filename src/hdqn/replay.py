@@ -1,21 +1,26 @@
 """Bounded FIFO experience memories with uniform minibatch sampling.
 
 Two disjoint memories exist at runtime: one holding per-step controller
-transitions, one holding per-option meta transitions. Both store rows,
-not states: a row is the one index an estimator reads its values at.
-The agent forms it (hierarchical.py): the controller's row is
-state * n_goals + goal and the meta level's row is the state. A
-controller transition is (row, a, r, row', term) with row' at the
-next state and the same goal; a meta transition is (row of s0, goal
-choice, F, row of s_next, term), where F is the undiscounted sum of
-environment rewards collected while the option ran.
+transitions, one holding per-option meta transitions. Each transition
+is stored as the four columns the estimators' update reads, formed by
+the agent at push time (hierarchical.py):
 
-Each memory is a preallocated ring of columns: one int32 block for
-row, a, row' and one float block for r, term. Blocks are allocated
-zeroed and touched row by row, so a large capacity costs address space,
-not memory, until it fills. Sampling is uniform with replacement,
-returns column arrays in the estimators' train_on order and leaves the
-ring unchanged.
+- cell, the flat index row * n_choices + a of the value being updated,
+  where the controller's row is state * n_goals + goal and its choice a
+  primitive action, and the meta level's row is the state and its
+  choice a goal;
+- row', the bootstrap row: the next state with the same goal for the
+  controller, the state the option ended in for the meta level;
+- r, the intrinsic reward for the controller, and for the meta level F,
+  the undiscounted sum of environment rewards collected while the
+  option ran;
+- disc, 0.0 if the transition ended its episode or option, else gamma.
+
+Each column is a preallocated 1-D array, allocated zeroed and written
+one element per push, so a large capacity costs address space, not
+memory, until it fills. Sampling is uniform with replacement, returns
+the four columns in the estimators' train_on order and leaves the ring
+unchanged.
 """
 from __future__ import annotations
 
@@ -30,20 +35,21 @@ UNIFORM_BLOCK = 4096
 class ReplayBuffer:
     """Ring of transition columns: O(1) pushes, the oldest row evicted first.
 
-    ints holds (row, a, row') per transition; floats holds (r, term)
-    with term 1.0 or 0.0. Position `cursor` is the one the next push
-    overwrites, so once the ring is full, positions cursor..end followed
-    by 0..cursor are oldest first.
+    cell and row_next are int32, r and disc float64. Position `cursor`
+    is the one the next push overwrites, so once the ring is full,
+    positions cursor..end followed by 0..cursor are oldest first.
     """
 
-    __slots__ = ("capacity", "ints", "floats", "cursor", "_size", "_gen", "_u", "_upos")
+    __slots__ = ("capacity", "cell", "row_next", "r", "disc", "cursor", "_size", "_gen", "_u", "_upos")
 
     def __init__(self, capacity: int, gen: np.random.Generator):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.ints = np.zeros((capacity, 3), dtype=np.int32)
-        self.floats = np.zeros((capacity, 2))
+        self.cell = np.zeros(capacity, dtype=np.int32)
+        self.row_next = np.zeros(capacity, dtype=np.int32)
+        self.r = np.zeros(capacity)
+        self.disc = np.zeros(capacity)
         self.cursor = 0
         self._size = 0
         self._gen = gen
@@ -53,11 +59,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, row, action, reward, next_row, terminal) -> None:
+    def push(self, cell, row_next, reward, disc) -> None:
         """Store one transition."""
         i = self.cursor
-        self.ints[i] = (row, action, next_row)
-        self.floats[i] = (reward, terminal)
+        self.cell[i] = cell
+        self.row_next[i] = row_next
+        self.r[i] = reward
+        self.disc[i] = disc
         i += 1
         if i == self.capacity:
             i = 0
@@ -66,7 +74,7 @@ class ReplayBuffer:
             self._size += 1
 
     def sample(self, k: int) -> tuple:
-        """k uniform draws with replacement, as (row, a, r, row', term)
+        """k uniform draws with replacement, as (cell, row', r, disc)
         columns. The buffer must be non-empty."""
         if not self._size:
             raise ValueError("sample() on an empty replay buffer")
@@ -78,6 +86,4 @@ class ReplayBuffer:
             pos = 0
         self._upos = pos + k
         idx = (self._u[pos : pos + k] * self._size).astype(np.intp)
-        row, a, row_next = self.ints.take(idx, axis=0).T
-        r, term = self.floats.take(idx, axis=0).T
-        return row, a, r, row_next, term
+        return self.cell.take(idx), self.row_next.take(idx), self.r.take(idx), self.disc.take(idx)

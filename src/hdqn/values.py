@@ -11,9 +11,12 @@ serves the low level and has n_states * n_goals rows, row
 state * n_goals + goal; without one it serves the meta level, row =
 state, and its choices are goals. The agent forms rows; estimators take
 them as given. values(row) returns the action values at one row, and
-train_on takes a minibatch as columns (row, a, r, row', term) of equal
-length, row' the bootstrap row and term 1.0 where the transition ended
-its episode or option; ReplayBuffer.sample returns exactly this.
+train_on takes a minibatch as four columns (cell, row', r, disc) of
+equal length: cell = row * n_choices + a names the value to update,
+row' is the bootstrap row, and disc is the bootstrap's discount, 0.0
+where the transition ended its episode or option and gamma elsewhere.
+The target is r + disc * max_a' Q(row', a'). ReplayBuffer.sample
+returns exactly these columns.
 
 Estimators have no file format of their own: checkpoint.py writes their
 arrays (the table, or params and snapshot) as sections of the agent
@@ -79,26 +82,22 @@ class TabularQ:
         """
         self.train_on(
             (
-                np.array([row]),
-                np.array([action]),
-                np.array([reward], dtype=np.float64),
+                np.array([row * self.n_choices + action]),
                 np.array([next_row]),
-                np.array([terminal], dtype=np.float64),
-            ),
-            gamma,
+                np.array([reward], dtype=np.float64),
+                np.array([0.0 if terminal else gamma]),
+            )
         )
 
-    def train_on(self, columns: tuple, gamma: float) -> float:
+    def train_on(self, columns: tuple) -> float:
         """One batch-synchronous backup of every item in the columns.
 
         Returns the mean squared pre-update temporal-difference error.
         """
-        row, a, r, row_next, term = columns
+        cell, row_next, r, disc = columns
         table = self.table
-        cell = row * self.n_choices + a
-        target = r + gamma * (1.0 - term) * table.take(row_next, axis=0).max(axis=1)
         cells = table.reshape(-1)
-        delta = target - cells.take(cell)
+        delta = r + disc * table.take(row_next, axis=0).max(axis=1) - cells.take(cell)
         np.add.at(cells, cell, self.learning_rate * delta)
         return float(delta @ delta) / delta.size
 
@@ -178,11 +177,12 @@ class MlpQ:
             raise IndexError(f"row {row} out of range [0, {n_rows})")
         return self._forward(self.params, self.encode([row]))[2][0]
 
-    def loss_and_grads(self, columns: tuple, gamma: float):
+    def loss_and_grads(self, columns: tuple):
         """Pre-step batch loss and its gradient for every parameter."""
-        row, a, r, row_next, term = columns
+        cell, row_next, r, disc = columns
+        row, a = np.divmod(cell, self.n_choices)
         qn = self._forward(self.snapshot, self.encode(row_next))[2]
-        y = r + gamma * (1.0 - term) * qn.max(axis=1)
+        y = r + disc * qn.max(axis=1)
         x = self.encode(row)
         z1, h, q = self._forward(self.params, x)
         n = len(y)
@@ -201,9 +201,9 @@ class MlpQ:
         }
         return loss, grads
 
-    def train_on(self, columns: tuple, gamma: float) -> float:
+    def train_on(self, columns: tuple) -> float:
         """One SGD step on the minibatch columns; returns the pre-step loss."""
-        loss, grads = self.loss_and_grads(columns, gamma)
+        loss, grads = self.loss_and_grads(columns)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss {loss!r}")
         lr = self.learning_rate

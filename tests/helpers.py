@@ -6,10 +6,18 @@ import numpy as np
 from hdqn.values import MlpQ
 
 
-def columns(batch) -> tuple:
-    """Minibatch columns (row, a, r, row', term) from 5-tuples of the same."""
-    row, a, r, row_next, term = (np.array(f) for f in zip(*batch))
-    return row, a, r.astype(np.float64), row_next, term.astype(np.float64)
+def transition_columns(row, a, r, row_next, term, n_choices: int, gamma: float) -> tuple:
+    """The columns (cell, row', r, disc) that replay stores for transitions
+    (row, a, r, row', term), by the agent's rule: cell = row * n_choices + a,
+    and disc is 0.0 where term is set and gamma elsewhere."""
+    disc = np.where(term, 0.0, gamma)
+    return row * n_choices + a, row_next, np.asarray(r, dtype=np.float64), disc
+
+
+def columns(batch, n_choices: int, gamma: float) -> tuple:
+    """Minibatch columns (cell, row', r, disc) from (row, a, r, row', term)
+    tuples; see transition_columns."""
+    return transition_columns(*(np.array(f) for f in zip(*batch)), n_choices, gamma)
 
 
 def goal_rows(batch, n_goals: int) -> list:
@@ -19,25 +27,27 @@ def goal_rows(batch, n_goals: int) -> list:
 
 
 def stored(buf) -> dict:
-    """A replay ring's transitions oldest first, one array per column."""
+    """A replay ring's transitions oldest first, one array per column:
+    "cell", "row_next", "r" and "disc"."""
     n = len(buf)
     order = np.arange(n) if n < buf.capacity else np.roll(np.arange(n), -buf.cursor)
-    out = dict(zip(("row", "a", "row_next"), buf.ints[order].T))
-    out["r"], out["term"] = buf.floats[order].T
-    return out
+    return {name: getattr(buf, name)[order] for name in ("cell", "row_next", "r", "disc")}
 
 
 def stored_controller(agent) -> dict:
-    """An agent's controller ring as stored(), plus each row split back
-    into state and goal: "s", "g", "s_next" and "g_next"."""
+    """An agent's controller ring as stored(), plus each cell split back
+    into its row and action, "row" and "a", and the rows into state and
+    goal: "s", "g", "s_next" and "g_next"."""
     out = stored(agent.d1)
+    out["row"], out["a"] = np.divmod(out["cell"], agent.n_actions)
     out["s"], out["g"] = np.divmod(out["row"], agent.n_goals)
     out["s_next"], out["g_next"] = np.divmod(out["row_next"], agent.n_goals)
     return out
 
 
-def random_net_and_batch(gen: np.random.Generator):
-    """A random small network plus a compatible random batch of columns.
+def random_net_and_batch(gen: np.random.Generator, gamma: float):
+    """A random small network plus a compatible random batch of columns,
+    discounted by gamma.
 
     Instances whose hidden pre-activations sit within 1e-3 of the
     rectifier kink are rejected by returning None: central differences
@@ -73,15 +83,15 @@ def random_net_and_batch(gen: np.random.Generator):
             s, sn = s * n_goals + g, sn * n_goals + g
         batch.append((s, a, r, sn, term))
 
-    batch = columns(batch)
-    x = net.encode(batch[0])
+    batch = columns(batch, n_choices, gamma)
+    x = net.encode(batch[0] // n_choices)
     z1 = x @ net.params["w1"] + net.params["b1"]
     if np.abs(z1).min() < 1e-3:
         return None
     return net, batch
 
 
-def finite_difference_grads(net: MlpQ, batch, gamma: float, h: float = 1e-5) -> np.ndarray:
+def finite_difference_grads(net: MlpQ, batch, h: float = 1e-5) -> np.ndarray:
     """Central differences, parameter by parameter in PARAM_NAMES order,
     each perturbed in place and restored."""
     grads = []
@@ -90,9 +100,9 @@ def finite_difference_grads(net: MlpQ, batch, gamma: float, h: float = 1e-5) -> 
         for i in np.ndindex(p.shape):
             base = p[i]
             p[i] = base + h
-            plus = net.loss_and_grads(batch, gamma)[0]
+            plus = net.loss_and_grads(batch)[0]
             p[i] = base - h
-            minus = net.loss_and_grads(batch, gamma)[0]
+            minus = net.loss_and_grads(batch)[0]
             p[i] = base
             grads.append((plus - minus) / (2 * h))
     return np.array(grads)
@@ -106,14 +116,14 @@ def gradcheck_worst_rel_err(n_instances: int = 100, seed: int = 0, h: float = 1e
     worst = 0.0
     done = 0
     while done < n_instances:
-        drawn = random_net_and_batch(gen)
+        drawn = random_net_and_batch(gen, gamma)
         if drawn is None:
             continue
         net, batch = drawn
         done += 1
-        _, grads = net.loss_and_grads(batch, gamma)
+        _, grads = net.loss_and_grads(batch)
         analytic = np.concatenate([grads[n].ravel() for n in net.PARAM_NAMES])
-        numeric = finite_difference_grads(net, batch, gamma, h=h)
+        numeric = finite_difference_grads(net, batch, h=h)
         denom = np.maximum(1e-8, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
     return worst

@@ -193,13 +193,13 @@ def test_invariant_suites():
     # FIFO eviction
     buf = ReplayBuffer(3, np.random.default_rng(3))
     for i in range(7):
-        buf.push(i, 0, 0.0, i, False)
-    fifo_ok = stored(buf)["row"].tolist() == [4, 5, 6] and len(buf) == 3
+        buf.push(i, i, 0.0, 0.99)
+    fifo_ok = stored(buf)["cell"].tolist() == [4, 5, 6] and len(buf) == 3
 
     # sampling uniformity
     buf = ReplayBuffer(10, np.random.default_rng(3))
     for i in range(10):
-        buf.push(i, 0, 0.0, i, False)
+        buf.push(i, i, 0.0, 0.99)
     counts = np.zeros(10)
     for _ in range(1000):
         counts += np.bincount(buf.sample(100)[0], minlength=10)
@@ -237,11 +237,11 @@ def test_invariant_suites():
     current = None
     boundaries = 0
     d1 = stored_controller(agent)
-    for g, term in zip(d1["g"], d1["term"]):
+    for g, disc in zip(d1["g"], d1["disc"]):
         if current is None:
             current = g
         persist_ok = persist_ok and g == current
-        if term:
+        if disc == 0.0:
             current = None
             boundaries += 1
     persist_ok = persist_ok and boundaries == len(agent.d2)

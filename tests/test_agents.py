@@ -6,6 +6,7 @@ from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
 from hdqn.envs.base import Environment, StepOutcome
 from hdqn.envs.chain import ChainEnv
+from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.oracle import MdpModel, value_iteration
 
 
@@ -41,15 +42,16 @@ def test_goal_persistence_within_options():
     agent = chain_agent()
     run_episodes(agent, 50)
     d1 = stored_controller(agent)
+    ends = d1["disc"] == 0.0
     current = None
-    for g, term in zip(d1["g"], d1["term"]):
+    for g, end in zip(d1["g"], ends):
         if current is None:
             current = g
         assert g == current
-        if term:
+        if end:
             current = None
     # Option boundaries must line up: one meta transition per boundary.
-    assert d1["term"].sum() == len(agent.d2)
+    assert ends.sum() == len(agent.d2)
     # The bootstrap row of a controller transition keeps its goal.
     assert np.array_equal(d1["g_next"], d1["g"])
 
@@ -58,11 +60,70 @@ def test_intrinsic_reward_gating():
     agent = chain_agent()
     run_episodes(agent, 50)
     d1 = stored_controller(agent)
-    for g, r, s_next, term in zip(d1["g"], d1["r"], d1["s_next"], d1["term"]):
+    for g, r, s_next, disc in zip(d1["g"], d1["r"], d1["s_next"], d1["disc"]):
         reached = agent.critic.reached(int(g), int(s_next))
         assert (r > 0) == reached
         if reached:
-            assert term
+            assert disc == 0.0
+
+
+def test_keydoor_rings_store_the_update_columns():
+    """Past both warm-ups on a small key-door room, every stored column
+    matches the steps the environment took. A controller cell splits
+    into the row the step started from, with the option's goal, and the
+    action taken; its bootstrap row keeps that goal. A meta cell splits
+    into the option's start state and goal. disc is exactly 0.0 where
+    the goal was reached or the episode ended (for the meta level, where
+    the episode ended) and exactly gamma elsewhere."""
+    env = KeyDoorEnv("#######/#.A.LL#/#.SS..#/#K...D#/#######", step_limit=40)
+    gamma = 0.9
+    agent = HierarchicalAgent(
+        env, seed=2, learning_rate=0.1, gamma=gamma, d1_warmup=32, d2_warmup=8, batch_size=8
+    )
+    steps = []  # (s, a, s', r, done) per primitive step
+    reset, step = env.reset, env.step
+    current = []
+
+    def recording_reset(gen):
+        current[:] = [reset(gen)]
+        return current[0]
+
+    def recording_step(action, gen):
+        out = step(action, gen)
+        steps.append((current[0], action, out.next_state, out.extrinsic_reward, out.terminal))
+        current[0] = out.next_state
+        return out
+
+    env.reset, env.step = recording_reset, recording_step
+    env_gen = rng.stream(2, rng.ENV)
+    traces = [agent.run_episode(env_gen) for _ in range(30)]
+    assert len(agent.d1) == len(steps) > 2 * agent.d1_warmup
+    assert len(agent.d2) > 2 * agent.d2_warmup
+    assert np.any(agent.q1.table != 0.0) and np.any(agent.q2.table != 0.0)
+
+    d1, d2 = stored_controller(agent), stored(agent.d2)
+    picks = iter([g for tr in traces for g in tr.goal_picks])
+    options = []  # (s0, g, s_end, F, done) per option
+    g = None
+    for i, (s, a, s_next, r, done) in enumerate(steps):
+        if g is None:
+            g, s0, f = next(picks), s, 0.0
+        f += r
+        reached = agent.critic.reached(g, s_next)
+        assert (d1["s"][i], d1["g"][i], d1["a"][i]) == (s, g, a)
+        assert (d1["s_next"][i], d1["g_next"][i]) == (s_next, g)
+        assert d1["disc"][i] == (0.0 if reached or done else gamma)
+        if reached or done:
+            options.append((s0, g, s_next, f, done))
+            g = None
+    assert set(d1["disc"].tolist()) == {0.0, gamma}
+    s0, g, s_end, f, done = (np.array(col) for col in zip(*options))
+    assert len(s0) == len(agent.d2)
+    assert np.array_equal(d2["cell"], s0 * agent.n_goals + g)
+    assert np.array_equal(d2["row_next"], s_end)
+    assert np.array_equal(d2["r"], f)
+    assert np.array_equal(d2["disc"], np.where(done, 0.0, gamma))
+    assert set(d2["disc"].tolist()) == {0.0, gamma}
 
 
 def test_meta_transitions_record_option_outcomes():
@@ -70,9 +131,10 @@ def test_meta_transitions_record_option_outcomes():
     traces = run_episodes(agent, 30)
     picks = [g for tr in traces for g in tr.goal_picks]
     d2 = stored(agent.d2)
-    assert d2["a"].tolist() == picks  # the meta level's action is its goal choice
-    # The last option of every episode ends with the terminal flag set.
-    assert d2["term"].sum() == len(traces)
+    # The meta level's action is its goal choice.
+    assert (d2["cell"] % agent.n_goals).tolist() == picks
+    # The last option of every episode ends with no bootstrap.
+    assert (d2["disc"] == 0.0).sum() == len(traces)
 
 
 def test_tracker_counts_option_attempts():
@@ -125,10 +187,10 @@ def test_no_update_below_warmup():
     before = agent.q1.table.copy()
     next_row = 1 * agent.n_goals + 0  # state 1, goal 0
     for _ in range(9):
-        agent.d1.push(0, 0, 0.0, next_row, False)
+        agent.d1.push(0, next_row, 0.0, agent.gamma)
     agent._update(agent.q1, agent.d1, 10)
     assert np.array_equal(agent.q1.table, before)
-    agent.d1.push(0, 0, 1.0, next_row, True)
+    agent.d1.push(0, next_row, 1.0, 0.0)
     agent._update(agent.q1, agent.d1, 10)
     assert not np.array_equal(agent.q1.table, before)
 

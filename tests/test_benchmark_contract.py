@@ -68,3 +68,8 @@ def test_child_runs_a_toy_repetition(config, overrides, trace, called, tmp_path)
     assert report["failed"] == 0, report["errors"]
     for name in called:
         assert report["layers"][name] > 0, name
+    if trace:
+        # Each level's update trains on exactly one replay sample.
+        layers = report["layers"]
+        assert layers["replay.sample.d1.calls"] == layers["values.train_on.q1.calls"]
+        assert layers["replay.sample.d2.calls"] == layers["values.train_on.q2.calls"]

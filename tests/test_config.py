@@ -89,6 +89,9 @@ def test_line_number_points_at_offender():
         {"agent": "flat", "learning_rate": 1.5},
         {"seeds": (2**64,)},  # beyond the 64-bit seed space
         {"agent": "flat", "pretrain_steps": 10},  # the flat baseline never pretrains
+        {"learning_rate": float("nan")},
+        {"backend": "mlp", "learning_rate": float("nan")},
+        {"backend": "mlp", "learning_rate": float("inf")},
     ],
 )
 def test_validation_rejects(overrides):

@@ -15,7 +15,7 @@ def ring(capacity, seed=0):
 
 def push_numbered(buf, i):
     """A transition whose every field encodes i."""
-    buf.push(i, i + 2, float(i), i + 3, i % 2)
+    buf.push(i, i + 3, float(i), 0.5 * (i % 2))
 
 
 def test_push_grows_to_capacity_then_evicts_oldest():
@@ -25,7 +25,7 @@ def test_push_grows_to_capacity_then_evicts_oldest():
     push_numbered(buf, 1)
     push_numbered(buf, 2)
     assert len(buf) == 2
-    assert stored(buf)["row"].tolist() == [1, 2]
+    assert stored(buf)["cell"].tolist() == [1, 2]
 
 
 @given(capacity=st.integers(1, 10), n=st.integers(0, 35))
@@ -37,11 +37,10 @@ def test_fifo_order_property(capacity, n):
     kept = np.arange(n)[-capacity:] if n else np.arange(0)
     rows = stored(buf)
     assert len(buf) == min(n, capacity)
-    assert rows["row"].tolist() == kept.tolist()
-    assert rows["a"].tolist() == (kept + 2).tolist()
+    assert rows["cell"].tolist() == kept.tolist()
     assert rows["row_next"].tolist() == (kept + 3).tolist()
     assert rows["r"].tolist() == kept.astype(float).tolist()
-    assert rows["term"].tolist() == (kept % 2).astype(float).tolist()
+    assert rows["disc"].tolist() == (0.5 * (kept % 2)).tolist()
 
 
 def test_capacity_must_be_positive():
@@ -51,10 +50,10 @@ def test_capacity_must_be_positive():
 
 def test_sample_with_replacement_from_singleton():
     buf = ring(5)
-    buf.push(4, 0, 0.5, 3, True)
-    row, a, r, row_next, term = buf.sample(3)
-    assert row.tolist() == [4] * 3 and a.tolist() == [0] * 3
-    assert r.tolist() == [0.5] * 3 and row_next.tolist() == [3] * 3 and term.tolist() == [1.0] * 3
+    buf.push(4, 3, 0.5, 0.0)
+    cell, row_next, r, disc = buf.sample(3)
+    assert cell.tolist() == [4] * 3 and row_next.tolist() == [3] * 3
+    assert r.tolist() == [0.5] * 3 and disc.tolist() == [0.0] * 3
 
 
 def test_sample_is_deterministic_given_seed():
@@ -139,11 +138,12 @@ def test_block_larger_than_minibatch_is_consumed_in_order():
 def test_disjoint_buffers_share_nothing():
     d1 = ring(3)
     d2 = ring(3)
-    d1.push(1, 0, 1.0, 2, False)
+    d1.push(1, 2, 1.0, 0.9)
     assert len(d2) == 0
-    d2.push(0, 1, 0.5, 2, True)
+    d2.push(0, 2, 0.5, 0.0)
     assert len(d1) == 1
-    assert stored(d1)["row"].tolist() == [1]
-    assert stored(d2)["a"].tolist() == [1]
-    assert not np.shares_memory(d1.ints, d2.ints)
+    assert stored(d1)["cell"].tolist() == [1]
+    assert stored(d2)["r"].tolist() == [0.5]
+    for name in ("cell", "row_next", "r", "disc"):
+        assert not np.shares_memory(getattr(d1, name), getattr(d2, name))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import columns, goal_rows, gradcheck_worst_rel_err
+from helpers import columns, goal_rows, gradcheck_worst_rel_err, transition_columns
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent
 from hdqn.envs.chain import ChainEnv
@@ -49,7 +49,7 @@ def test_train_on_targets_come_from_the_pre_batch_table():
     the old value, not the one item 0 wrote."""
     t = TabularQ(3, 2, learning_rate=0.5)
     t.table[0] = [0.0, 2.0]
-    t.train_on(columns([(0, 1, 10.0, 2, True), (1, 0, 0.0, 0, False)]), 0.9)
+    t.train_on(columns([(0, 1, 10.0, 2, True), (1, 0, 0.0, 0, False)], 2, 0.9))
     assert t.table[0, 1] == 2.0 + 0.5 * (10.0 - 2.0)
     assert t.table[1, 0] == 0.5 * (0.9 * 2.0)
 
@@ -59,7 +59,7 @@ def test_train_on_repeated_cell_adds_alpha_delta_per_item():
     t.table[0 * 2 + 1, 0] = 1.0
     t.table[1 * 2 + 1] = [3.0, 4.0]
     items = [(0, 1, 0, 2.0, 1, True), (0, 1, 0, 0.0, 1, False), (0, 1, 0, 5.0, 1, True)]
-    loss = t.train_on(columns(goal_rows(items, 2)), 0.5)
+    loss = t.train_on(columns(goal_rows(items, 2), 2, 0.5))
     deltas = [2.0 - 1.0, 0.5 * 4.0 - 1.0, 5.0 - 1.0]
     assert t.table[0 * 2 + 1, 0] == pytest.approx(1.0 + 0.25 * sum(deltas), abs=1e-15)
     assert loss == pytest.approx(np.mean(np.square(deltas)))
@@ -91,7 +91,7 @@ def test_train_on_equals_sequential_backups_without_overlap(n_goals):
     if n_goals is not None:
         items = goal_rows(items, n_goals)
     before = batch_tab.table.copy()
-    batch_tab.train_on(columns(items), 0.95)
+    batch_tab.train_on(columns(items, 3, 0.95))
     sequential(seq_tab, items, 0.95)
     assert np.array_equal(batch_tab.table, seq_tab.table)
     assert np.count_nonzero(batch_tab.table != before) == len(items)
@@ -128,10 +128,11 @@ def reference_train_on(table, lr, s, g, a, r, s_next, term, gamma) -> float:
 def test_train_on_rows_is_bit_equal_to_the_state_goal_update(
     n_states, n_goals, n_choices, sizes, lr, gamma, seed
 ):
-    """Row-indexed train_on and the (s, g, a) reference leave bit-equal
-    tables and return bit-equal losses, batch after batch. The index
-    ranges are small, so batches repeat cells and bootstrap from rows
-    that other items write."""
+    """train_on, fed the columns the agent stores (cell and disc formed
+    at push time), and the (s, g, a) reference leave bit-equal tables and
+    return bit-equal losses, batch after batch. The index ranges are
+    small, so batches repeat cells and bootstrap from rows that other
+    items write."""
     gen = np.random.default_rng(seed)
     t = TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=lr)
     t.table[...] = gen.normal(size=t.table.shape)
@@ -147,7 +148,7 @@ def test_train_on_rows_is_bit_equal_to_the_state_goal_update(
             row, row_next = s, s_next
         else:
             row, row_next = s * n_goals + g, s_next * n_goals + g
-        loss = t.train_on((row, a, r, row_next, term), gamma)
+        loss = t.train_on(transition_columns(row, a, r, row_next, term, n_choices, gamma))
         assert loss == reference_train_on(ref, lr, s, g, a, r, s_next, term, gamma)
         assert np.array_equal(t.table.reshape(-1), ref.reshape(-1))
 
@@ -279,7 +280,7 @@ def test_perfect_targets_mean_zero_loss_and_no_update():
         (s, a, float(net.values(s)[a]), 0, True) for s in range(3) for a in range(2)
     ]
     before = {name: p.copy() for name, p in net.params.items()}
-    loss = net.train_on(columns(batch), 0.99)
+    loss = net.train_on(columns(batch, 2, 0.99))
     assert loss == pytest.approx(0.0, abs=1e-24)
     for name, p in before.items():
         assert np.allclose(net.params[name], p, atol=1e-12)
@@ -291,7 +292,7 @@ def test_hand_derived_sgd_step():
     net.params["w1"][...] = [[0.5], [0.0]]
     net.params["w2"][...] = [[0.25]]
     net.sync_target()
-    loss = net.train_on(columns([(0, 0, 1.0, 1, True)]), 0.99)
+    loss = net.train_on(columns([(0, 0, 1.0, 1, True)], 1, 0.99))
     # q = relu(0.5) * 0.25 = 0.125; loss = (0.125 - 1)^2 = 0.765625
     assert loss == pytest.approx(0.765625, abs=1e-15)
     # gradient: dq = 2*(q - y) = -1.75; dw2 = h*dq = -0.875; db2 = -1.75;
@@ -309,7 +310,7 @@ def test_snapshot_frozen_until_sync():
     snap_before = {k: v.copy() for k, v in net.snapshot.items()}
     batch = [(0, 0, 1.0, 1, False), (1, 1, -0.5, 2, False), (2, 0, 0.3, 3, True)]
     for _ in range(100):
-        net.train_on(columns(batch), 0.95)
+        net.train_on(columns(batch, 2, 0.95))
     for k in net.PARAM_NAMES:
         assert np.array_equal(net.snapshot[k], snap_before[k])
         assert not np.array_equal(net.params[k], snap_before[k])
@@ -326,10 +327,10 @@ def test_loss_decreases_on_fixed_batch():
     batch = [
         (s, a, float(gen.normal()), 0, True) for s in range(4) for a in range(2)
     ]
-    first = net.loss_and_grads(columns(batch), 0.99)[0]
+    first = net.loss_and_grads(columns(batch, 2, 0.99))[0]
     last = 0.0
     for _ in range(1000):
-        last = net.train_on(columns(batch), 0.99)
+        last = net.train_on(columns(batch, 2, 0.99))
     assert last < first / 10
 
 
@@ -337,7 +338,7 @@ def test_divergence_raises():
     net = MlpQ(3, 2, hidden=4, init_rng=np.random.default_rng(6))
     net.params["w2"][...] = np.inf
     with pytest.raises(DivergenceError):
-        net.train_on(columns([(0, 0, 1.0, 1, True)]), 0.99)
+        net.train_on(columns([(0, 0, 1.0, 1, True)], 2, 0.99))
 
 
 def test_gradient_check_small():
@@ -370,6 +371,6 @@ def test_loss_on_columns_equals_tuple_path(n_goals):
     batch = [item() for _ in range(32)]
     if n_goals is not None:
         batch = goal_rows(batch, n_goals)
-    assert net.loss_and_grads(columns(batch), 0.9)[0] == pytest.approx(
+    assert net.loss_and_grads(columns(batch, 4, 0.9))[0] == pytest.approx(
         tuple_path_loss(net, batch, 0.9), rel=1e-12
     )

@@ -9,6 +9,11 @@ The table is nested Python lists and the backup is written inline: one
 scalar update per step is where lists beat ndarray scalar access, and
 TabularQ's batch path would cost more than it saves. The rule is
 TabularQ.backup's, and a test holds the two equal.
+
+run_episode reads every per-step attribute once per episode (the bound
+env.step, the schedule's value, the table and the learning constants)
+and keeps the step clock and the episode's tallies in locals. It writes
+the clock back and builds the EpisodeTrace when the episode ends.
 """
 from __future__ import annotations
 
@@ -31,6 +36,8 @@ class FlatQAgent:
         gamma: float = 0.99,
         eps: EpsilonSchedule | None = None,
     ):
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
         self.env = env
         self.n_states = n_states = env.n_states
         self.n_actions = n_actions = env.n_actions
@@ -45,22 +52,24 @@ class FlatQAgent:
     def run_episode(
         self, env_gen: np.random.Generator, count_visits: bool = False
     ) -> EpisodeTrace:
-        env = self.env
+        env_step = self.env.step
+        eps_value = self.eps.value
         table = self.table
         alpha = self.learning_rate
         gamma = self.gamma
         act_gen = self._act_gen
         n_actions = self.n_actions
-        s = env.reset(env_gen)
+        t = self.primitive_steps
+        total_reward = 0.0
+        steps = 0
+        s = self.env.reset(env_gen)
         visits = [0] * self.n_states if count_visits else None
-        trace = EpisodeTrace(state_visits=visits)
         done = False
         while not done:
-            epsilon = self.eps.value(self.primitive_steps)
             cell = table[s]
-            a = eps_greedy(cell, n_actions, epsilon, act_gen)
-            s_next, r, done = env.step(a, env_gen)
-            self.primitive_steps += 1
+            a = eps_greedy(cell, n_actions, eps_value(t), act_gen)
+            s_next, r, done = env_step(a, env_gen)
+            t += 1
             if done:
                 target = r
             else:
@@ -72,12 +81,13 @@ class FlatQAgent:
                 target = r + gamma * m
             cur = cell[a]
             cell[a] = cur + alpha * (target - cur)
-            trace.total_reward += r
-            trace.steps += 1
+            total_reward += r
+            steps += 1
             if visits is not None:
                 visits[s_next] += 1
             s = s_next
-        return trace
+        self.primitive_steps = t
+        return EpisodeTrace(total_reward, steps, visits)
 
     def eval_episode(
         self,

@@ -28,6 +28,10 @@ else gamma.
 
 Both levels train from their own replay memory once per primitive step:
 one minibatch of columns per level, through the estimator's train_on.
+run_episode looks up everything it calls per step once per episode
+(the bound env.step, values, train_on, push and sample, the meta
+schedule's value, the warm-ups, the batch size and whether a backend
+syncs a target) and builds the EpisodeTrace from local tallies at the end.
 Exploration at both levels is annealed 1 -> 0.1 on shared step clocks:
 the low level takes the smaller of a linear schedule (clock: primitive
 steps, all phases) and a per-goal rate derived from the tracker, so a
@@ -98,6 +102,8 @@ class HierarchicalAgent:
         """An agent for env: its critic, goal set and every dimension come
         from env. estimators, when given, is a prebuilt (q1, q2) pair used in
         place of fresh ones; backend, learning_rate and hidden are then unused."""
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if d1_warmup < 1 or d2_warmup < 1:
@@ -146,13 +152,6 @@ class HierarchicalAgent:
         """Schedule-bounded adaptive exploration rate for one goal."""
         return min(self.eps1.value(self.primitive_steps), self.tracker.epsilon(goal))
 
-    def _update(self, vf, buffer, warmup) -> None:
-        if len(buffer) < warmup:
-            return
-        vf.train_on(buffer.sample(self.batch_size))
-        if vf.kind == "mlp" and vf.train_steps % self.target_sync == 0:
-            vf.sync_target()
-
     def run_episode(
         self,
         env_gen: np.random.Generator,
@@ -162,56 +161,76 @@ class HierarchicalAgent:
         if phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
         joint = phase == "joint"
-        env = self.env
+        env_step = self.env.step
         q1, q2 = self.q1, self.q2
         d1, d2 = self.d1, self.d2
+        q1_values, q2_values = q1.values, q2.values
+        q1_train, q2_train = q1.train_on, q2.train_on
+        d1_push, d2_push = d1.push, d2.push
+        d1_sample, d2_sample = d1.sample, d2.sample
+        d1_warmup, d2_warmup = self.d1_warmup, self.d2_warmup
+        batch_size = self.batch_size
+        # Only a network keeps a frozen target, synced every target_sync steps.
+        q1_syncs, q2_syncs = q1.kind == "mlp", q2.kind == "mlp"
+        target_sync = self.target_sync
+        eps2_value = self.eps2.value
         tracker = self.tracker
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen
         n_actions, n_goals = self.n_actions, self.n_goals
         reached_check = self.critic.reached
         gamma = self.gamma
 
-        s = env.reset(env_gen)
+        s = self.env.reset(env_gen)
         visits = [0] * self.n_states if count_visits else None
-        trace = EpisodeTrace(state_visits=visits)
+        goal_picks, goal_successes = [], []
+        total_reward = 0.0
+        steps = 0
         done = False
         while not done:
-            eps2 = self.eps2.value(self.joint_steps) if joint else 1.0
+            eps2 = eps2_value(self.joint_steps) if joint else 1.0
             self.meta_decisions += 1
-            g = eps_greedy(q2.values(s), n_goals, eps2, meta_gen)
-            trace.goal_picks.append(g)
+            g = eps_greedy(q2_values(s), n_goals, eps2, meta_gen)
+            goal_picks.append(g)
             s0 = s
             row = s * n_goals + g
             option_return = 0.0
             reached = False
             eps1 = self.controller_epsilon(g)  # constant within the option
             while not (done or reached):
-                a = eps_greedy(q1.values(row), n_actions, eps1, ctrl_gen)
-                s, r, done = env.step(a, env_gen)
+                a = eps_greedy(q1_values(row), n_actions, eps1, ctrl_gen)
+                s, r, done = env_step(a, env_gen)
                 self.primitive_steps += 1
                 if joint:
                     self.joint_steps += 1
                 reached = reached_check(g, s)
                 row_next = s * n_goals + g
-                d1.push(
+                d1_push(
                     row * n_actions + a,
                     row_next,
                     INTRINSIC_REWARD if reached else 0.0,
                     0.0 if done or reached else gamma,
                 )
                 option_return += r
-                trace.total_reward += r
-                trace.steps += 1
+                total_reward += r
+                steps += 1
                 if visits is not None:
                     visits[s] += 1
-                self._update(q1, d1, self.d1_warmup)
-                self._update(q2, d2, self.d2_warmup)
+                # Both levels learn once per primitive step, each from its
+                # own memory once that holds its warm-up's worth.
+                if len(d1) >= d1_warmup:
+                    q1_train(d1_sample(batch_size))
+                    if q1_syncs and q1.train_steps % target_sync == 0:
+                        q1.sync_target()
+                if len(d2) >= d2_warmup:
+                    q2_train(d2_sample(batch_size))
+                    if q2_syncs and q2.train_steps % target_sync == 0:
+                        q2.sync_target()
                 row = row_next
-            d2.push(s0 * n_goals + g, s, option_return, 0.0 if done else gamma)
+            d2_push(s0 * n_goals + g, s, option_return, 0.0 if done else gamma)
             self.completed_options += 1
             tracker.record(g, reached)
-            trace.goal_successes.append(reached)
-        return trace
+            goal_successes.append(reached)
+        return EpisodeTrace(total_reward, steps, visits, goal_picks, goal_successes)
 
     def eval_episode(
         self,

@@ -51,8 +51,11 @@ class ChainEnv(Environment):
         return self.state_of(self._position)
 
     def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
-        self._require_active()
-        self._check_action(action)
+        # Environment's checks and state_of, inlined: this runs every step.
+        if self._done:
+            raise RuntimeError("step() on a finished or unreset episode; call reset() first")
+        if not 0 <= action < 2:
+            raise ValueError(f"action {action} out of range for 2 actions")
         pos = self._position
         if action == RIGHT and rng.random() < self.right_success:
             pos = min(pos + 1, self.top_position)
@@ -64,5 +67,5 @@ class ChainEnv(Environment):
         if pos == self.terminal_position:
             self._done = True
             reward = self.big_reward if self._visited_top else self.small_reward
-            return StepOutcome(self.state_of(pos), reward, True)
-        return StepOutcome(self.state_of(pos), 0.0, False)
+            return StepOutcome(pos - 1, reward, True)
+        return StepOutcome(pos - 1, 0.0, False)

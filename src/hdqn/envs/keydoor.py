@@ -10,7 +10,9 @@ the only stochasticity in training comes from exploration.
 
 The observed state id factors the agent cell, the skull's offset along
 its patrol segment, the skull's heading, and the key flag. The step
-counter is not observed.
+counter is not observed. KeyDoorEnv keeps the agent's position as a
+flat cell index and steps it through a (cell, action) -> cell move
+table built from the layout when the env is made.
 
 Layout grammar (config key ``layout``, rows joined by ``/``):
 
@@ -133,7 +135,20 @@ def parse_layout(text: str) -> Layout:
 
 
 class KeyDoorEnv(Environment):
-    n_actions = 4
+    """The key-door room, stepped through tables built from its layout.
+
+    The agent's position is a flat cell index, y * width + x. It moves
+    through a move table: _moves[cell * 4 + action] is the cell the
+    action leads to, the same cell where a wall or the map's edge blocks
+    it. The skull's patrol offset and heading form one phase,
+    offset * 2 + heading, which advances through its own table, and the
+    skull's, key's and door's cells are cell indices too. A step is then
+    a few list reads and integer compares, and the state id
+    ((cell * P + offset) * 2 + heading) * 2 + key, with P the patrol
+    length, is (cell * 2P + phase) * 2 + key.
+    """
+
+    n_actions = len(_MOVES)
     key_reward = 100.0
     door_reward = 300.0
 
@@ -147,13 +162,38 @@ class KeyDoorEnv(Environment):
         # newline-joined, are the map in canonical form.
         self.layout_text = "\n".join(_rows(layout))
         self.step_limit = step_limit
-        self.patrol_len = len(lay.patrol)
-        # State id = ((agent_cell_index * P + skull_offset) * 2 + dir) * 2 + has_key.
-        self.n_states = lay.width * lay.height * self.patrol_len * 2 * 2
-        self._agent = lay.spawn
-        self._skull_off = 0
-        self._skull_dir = DIR_RIGHT
-        self._has_key = False
+        self.patrol_len = p = len(lay.patrol)
+        self._n_phases = 2 * p
+        self.n_states = lay.width * lay.height * p * 2 * 2
+
+        width, height = lay.width, lay.height
+        self._moves = []
+        for y in range(height):
+            for x in range(width):
+                for dx, dy in _MOVES:
+                    nx, ny = x + dx, y + dy
+                    open_cell = 0 <= nx < width and 0 <= ny < height and (nx, ny) not in lay.walls
+                    self._moves.append(ny * width + nx if open_cell else y * width + x)
+        # The skull steps one cell along its patrol per step and turns on
+        # reaching either end; on a patrol of one cell it stands still.
+        # The two phases no episode reaches, heading off either end, are
+        # left standing still too.
+        self._phase_next = list(range(self._n_phases))
+        if p > 1:
+            for off in range(p):
+                for heading in (DIR_RIGHT, DIR_LEFT):
+                    nxt = off + (1 if heading == DIR_RIGHT else -1)
+                    if 0 <= nxt < p:
+                        turned = DIR_LEFT if nxt == p - 1 else DIR_RIGHT if nxt == 0 else heading
+                        self._phase_next[off * 2 + heading] = nxt * 2 + turned
+        self._skull_at = [self._cell_index(lay.patrol[phase // 2]) for phase in range(self._n_phases)]
+        self._spawn = self._cell_index(lay.spawn)
+        self._key = self._cell_index(lay.key)
+        self._door = self._cell_index(lay.door)
+
+        self._cell = self._spawn
+        self._phase = 0  # offset 0, heading DIR_RIGHT
+        self._has_key = 0
         self._steps = 0
         self._done = True
 
@@ -179,53 +219,39 @@ class KeyDoorEnv(Environment):
     # -- dynamics ------------------------------------------------------
 
     def reset(self, rng: np.random.Generator) -> int:
-        self._agent = self.layout.spawn
-        self._skull_off = 0
-        self._skull_dir = DIR_RIGHT
-        self._has_key = False
+        self._cell = self._spawn
+        self._phase = 0
+        self._has_key = 0
         self._steps = 0
         self._done = False
-        return self.encode(self._agent, 0, DIR_RIGHT, False)
-
-    def _advance_skull(self) -> None:
-        if self.patrol_len == 1:
-            return
-        off = self._skull_off + (1 if self._skull_dir == DIR_RIGHT else -1)
-        self._skull_off = off
-        if off == self.patrol_len - 1:
-            self._skull_dir = DIR_LEFT
-        elif off == 0:
-            self._skull_dir = DIR_RIGHT
+        return self._spawn * self._n_phases * 2
 
     def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
-        self._require_active()
-        self._check_action(action)
-        lay = self.layout
-        dx, dy = _MOVES[action]
-        nx, ny = self._agent[0] + dx, self._agent[1] + dy
-        if 0 <= nx < lay.width and 0 <= ny < lay.height and (nx, ny) not in lay.walls:
-            self._agent = (nx, ny)
+        # Environment's checks, inlined: this runs every step. Without the
+        # range check, action 4 or -1 would read another cell's entry.
+        if self._done:
+            raise RuntimeError("step() on a finished or unreset episode; call reset() first")
+        if not 0 <= action < 4:
+            raise ValueError(f"action {action} out of range for 4 actions")
         # Skull moves after the agent; death is checked on the resulting
         # configuration only, so swapping cells mid-step is survivable.
-        self._advance_skull()
+        cell = self._moves[self._cell * 4 + action]
+        phase = self._phase_next[self._phase]
+        self._cell = cell
+        self._phase = phase
         self._steps += 1
-
+        has_key = self._has_key
         reward = 0.0
         terminal = False
-        if self._agent == lay.patrol[self._skull_off]:
+        if cell == self._skull_at[phase]:
             terminal = True
-        else:
-            if self._agent == lay.key and not self._has_key:
-                self._has_key = True
-                reward += self.key_reward
-            if self._agent == lay.door and self._has_key:
-                reward += self.door_reward
-                terminal = True
-        if not terminal and self._steps >= self.step_limit:
+        elif cell == self._key:
+            if not has_key:
+                self._has_key = has_key = 1
+                reward = self.key_reward
+        elif cell == self._door and has_key:
+            reward = self.door_reward
             terminal = True
-        if terminal:
-            self._done = True
-        next_state = self.encode(
-            self._agent, self._skull_off, self._skull_dir, self._has_key
-        )
-        return StepOutcome(next_state, reward, terminal)
+        if terminal or self._steps >= self.step_limit:
+            self._done = terminal = True
+        return StepOutcome((cell * self._n_phases + phase) * 2 + has_key, reward, terminal)

@@ -13,6 +13,8 @@ single-threaded reduce for the aggregate files.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -111,7 +113,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
                 ok[g] += hit
             picks.append(p)
             successes.append(ok)
-        if not np.isfinite(trace.total_reward):
+        if not math.isfinite(trace.total_reward):
             raise DivergenceError(
                 f"non-finite episode reward at episode {len(rewards)} (seed {seed})"
             )
@@ -123,10 +125,16 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     for _ in range(cfg.episodes):
         tally(agent.run_episode(env_gen, count_visits=track_visits))
 
+    visit_table = None
+    if track_visits:
+        # One flat pass: about twice as fast as np.asarray on the nested lists.
+        visit_table = np.fromiter(
+            itertools.chain.from_iterable(visits), np.int64, len(visits) * agent.n_states
+        ).reshape(len(visits), agent.n_states)
     return SeedResult(
         seed=seed,
         rewards=np.asarray(rewards, dtype=np.float64),
-        visits=np.asarray(visits, dtype=np.int64) if track_visits else None,
+        visits=visit_table,
         picks=None if track_visits else np.asarray(picks, dtype=np.int64),
         successes=None if track_visits else np.asarray(successes, dtype=np.int64),
         pretrain_episodes=pretrain_episodes,

@@ -28,7 +28,10 @@ import numpy as np
 
 # Uniforms drawn from the buffer's stream per refill. Each minibatch
 # takes the next k of them and scales them by the fill at that moment,
-# so draws stay uniform while the ring grows.
+# so draws stay uniform while the ring grows. The scaled uniforms are
+# truncated with astype(intp): np.multiply into an intp out= array with
+# casting="unsafe" gives the same indices but goes through numpy's
+# buffered cast, which timed slower at k = 32 (2.5 us against 1.5 us).
 UNIFORM_BLOCK = 4096
 
 

@@ -24,6 +24,8 @@ checkpoint.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hdqn.errors import DivergenceError
@@ -33,6 +35,11 @@ class TabularQ:
     """Dense zero-initialized value table, an ndarray of shape
     (n_rows, n_choices) with n_rows = n_states * (n_goals or 1). Its C
     order is that of an (n_states, n_goals, n_choices) array.
+
+    train_on takes the bootstrap max with np.maximum.reduceat over the
+    flattened (k, n_choices) gather of the bootstrap rows, which is exact
+    and cheaper than .max(axis=1) at minibatch sizes; the k segment starts
+    are cached and rebuilt when k changes.
 
     train_on is batch-synchronous, like a network's minibatch step:
     every target comes from the table as it was before the batch, and a
@@ -60,6 +67,8 @@ class TabularQ:
         self.n_goals = n_goals
         self.learning_rate = learning_rate
         self.table = np.zeros((n_states * (n_goals or 1), n_choices))
+        self._k = 0  # batch size the cached segment starts are for
+        self._starts = None
 
     def values(self, row: int) -> list:
         """Action values at a row (copy; mutating it has no effect)."""
@@ -97,7 +106,15 @@ class TabularQ:
         cell, row_next, r, disc = columns
         table = self.table
         cells = table.reshape(-1)
-        delta = r + disc * table.take(row_next, axis=0).max(axis=1) - cells.take(cell)
+        k = row_next.size
+        if k != self._k:
+            self._starts = np.arange(0, k * self.n_choices, self.n_choices)
+            self._k = k
+        # delta = r + disc * max_a' Q(row', a') - Q[cell], formed in place.
+        delta = np.maximum.reduceat(table.take(row_next, axis=0).reshape(-1), self._starts)
+        delta *= disc
+        delta += r
+        delta -= cells.take(cell)
         np.add.at(cells, cell, self.learning_rate * delta)
         return float(delta @ delta) / delta.size
 
@@ -128,8 +145,8 @@ class MlpQ:
             raise ValueError("network dimensions must be positive")
         if hidden <= 0:
             raise ValueError(f"hidden must be positive, got {hidden}")
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
         if init_rng is None:
             init_rng = np.random.default_rng(0)
         self.n_states = n_states

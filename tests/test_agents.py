@@ -183,16 +183,48 @@ def test_phase_validation():
 
 
 def test_no_update_below_warmup():
+    """Each level trains once per primitive step from the first step at
+    which its memory holds its warm-up's worth of transitions, and never
+    before. The memory fills each update sees are recorded, and so are
+    the fills at every step: d1 has the step's own transition by then, d2
+    only the options that ended before it."""
     agent = chain_agent(d1_warmup=10, d2_warmup=10)
-    before = agent.q1.table.copy()
-    next_row = 1 * agent.n_goals + 0  # state 1, goal 0
-    for _ in range(9):
-        agent.d1.push(0, next_row, 0.0, agent.gamma)
-    agent._update(agent.q1, agent.d1, 10)
-    assert np.array_equal(agent.q1.table, before)
-    agent.d1.push(0, next_row, 1.0, 0.0)
-    agent._update(agent.q1, agent.d1, 10)
-    assert not np.array_equal(agent.q1.table, before)
+    d1, d2 = agent.d1, agent.d2
+    step = agent.env.step
+    fills = []
+
+    def recording_step(action, gen):
+        fills.append((len(d1) + 1, len(d2)))
+        return step(action, gen)
+
+    seen = {"q1": [], "q2": []}
+
+    def recording_train(name, vf, buffer):
+        train = vf.train_on
+
+        def train_on(columns):
+            seen[name].append(len(buffer))
+            return train(columns)
+
+        vf.train_on = train_on
+
+    agent.env.step = recording_step
+    recording_train("q1", agent.q1, d1)
+    recording_train("q2", agent.q2, d2)
+    run_episodes(agent, 30)
+    assert fills[0] == (1, 0) and len(d2) > 10
+    assert seen["q1"] == [f1 for f1, _ in fills if f1 >= 10]
+    assert seen["q2"] == [f2 for _, f2 in fills if f2 >= 10]
+    assert seen["q1"][0] == 10 and seen["q2"][0] == 10
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), -0.1, 1.01, float("inf")])
+def test_agents_reject_a_discount_outside_the_unit_interval(gamma):
+    for build in (FlatQAgent, HierarchicalAgent):
+        with pytest.raises(ValueError, match="gamma"):
+            build(ChainEnv(), gamma=gamma)
+    for ok in (0.0, 1.0):
+        assert FlatQAgent(ChainEnv(), gamma=ok).gamma == HierarchicalAgent(ChainEnv(), gamma=ok).gamma
 
 
 def test_chain_hdqn_learns_with_goal_chaining():

@@ -300,6 +300,37 @@ def test_bad_schedule_rejected(old, new):
         load_agent(corrupted(dump_agent(agent, env), old, new))
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), -0.5, 1.5])
+def test_bad_gamma_rejected(gamma):
+    """A discount outside [0, 1] in either agent's fields ends in a
+    ConfigError, as it does in a config file."""
+    env, agent = trained_chain_agent(episodes=5)
+    head = (agent.primitive_steps, agent.joint_steps, agent.meta_decisions, agent.completed_options)
+    blob = corrupted(
+        dump_agent(agent, env), struct.pack("<QQQQd", *head, 0.99), struct.pack("<QQQQd", *head, gamma)
+    )
+    with pytest.raises(ConfigError, match="gamma"):
+        load_agent(blob)
+    env, flat = flat_chain_agent()
+    blob = corrupted(
+        dump_agent(flat, env),
+        struct.pack("<Qd", flat.primitive_steps, 0.99),
+        struct.pack("<Qd", flat.primitive_steps, gamma),
+    )
+    with pytest.raises(ConfigError, match="gamma"):
+        load_agent(blob)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_non_finite_network_learning_rate_rejected(lr):
+    env = ChainEnv()
+    agent = HierarchicalAgent(env, backend="mlp", hidden=3, learning_rate=3e-4, seed=2)
+    section = struct.pack("<BIIId", 1, 6, 6, 2, 3e-4)  # the low level's header
+    blob = corrupted(dump_agent(agent, env), section, struct.pack("<BIIId", 1, 6, 6, 2, lr))
+    with pytest.raises(ConfigError, match="learning_rate"):
+        load_agent(blob)
+
+
 def test_bad_tracker_floor_rejected():
     env, agent = trained_chain_agent(episodes=5)
     blob = corrupted(dump_agent(agent, env), struct.pack("<Id", 100, 0.1), struct.pack("<Id", 100, 5.0))

@@ -4,6 +4,7 @@ import pytest
 from hdqn import rng
 from hdqn.envs.keydoor import (
     DEFAULT_LAYOUT,
+    DIR_LEFT,
     DIR_RIGHT,
     DOWN,
     LEFT,
@@ -223,3 +224,127 @@ def test_step_before_reset_and_after_terminal_raise():
     env.step(UP, gen)
     with pytest.raises(RuntimeError):
         env.step(UP, gen)
+
+
+def test_bad_action_raises():
+    """Out-of-range actions are refused, not read from another cell's
+    entry of the move table."""
+    env, _ = fresh()
+    gen = rng.stream(0, rng.ENV)
+    for bad in (4, -1):
+        with pytest.raises(ValueError):
+            env.step(bad, gen)
+    assert env.step(UP, gen).next_state == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
+
+
+# (dx, dy) per action id; y grows downward.
+REFERENCE_MOVES = {UP: (0, -1), DOWN: (0, 1), LEFT: (-1, 0), RIGHT: (1, 0)}
+
+
+def reference_step(lay, step_limit, config, steps, action):
+    """One step worked out on (x, y) coordinates: the agent moves unless a
+    wall or the map's edge blocks it, then the skull advances, then
+    death, key, door and the step limit are checked in that order.
+    Returns (configuration, reward, terminal)."""
+    (x, y), off, heading, has_key = config
+    dx, dy = REFERENCE_MOVES[action]
+    nx, ny = x + dx, y + dy
+    agent = (x, y)
+    if 0 <= nx < lay.width and 0 <= ny < lay.height and (nx, ny) not in lay.walls:
+        agent = (nx, ny)
+    if len(lay.patrol) > 1:
+        off += 1 if heading == DIR_RIGHT else -1
+        if off == len(lay.patrol) - 1:
+            heading = DIR_LEFT
+        elif off == 0:
+            heading = DIR_RIGHT
+    reward = 0.0
+    terminal = False
+    if agent == lay.patrol[off]:
+        terminal = True
+    else:
+        if agent == lay.key and not has_key:
+            has_key = True
+            reward += 100.0
+        if agent == lay.door and has_key:
+            reward += 300.0
+            terminal = True
+    if steps + 1 >= step_limit:
+        terminal = True
+    return (agent, off, heading, has_key), reward, terminal
+
+
+def skull_phases(patrol_len):
+    """(offset, heading) pairs an episode can be in: the skull starts on
+    the leftmost cell heading right and turns at both ends, so it is
+    never at the right end heading right or at the left end heading left
+    (unless the patrol is one cell long and it never moves)."""
+    if patrol_len == 1:
+        return [(0, DIR_RIGHT)]
+    return [
+        (off, heading)
+        for off in range(patrol_len)
+        for heading in (DIR_RIGHT, DIR_LEFT)
+        if not (off == 0 and heading == DIR_LEFT)
+        and not (off == patrol_len - 1 and heading == DIR_RIGHT)
+    ]
+
+
+def place(env, config, steps):
+    """Put a reset env into a configuration after `steps` steps."""
+    agent, off, heading, has_key = config
+    env.reset(rng.stream(0, rng.ENV))
+    env._cell = agent[1] * env.layout.width + agent[0]
+    env._phase = off * 2 + heading
+    env._has_key = int(has_key)
+    env._steps = steps
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [DEFAULT_LAYOUT, "######/#A..D#/#L..L#/#K.S.#/######"],
+    ids=["default", "one-cell-patrol"],
+)
+def test_table_step_matches_the_coordinate_reference_everywhere(layout):
+    """Every non-wall cell x reachable skull phase x key flag x action,
+    both mid-episode and on the last step the limit allows: the
+    table-driven step returns the reference's state id, reward and end,
+    and a step that ends the episode leaves it finished."""
+    step_limit = 50
+    env = KeyDoorEnv(layout, step_limit=step_limit)
+    lay = env.layout
+    gen = rng.stream(0, rng.ENV)
+    cells = [
+        (x, y)
+        for y in range(lay.height)
+        for x in range(lay.width)
+        if (x, y) not in lay.walls
+    ]
+    checked = 0
+    for steps in (0, step_limit - 1):
+        for agent in cells:
+            for off, heading in skull_phases(env.patrol_len):
+                for has_key in (False, True):
+                    for action in (UP, DOWN, LEFT, RIGHT):
+                        config = (agent, off, heading, has_key)
+                        place(env, config, steps)
+                        out = env.step(action, gen)
+                        want, reward, terminal = reference_step(lay, step_limit, config, steps, action)
+                        assert out == (env.encode(*want), reward, terminal), (config, steps, action)
+                        if terminal:
+                            with pytest.raises(RuntimeError):
+                                env.step(UP, gen)
+                        checked += 1
+    assert checked == 2 * len(cells) * len(skull_phases(env.patrol_len)) * 2 * 4
+
+
+def test_step_limit_ends_an_episode_on_the_limit_step():
+    """Played from reset, the episode ends exactly on step step_limit:
+    pinned against the top wall, nothing else can end it."""
+    for step_limit in (1, 2, 13):
+        env, _ = fresh(step_limit=step_limit)
+        gen = rng.stream(0, rng.ENV)
+        for t in range(1, step_limit + 1):
+            assert env.step(UP, gen).terminal == (t == step_limit)
+        with pytest.raises(RuntimeError):
+            env.step(UP, gen)

@@ -135,6 +135,27 @@ def test_block_larger_than_minibatch_is_consumed_in_order():
     assert first.tolist() == expected.tolist()
 
 
+def test_sample_indices_are_the_scaled_uniforms_while_growing():
+    """Minibatch i's indices are its uniforms times the fill at that
+    moment, truncated to intp, across block refills and while the ring
+    grows."""
+    gen_copy = rng.stream(3, rng.REPLAY_D1)
+    buf = ring(5000, seed=3)
+    u, pos, n, refills = np.empty(0), 0, 0, 0
+    for grow in (1, 2, 5, 40, 300, 1000):
+        for _ in range(grow):
+            push_numbered(buf, n)
+            n += 1
+        for k in (1, 32, 7) * 40:
+            if pos + k > u.size:
+                u, pos = gen_copy.random(max(UNIFORM_BLOCK, k)), 0
+                refills += 1
+            want = (u[pos : pos + k] * n).astype(np.intp)
+            pos += k
+            assert buf.sample(k)[0].tolist() == want.tolist()
+    assert refills >= 3
+
+
 def test_disjoint_buffers_share_nothing():
     d1 = ring(3)
     d2 = ring(3)

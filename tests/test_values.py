@@ -67,6 +67,37 @@ def test_train_on_repeated_cell_adds_alpha_delta_per_item():
     assert np.count_nonzero(t.table) == 2  # only the bootstrap row is left
 
 
+def row_max_train_on(table, lr, cell, row_next, r, disc) -> float:
+    """train_on with the bootstrap max taken as .max(axis=1)."""
+    cells = table.reshape(-1)
+    delta = r + disc * table.take(row_next, axis=0).max(axis=1) - cells.take(cell)
+    np.add.at(cells, cell, lr * delta)
+    return float(delta @ delta) / delta.size
+
+
+@pytest.mark.parametrize("n_choices", [1, 2, 4, 6])
+def test_train_on_is_bit_equal_to_the_row_max_update(n_choices):
+    """One estimator trained on batches of k = 1, 7, 32 and 7 items, so
+    the cached segment starts are built, rebuilt and rebuilt back. With
+    five rows, cells repeat within a batch and bootstrap rows are rows
+    the same batch updates; values on a coarse grid make ties in the
+    max. Tables and losses match the .max(axis=1) update bit for bit."""
+    gen = np.random.default_rng(n_choices)
+    n_rows, lr = 5, 0.3
+    t = TabularQ(n_rows, n_choices, learning_rate=lr)
+    t.table[...] = np.round(gen.normal(size=t.table.shape), 1)
+    ref = t.table.copy()
+    for k in (1, 7, 32, 7):
+        cell = gen.integers(0, n_rows * n_choices, k).astype(np.int32)
+        row_next = gen.integers(0, n_rows, k).astype(np.int32)
+        r = gen.normal(size=k)
+        disc = np.where(gen.random(k) < 0.3, 0.0, 0.9)
+        loss = t.train_on((cell, row_next, r, disc))
+        assert loss == row_max_train_on(ref, lr, cell, row_next, r, disc)
+        assert t.table.tobytes() == ref.tobytes()
+    assert len(np.unique(cell)) < k  # the last batch repeats a cell
+
+
 def sequential(t: TabularQ, items, gamma: float) -> None:
     for item in items:
         t.backup(*item, gamma)
@@ -191,6 +222,12 @@ def test_values_bounds_checking():
         for row in (3, -1):
             with pytest.raises(IndexError):
                 vf.values(row)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+def test_network_learning_rate_must_be_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        MlpQ(3, 2, learning_rate=lr)
 
 
 def test_table_validation():

@@ -104,6 +104,7 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _COMMENT = re.compile(r"\s+#")
+MAX_SEEDS = 65536  # most seeds one `seeds` line may expand to
 
 
 def _parse_seeds(raw: str):
@@ -114,15 +115,14 @@ def _parse_seeds(raw: str):
             continue
         lo, dash, hi = part.partition("-")
         try:
-            if dash:
-                a, b = int(lo), int(hi)
-                if b < a:
-                    raise ValueError
-                seeds.extend(range(a, b + 1))
-            else:
-                seeds.append(int(part))
+            a, b = (int(lo), int(hi)) if dash else (int(part),) * 2
+            if b < a:
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad seed entry {part!r} (want N or A-B)") from None
+        if len(seeds) + b - a + 1 > MAX_SEEDS:
+            raise ValueError(f"{part!r} takes the seed list past MAX_SEEDS = {MAX_SEEDS}")
+        seeds.extend(range(a, b + 1))
     return tuple(seeds)
 
 

@@ -27,7 +27,7 @@ from hdqn.checkpoint import dump_agent
 from hdqn.config import ExperimentConfig
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
-from hdqn.errors import DivergenceError
+from hdqn.errors import ConfigError, DivergenceError
 
 
 def build_env(cfg: ExperimentConfig):
@@ -162,8 +162,8 @@ def file_stem(cfg: ExperimentConfig) -> str:
 
 
 def write_outputs(cfg: ExperimentConfig, results: list, out_dir: str) -> list:
-    """Emit per-seed CSVs, checkpoints, and the cross-seed aggregate."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Emit per-seed CSVs, checkpoints, and the cross-seed aggregate into
+    out_dir, which run_experiment has created."""
     stem = file_stem(cfg)
     header, agg_header = metrics.HEADERS[cfg.env]
     written = []
@@ -193,8 +193,15 @@ def write_outputs(cfg: ExperimentConfig, results: list, out_dir: str) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> list:
+    """Train every seed and write the outputs; the output directory is
+    created first, so a path that cannot hold it fails before training."""
+    out_dir = out_dir or cfg.out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from None
     results = run_all_seeds(cfg)
-    return write_outputs(cfg, results, out_dir or cfg.out_dir)
+    return write_outputs(cfg, results, out_dir)
 
 
 @dataclass

@@ -10,11 +10,15 @@ A column holds one value per episode, or one per goal per episode as an
 the columns, and a header with a "goal" column gets one row per goal per
 episode (long format).
 
-CSV text is made a column at a time, _ROW_BLOCK rows at a time: each
-column of a block is formatted by one call to str (which for a float is
-its repr), and the block is joined into one text chunk. A CSV or
-checkpoint is written to a temporary sibling that replaces the target
-only once it is complete, so an error never leaves a half-written file.
+CSV text is made a column at a time, _ROW_BLOCK rows at a time, and
+each block is joined into one text chunk. A float64 column of a block
+is formatted once per distinct bit pattern, because chain curves repeat
+a few thousand values across tens of thousands of rows; every other
+column goes through str cell by cell. Keying on bits, not values, keeps
+0.0 and -0.0 apart and gives every NaN its own entry. The memo is a
+dict, so no sort runs. A CSV or checkpoint is written to a temporary
+sibling that replaces the target only once it is complete, so an error
+never leaves a half-written file.
 """
 from __future__ import annotations
 
@@ -111,8 +115,19 @@ def keydoor_columns(rewards, pick_counts, success_counts, window: int) -> dict:
 
 
 def format_column(col: np.ndarray) -> list:
-    """The CSV text of each value of a 1-D column."""
-    return list(map(str, col.tolist()))
+    """The CSV text of each value of a 1-D column: str of each value.
+
+    A float64 column is keyed by its int64 bit patterns, each distinct
+    pattern is formatted once through its float, and the keys are mapped
+    back to their text in column order.
+    """
+    if col.dtype != np.float64:
+        return list(map(str, col.tolist()))
+    bits = col.view(np.int64).tolist()
+    keys = dict.fromkeys(bits)
+    floats = np.fromiter(keys, np.int64, len(keys)).view(np.float64).tolist()
+    text = dict(zip(keys, map(str, floats)))
+    return list(map(text.__getitem__, bits))
 
 
 @contextlib.contextmanager

@@ -1,5 +1,6 @@
 import pytest
 
+from hdqn import harness
 from hdqn.cli import main
 
 TINY = """\
@@ -55,6 +56,18 @@ def test_bad_config_value_exits_1(tmp_path, capsys):
     code = main(["run", "--config", str(path)])
     assert code == 1
     assert "bad.cfg:1" in capsys.readouterr().err
+
+
+def test_unusable_out_dir_exits_1_before_training(tiny_cfg, tmp_path, capsys, monkeypatch):
+    def no_training(cfg, seed):
+        raise AssertionError("a seed trained before the output directory was checked")
+
+    monkeypatch.setattr(harness, "run_seed", no_training)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", "--config", str(tiny_cfg), "--out", str(blocker / "results")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_key_exits_1(tmp_path, capsys):

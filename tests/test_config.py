@@ -1,6 +1,6 @@
 import pytest
 
-from hdqn.config import ExperimentConfig, default_config, load_config, parse_config
+from hdqn.config import MAX_SEEDS, ExperimentConfig, default_config, load_config, parse_config
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import ConfigError
 from hdqn.harness import build_env
@@ -43,6 +43,7 @@ def test_parse_seed_ranges():
     assert parse_config("seeds = 0-3")["seeds"] == (0, 1, 2, 3)
     assert parse_config("seeds = 7")["seeds"] == (7,)
     assert parse_config("seeds = 1-2, 9")["seeds"] == (1, 2, 9)
+    assert parse_config(f"seeds = 0-{MAX_SEEDS - 1}")["seeds"] == tuple(range(MAX_SEEDS))
 
 
 @pytest.mark.parametrize(
@@ -53,6 +54,8 @@ def test_parse_seed_ranges():
         ("episodes = ", "empty value"),
         ("episodes = many", "bad value"),
         ("seeds = 5-2", "bad seed entry"),
+        ("seeds = 0-1099511627776", "bad value for 'seeds'"),  # 2**40 + 1 seeds
+        ("seeds = 0-65000, 70000-71000", "MAX_SEEDS"),  # the cap counts the whole line
         ("env = chain\nenv = keydoor", "duplicate key"),
     ],
 )

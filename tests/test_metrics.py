@@ -94,6 +94,10 @@ def reference_csv(header, cols, seed=None, goal_names=()) -> str:
 # signed zeros, NaNs, infinities, subnormals, 2**53 < 1e16, inexact decimals
 EDGE_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308]
 EDGE_FLOATS += [1e16, 0.1, 1 / 3]
+# NaNs of both signs with distinct payloads, quiet and signalling: each is
+# its own bit pattern, and every one prints as "nan"
+NAN_PATTERNS = [0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001, -0x0007FFFFFFFFFFFF]
+EDGE_FLOATS += list(np.array(NAN_PATTERNS, dtype=np.int64).view(np.float64))
 
 
 @given(
@@ -117,6 +121,15 @@ def test_format_column_matches_per_cell_reference(values, repeat):
     assert metrics.format_column(names) == ["key", "door", "key"]
     seeds = np.full(3, 2**64 - 1, dtype=object)
     assert metrics.format_column(seeds) == [str(2**64 - 1)] * 3
+
+
+def test_format_column_keeps_every_nan_and_signed_zero():
+    """Distinct NaN patterns and both zeros mixed in one column each map
+    back to their own cell."""
+    nans = np.array(NAN_PATTERNS, dtype=np.int64).view(np.float64)
+    col = np.tile(np.concatenate([nans, [0.0, -0.0, np.nan, 1.5]]), 3)
+    assert len(np.unique(col.view(np.int64))) == len(NAN_PATTERNS) + 4
+    assert metrics.format_column(col) == [reference_cell(x) for x in col]
 
 
 def test_write_csv_bytes(tmp_path):
@@ -152,6 +165,29 @@ def test_csv_blocks_match_per_cell_reference_across_blocks(tmp_path):
     path = tmp_path / "agg.csv"
     metrics.write_csv(path, header, metrics.csv_blocks(header, agg, goal_names=goals))
     assert path.read_bytes() == reference_csv(header, agg, goal_names=goals).encode()
+
+
+def test_csv_blocks_repeated_values_fill_a_block_and_spill(tmp_path):
+    """One value, and 0.0/-0.0 alternating, over a whole row block and
+    into the next: the memo of each block holds one or two entries."""
+    n = metrics._ROW_BLOCK + 5
+    signed_zeros = np.zeros(n)
+    signed_zeros[1::2] = -0.0
+    nans = np.array(NAN_PATTERNS, dtype=np.int64).view(np.float64)
+    cols = {
+        "reward_ma": np.full(n, 0.1),
+        "visits_s3": signed_zeros,
+        "visits_s4": -signed_zeros,
+        "visits_s5": np.resize(nans, n),
+        "visits_s6": np.full(n, -0.0),
+    }
+    path = tmp_path / "chain.csv"
+    header = metrics.CHAIN_HEADER
+    metrics.write_csv(path, header, metrics.csv_blocks(header, cols, 7))
+    assert path.read_bytes() == reference_csv(header, cols, 7).encode()
+    last, first = path.read_text().splitlines()[metrics._ROW_BLOCK : metrics._ROW_BLOCK + 2]
+    assert last == f"7,{metrics._ROW_BLOCK},0.1,-0.0,0.0,nan,-0.0"  # end of block one
+    assert first == f"7,{metrics._ROW_BLOCK + 1},0.1,0.0,-0.0,nan,-0.0"  # start of block two
 
 
 def failing_blocks():

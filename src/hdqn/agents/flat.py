@@ -25,6 +25,7 @@ from hdqn.agents.trace import EpisodeTrace
 
 
 class FlatQAgent:
+    kind = "flat"
     goal_names = ()
 
     def __init__(

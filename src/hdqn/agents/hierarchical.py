@@ -1,9 +1,9 @@
 """The two-level agent.
 
-An agent is built for one environment and owns its internal critic,
-which it builds from that environment: the critic fixes the goal set
-and judges, after every primitive step, whether the current goal has
-been reached. A meta level picks a goal from the current state with
+An agent is built for one environment, which lists its goals, and owns
+its internal critic, which it builds from that environment: the critic
+judges, after every primitive step, whether the current goal has been
+reached. A meta level picks a goal from the current state with
 epsilon-greedy exploration over its own value function; the low level
 then picks primitive actions, paid a unit reward when the critic says
 the goal is reached. The option ends when the goal is reached or the
@@ -78,6 +78,8 @@ def make_estimator(
 
 
 class HierarchicalAgent:
+    kind = "hdqn"
+
     def __init__(
         self,
         env,
@@ -99,7 +101,7 @@ class HierarchicalAgent:
         target_sync: int = 1000,
         estimators: tuple | None = None,
     ):
-        """An agent for env: its critic, goal set and every dimension come
+        """An agent for env: its critic, goals and every dimension come
         from env. estimators, when given, is a prebuilt (q1, q2) pair used in
         place of fresh ones; backend, learning_rate and hidden are then unused."""
         if not 0.0 <= gamma <= 1.0:
@@ -112,10 +114,10 @@ class HierarchicalAgent:
             raise ValueError(f"target_sync must be >= 1, got {target_sync}")
         self.env = env
         self.critic = Critic(env)
-        self.goal_names = tuple(g.name for g in self.critic.goals)
+        self.goal_names = env.goal_names
         self.n_states = n_states = env.n_states
         self.n_actions = n_actions = env.n_actions
-        self.n_goals = n_goals = self.critic.n_goals
+        self.n_goals = n_goals = len(env.goal_names)
         self.seed = seed
         self.gamma = gamma
         self.batch_size = batch_size

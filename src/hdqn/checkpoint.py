@@ -3,8 +3,8 @@
 One binary container, little-endian, version 2. Layout:
 
     magic "HACK"[4] version u32 agent_kind u8 (0 flat, 1 hdqn)
-    env:      name text, key-door layout text (empty for chain),
-              step limit u32 (0 for chain)
+    env:      the env's name text, layout_text text and step_limit u32
+              (chain: empty and 0), which envs.make_env rebuilds it from
     flat:     primitive_steps u64, gamma f8, schedule, value section
     hdqn:     primitive_steps, joint_steps, meta_decisions,
               completed_options (u64 each), gamma f8, low-level then
@@ -22,8 +22,8 @@ One binary container, little-endian, version 2. Layout:
               snapshot arrays
 
 The environment fixes every dimension, so the reader checks each
-section's dimensions against the env's state and action counts and the
-size of its goal set, and each body's length, before it allocates the
+section's dimensions against the env's state and action counts and its
+number of goals, and each body's length, before it allocates the
 estimator. Trailing bytes are rejected, and every malformed field
 raises ConfigError. Checkpoints hold everything a frozen-policy
 evaluation needs; replay contents are deliberately not persisted.
@@ -37,9 +37,7 @@ import numpy as np
 from hdqn.agents.exploration import EpsilonSchedule
 from hdqn.agents.flat import FlatQAgent
 from hdqn.agents.hierarchical import HierarchicalAgent
-from hdqn.critic import goal_set
-from hdqn.envs.chain import ChainEnv
-from hdqn.envs.keydoor import KeyDoorEnv
+from hdqn.envs import make_env
 from hdqn.errors import ConfigError
 from hdqn.values import MlpQ, TabularQ
 
@@ -136,30 +134,16 @@ class _Reader:
 
 
 def dump_agent(agent, env) -> bytes:
-    if isinstance(agent, HierarchicalAgent):
-        kind = "hdqn"
-    elif isinstance(agent, FlatQAgent):
-        kind = "flat"
-    else:
-        raise TypeError(f"cannot checkpoint {type(agent).__name__}")
     if env is not agent.env:
         raise ValueError("env must be the environment the agent was built for")
     w = _Writer()
     w.parts.append(_MAGIC)
-    w.pack("IB", _VERSION, _KINDS.index(kind))
+    w.pack("IB", _VERSION, _KINDS.index(agent.kind))
+    w.text(env.name)
+    w.text(env.layout_text)
+    w.pack("I", env.step_limit)
 
-    if isinstance(env, ChainEnv):
-        w.text("chain")
-        w.text("")
-        w.pack("I", 0)
-    elif isinstance(env, KeyDoorEnv):
-        w.text("keydoor")
-        w.text(env.layout_text)
-        w.pack("I", env.step_limit)
-    else:
-        raise TypeError(f"cannot checkpoint environment {type(env).__name__}")
-
-    if kind == "flat":
+    if agent.kind == "flat":
         w.pack("Qd", agent.primitive_steps, agent.gamma)
         w.schedule(agent.eps)
         w.table(agent.n_states, None, agent.learning_rate, agent.table)
@@ -203,18 +187,10 @@ def _load(r: _Reader):
         raise ConfigError(f"unknown agent kind {kind_id}")
     kind = _KINDS[kind_id]
 
-    env_name = r.text()
-    layout = r.text()
-    step_limit = r.pack("I")
-    if env_name == "chain":
-        env = ChainEnv()
-    elif env_name == "keydoor":
-        env = KeyDoorEnv(layout or None, step_limit=step_limit)
-    else:
-        raise ConfigError(f"unknown environment {env_name!r} in checkpoint")
+    env = make_env(r.text(), r.text(), r.pack("I"))
 
     if kind == "flat":
-        if env_name != "chain":
+        if env.name != "chain":
             raise ConfigError("flat-agent checkpoint must target the chain environment")
         primitive_steps, gamma = r.pack("Qd")
         eps = r.schedule()
@@ -227,7 +203,7 @@ def _load(r: _Reader):
         agent.primitive_steps = primitive_steps
         return agent, env, kind
 
-    n_goals = len(goal_set(env))
+    n_goals = len(env.goal_names)
     primitive_steps, joint_steps, meta_decisions, completed_options, gamma = r.pack("QQQQd")
     eps1 = r.schedule()
     eps2 = r.schedule()

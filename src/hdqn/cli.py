@@ -18,6 +18,8 @@ from hdqn.config import BACKENDS, default_config, load_config
 from hdqn.errors import ConfigError, DivergenceError
 from hdqn.harness import evaluate_policy, run_experiment
 
+MAX_EVAL_EPISODES = 10**7  # most episodes `hdqn eval` rolls out (8 bytes of reward each)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -60,8 +62,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+    if not 1 <= args.episodes <= MAX_EVAL_EPISODES:
+        raise ConfigError(f"--episodes must be in [1, {MAX_EVAL_EPISODES}], got {args.episodes}")
     if not 0.0 <= args.epsilon <= 1.0:
         raise ConfigError(f"--epsilon must be in [0, 1], got {args.epsilon}")
     if not 0 <= args.seed < 2**64:

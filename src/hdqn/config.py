@@ -15,6 +15,8 @@ from hdqn.errors import ConfigError
 ENVS = ("chain", "keydoor")
 AGENTS = ("hdqn", "flat")
 BACKENDS = ("tabular", "mlp")
+# Width in bits of the checkpoint field each of these settings is written to.
+_FIELD_BITS = dict(step_limit=32, tracker_window=32, hidden=32, eps1_horizon=64, eps2_horizon=64)
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,11 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < 1:
                 raise bad(f"{name} must be >= 1, got {getattr(self, name)}")
+        # A checkpoint stores these in fixed-width fields, so a larger
+        # value would fail only after training, when the run is saved.
+        for name, bits in _FIELD_BITS.items():
+            if getattr(self, name) >= 2**bits:
+                raise bad(f"{name} must be below 2**{bits}, got {getattr(self, name)}")
         if self.pretrain_steps < 0:
             raise bad(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
         if self.workers < 0:

@@ -20,13 +20,27 @@ class Environment:
     State ids are integers in [0, n_states), action ids in
     [0, n_actions). An instance holds the state of one episode at a
     time: call reset() before the first step and after every terminal
-    step. Stepping a terminal or unreset episode is a caller bug and
-    raises. Instances are not thread-safe; parallel runs use
-    independently seeded copies.
+    step. step() raises RuntimeError on a terminal or unreset episode
+    and ValueError on an action outside [0, n_actions). Instances are
+    not thread-safe; parallel runs use independently seeded copies.
+
+    An environment describes itself, so nothing else tells the tasks
+    apart: its name (the config's env), goal_names in goal-id order (ids
+    index value functions, so the order is part of the reproducibility
+    contract), goal_cells, the agent cell each goal targets, and
+    agent_cell_index(state), the agent's cell in a state: goal g is
+    reached in s when agent_cell_index(s) == goal_cells[g].
+    make_env(name, layout_text, step_limit) rebuilds an equal
+    environment, so a checkpoint records those three.
     """
 
+    name: str
     n_states: int
     n_actions: int
+    goal_names: tuple
+    goal_cells: tuple
+    layout_text: str
+    step_limit: int
 
     def reset(self, rng: np.random.Generator) -> int:
         """Start a new episode and return the initial state id."""
@@ -36,14 +50,6 @@ class Environment:
         """Apply one primitive action to the live episode."""
         raise NotImplementedError
 
-    def _require_active(self) -> None:
-        if getattr(self, "_done", True):
-            raise RuntimeError(
-                "step() on a finished or unreset episode; call reset() first"
-            )
-
-    def _check_action(self, action: int) -> None:
-        if not 0 <= action < self.n_actions:
-            raise ValueError(
-                f"action {action} out of range for {self.n_actions} actions"
-            )
+    def agent_cell_index(self, state: int) -> int:
+        """The agent's cell in state."""
+        raise NotImplementedError

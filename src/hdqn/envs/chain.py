@@ -21,6 +21,13 @@ RIGHT = 1
 
 
 class ChainEnv(Environment):
+    name = "chain"
+    # Every observed state is a goal, and the state is the agent's cell.
+    goal_names = ("s1", "s2", "s3", "s4", "s5", "s6")
+    goal_cells = (0, 1, 2, 3, 4, 5)
+    # Nothing to record: make_env builds the one chain from its name.
+    layout_text = ""
+    step_limit = 0
     n_positions = 6
     n_states = 6
     n_actions = 2
@@ -44,6 +51,10 @@ class ChainEnv(Environment):
     def state_of(position: int) -> int:
         return position - 1
 
+    @staticmethod
+    def agent_cell_index(state: int) -> int:
+        return state
+
     def reset(self, rng: np.random.Generator) -> int:
         self._position = self.start_position
         self._visited_top = False
@@ -51,7 +62,7 @@ class ChainEnv(Environment):
         return self.state_of(self._position)
 
     def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
-        # Environment's checks and state_of, inlined: this runs every step.
+        # state_of, inlined: this runs every step.
         if self._done:
             raise RuntimeError("step() on a finished or unreset episode; call reset() first")
         if not 0 <= action < 2:

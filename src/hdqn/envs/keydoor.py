@@ -148,6 +148,10 @@ class KeyDoorEnv(Environment):
     length, is (cell * 2P + phase) * 2 + key.
     """
 
+    name = "keydoor"
+    # The four non-hazard entities. A goal is judged on the agent's cell
+    # alone: reaching the door counts whether or not the key is held.
+    goal_names = ("key", "door", "ladder_bl", "ladder_br")
     n_actions = len(_MOVES)
     key_reward = 100.0
     door_reward = 300.0
@@ -190,6 +194,9 @@ class KeyDoorEnv(Environment):
         self._spawn = self._cell_index(lay.spawn)
         self._key = self._cell_index(lay.key)
         self._door = self._cell_index(lay.door)
+        # In goal_names order.
+        goals = (lay.key, lay.door, lay.ladder_bl, lay.ladder_br)
+        self.goal_cells = tuple(self._cell_index(c) for c in goals)
 
         self._cell = self._spawn
         self._phase = 0  # offset 0, heading DIR_RIGHT
@@ -227,8 +234,8 @@ class KeyDoorEnv(Environment):
         return self._spawn * self._n_phases * 2
 
     def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
-        # Environment's checks, inlined: this runs every step. Without the
-        # range check, action 4 or -1 would read another cell's entry.
+        # Without the range check, action 4 or -1 would read another
+        # cell's entry.
         if self._done:
             raise RuntimeError("step() on a finished or unreset episode; call reset() first")
         if not 0 <= action < 4:

@@ -25,15 +25,12 @@ from hdqn import metrics, rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
 from hdqn.checkpoint import dump_agent
 from hdqn.config import ExperimentConfig
-from hdqn.envs.chain import ChainEnv
-from hdqn.envs.keydoor import KeyDoorEnv
+from hdqn.envs import make_env
 from hdqn.errors import ConfigError, DivergenceError
 
 
 def build_env(cfg: ExperimentConfig):
-    if cfg.env == "chain":
-        return ChainEnv()
-    return KeyDoorEnv(cfg.layout or None, step_limit=cfg.step_limit)
+    return make_env(cfg.env, cfg.layout, cfg.step_limit)
 
 
 def build_agent(cfg: ExperimentConfig, seed: int, env):
@@ -106,13 +103,9 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         if track_visits:
             visits.append(trace.state_visits)
         else:
-            p = np.zeros(n_goals, dtype=np.int64)
-            ok = np.zeros(n_goals, dtype=np.int64)
-            for g, hit in zip(trace.goal_picks, trace.goal_successes):
-                p[g] += 1
-                ok[g] += hit
-            picks.append(p)
-            successes.append(ok)
+            # Exact: the weighted counts are sums of ones in float64.
+            picks.append(np.bincount(trace.goal_picks, minlength=n_goals))
+            successes.append(np.bincount(trace.goal_picks, trace.goal_successes, minlength=n_goals))
         if not math.isfinite(trace.total_reward):
             raise DivergenceError(
                 f"non-finite episode reward at episode {len(rewards)} (seed {seed})"

@@ -338,8 +338,10 @@ class CorridorEnv(Environment):
         return 0
 
     def step(self, action, gen):
-        self._require_active()
-        self._check_action(action)
+        if self._done:
+            raise RuntimeError("step() on a finished or unreset episode")
+        if not 0 <= action < self.n_actions:
+            raise ValueError(f"action {action} out of range")
         if action == 0:
             self._s = max(0, self._s - 1)
         else:

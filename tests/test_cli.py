@@ -1,6 +1,6 @@
 import pytest
 
-from hdqn import harness
+from hdqn import cli, harness
 from hdqn.cli import main
 
 TINY = """\
@@ -142,6 +142,16 @@ def test_eval_rejects_out_of_range_seed(tiny_cfg, tmp_path, capsys, seed):
     code = main(["eval", "--checkpoint", str(out / "chain_hdqn_seed0.ckpt"), "--seed", seed])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: --seed")
+
+
+@pytest.mark.parametrize("episodes", [cli.MAX_EVAL_EPISODES + 1, 10**13])
+def test_eval_rejects_too_many_episodes_before_reading(tmp_path, capsys, monkeypatch, episodes):
+    """A count whose reward array cannot be allocated is a usage error,
+    reported before the checkpoint is read."""
+    monkeypatch.setattr(cli, "read_agent", lambda path: pytest.fail("checkpoint read"))
+    code = main(["eval", "--checkpoint", str(tmp_path / "x.ckpt"), "--episodes", str(episodes)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --episodes")
 
 
 def test_oracle_prints_values(capsys):

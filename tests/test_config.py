@@ -95,6 +95,12 @@ def test_line_number_points_at_offender():
         {"learning_rate": float("nan")},
         {"backend": "mlp", "learning_rate": float("nan")},
         {"backend": "mlp", "learning_rate": float("inf")},
+        # Each would train its whole budget and then overflow its checkpoint field.
+        {"env": "keydoor", "step_limit": 5_000_000_000},
+        {"tracker_window": 5_000_000_000},
+        {"backend": "mlp", "hidden": 2**32},
+        {"eps1_horizon": 10**20},
+        {"eps2_horizon": 2**64},
     ],
 )
 def test_validation_rejects(overrides):

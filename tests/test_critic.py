@@ -3,36 +3,65 @@ import pytest
 from helpers import stored_controller
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, HierarchicalAgent
-from hdqn.critic import INTRINSIC_REWARD, Critic, goal_set
+from hdqn.critic import INTRINSIC_REWARD, Critic
+from hdqn.envs import make_env
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import DOWN, LEFT, KeyDoorEnv
+from hdqn.errors import ConfigError
+
+WALLED = "#######/#.A.LL#/#.SS..#/#K...D#/#######"
 
 
 def test_chain_goal_set():
-    goals = goal_set(ChainEnv())
-    assert len(goals) == 6
-    assert [g.goal_id for g in goals] == list(range(6))
-    assert [g.name for g in goals] == ["s1", "s2", "s3", "s4", "s5", "s6"]
-    assert [g.target for g in goals] == list(range(6))
-    assert goals == goal_set(ChainEnv())
+    env = ChainEnv()
+    assert env.goal_names == ("s1", "s2", "s3", "s4", "s5", "s6")
+    assert env.goal_cells == (0, 1, 2, 3, 4, 5)
+    assert [env.agent_cell_index(s) for s in range(6)] == list(range(6))
+    assert HierarchicalAgent(env).goal_names == env.goal_names
 
 
 def test_keydoor_goal_set():
-    goals = goal_set(KeyDoorEnv())
-    assert [g.name for g in goals] == ["key", "door", "ladder_bl", "ladder_br"]
-    assert [g.target for g in goals] == ["key", "door", "ladder_bl", "ladder_br"]
+    env = KeyDoorEnv()
+    lay = env.layout
+    assert env.goal_names == ("key", "door", "ladder_bl", "ladder_br")
+    cells = [lay.key, lay.door, lay.ladder_bl, lay.ladder_br]
+    assert env.goal_cells == tuple(y * lay.width + x for x, y in cells)
+    for cell, target in zip(cells, env.goal_cells):
+        assert env.agent_cell_index(env.encode(cell, 1, 1, True)) == target
+    assert HierarchicalAgent(env).n_goals == 4
 
 
-def test_unknown_env_rejected():
-    with pytest.raises(TypeError):
-        goal_set(object())
+@pytest.mark.parametrize(
+    "env",
+    [ChainEnv(), KeyDoorEnv(), KeyDoorEnv(WALLED, step_limit=37)],
+    ids=["chain", "keydoor-default", "keydoor-custom"],
+)
+def test_make_env_rebuilds_an_equal_env_from_its_description(env):
+    back = make_env(env.name, env.layout_text, env.step_limit)
+    assert type(back) is type(env)
+    for attr in ("name", "layout_text", "step_limit", "n_states", "goal_names", "goal_cells"):
+        assert getattr(back, attr) == getattr(env, attr)
+    assert getattr(back, "layout", None) == getattr(env, "layout", None)
+    gen_a, gen_b = rng.stream(0, rng.ENV), rng.stream(0, rng.ENV)
+    assert back.reset(gen_a) == env.reset(gen_b)
+    for a in [0, 1, 1, 0, 1, 1, 1, 0]:
+        out = env.step(a % env.n_actions, gen_b)
+        assert back.step(a % env.n_actions, gen_a) == out
+        if out.terminal:
+            break
+
+
+def test_make_env_rejects_an_unknown_name():
+    with pytest.raises(ConfigError, match="unknown environment"):
+        make_env("maze", "", 500)
 
 
 def test_chain_goal_predicate():
-    critic = Critic(ChainEnv())
-    for g in critic.goals:
+    env = ChainEnv()
+    critic = Critic(env)
+    for g, target in enumerate(env.goal_cells):
         for s_after in range(6):
-            assert critic.reached(g.goal_id, s_after) == (s_after == g.target)
+            assert critic.reached(g, s_after) == (s_after == target)
 
 
 def test_intrinsic_positive_iff_reached_chain():
@@ -59,7 +88,7 @@ def test_keydoor_goal_predicates():
     critic = Critic(env)
     gen = rng.stream(0, rng.ENV)
     s = env.reset(gen)
-    by_name = {g.name: g.goal_id for g in critic.goals}
+    by_name = {name: g for g, name in enumerate(env.goal_names)}
     # Walk to the key: goal "key" is reached on the pickup step.
     for a in [LEFT] * 4 + [DOWN] * 5:
         s, _, _ = env.step(a, gen)
@@ -74,7 +103,7 @@ def test_door_goal_ignores_key_possession():
     """The critic checks cells only; door is a valid goal without the key."""
     env = KeyDoorEnv()
     critic = Critic(env)
-    door = critic.goals[1].goal_id
+    door = env.goal_names.index("door")
     # State with the agent on the door cell, no key.
     s = env.encode(env.layout.door, 0, 0, False)
     assert critic.reached(door, s)
@@ -85,7 +114,7 @@ def test_ladder_goals():
     env = KeyDoorEnv()
     critic = Critic(env)
     for name, cell in (("ladder_bl", env.layout.ladder_bl), ("ladder_br", env.layout.ladder_br)):
-        goal = next(g.goal_id for g in critic.goals if g.name == name)
+        goal = env.goal_names.index(name)
         s = env.encode(cell, 3, 1, True)
         assert critic.reached(goal, s)
 

@@ -75,9 +75,6 @@ class GoalSuccessTracker:
         if len(window) > self.window:
             self._hits[goal] -= window.popleft()
 
-    def attempts(self, goal: int) -> int:
-        return len(self._attempts[goal])
-
     def success_rate(self, goal: int) -> float:
         n = len(self._attempts[goal])
         if n == 0:

@@ -42,7 +42,6 @@ class FlatQAgent:
         self.env = env
         self.n_states = n_states = env.n_states
         self.n_actions = n_actions = env.n_actions
-        self.seed = seed
         self.gamma = gamma
         self.eps = eps if eps is not None else EpsilonSchedule()
         self.learning_rate = learning_rate

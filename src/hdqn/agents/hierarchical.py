@@ -11,11 +11,13 @@ episode terminates. Environment rewards collected while an option runs
 are summed undiscounted into F and credited to the goal choice as one
 meta-scale transition; discounting enters only through the bootstrap.
 
-The agent indexes both value functions by row, one index per input:
-the controller's row is state * n_goals + goal and the meta level's row
-is the state. It forms the controller row when an option starts and
-carries the next row forward from step to step; estimators never see
-the goal axis except as part of a row.
+The agent is built around the two value functions it is given, q1 for
+the controller and q2 for the meta level; harness.build_agent makes
+them with values.make_estimator. It indexes both by row, one index per
+input: the controller's row is state * n_goals + goal and the meta
+level's row is the state. It forms the controller row when an option
+starts and carries the next row forward from step to step; estimators
+never see the goal axis except as part of a row.
 
 Replay stores each transition as the four columns the update reads,
 (cell, row', r, disc) (replay.py). The agent forms them when it pushes,
@@ -30,8 +32,10 @@ Both levels train from their own replay memory once per primitive step:
 one minibatch of columns per level, through the estimator's train_on.
 run_episode looks up everything it calls per step once per episode
 (the bound env.step, values, train_on, push and sample, the meta
-schedule's value, the warm-ups, the batch size and whether a backend
-syncs a target) and builds the EpisodeTrace from local tallies at the end.
+schedule's value, the warm-ups and the batch size) and builds the
+EpisodeTrace from local tallies at the end. A network syncs its own
+target inside train_on (values.py), so the loop is the same for both
+backends.
 Exploration at both levels is annealed 1 -> 0.1 on shared step clocks:
 the low level takes the smaller of a linear schedule (clock: primitive
 steps, all phases) and a per-goal rate derived from the tracker, so a
@@ -49,32 +53,8 @@ from hdqn.agents.exploration import EpsilonSchedule, GoalSuccessTracker, eps_gre
 from hdqn.agents.trace import EpisodeTrace
 from hdqn.critic import INTRINSIC_REWARD, Critic
 from hdqn.replay import ReplayBuffer
-from hdqn.values import MlpQ, TabularQ
 
 PHASES = ("pretrain", "joint")
-
-
-def make_estimator(
-    backend: str,
-    n_states: int,
-    n_choices: int,
-    n_goals: int | None,
-    learning_rate: float,
-    hidden: int,
-    init_rng: np.random.Generator,
-):
-    if backend == "tabular":
-        return TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=learning_rate)
-    if backend == "mlp":
-        return MlpQ(
-            n_states,
-            n_choices,
-            n_goals=n_goals,
-            hidden=hidden,
-            learning_rate=learning_rate,
-            init_rng=init_rng,
-        )
-    raise ValueError(f"unknown value-function backend {backend!r}")
 
 
 class HierarchicalAgent:
@@ -83,10 +63,10 @@ class HierarchicalAgent:
     def __init__(
         self,
         env,
+        q1,
+        q2,
         *,
         seed: int = 0,
-        backend: str = "tabular",
-        learning_rate: float = 0.00025,
         gamma: float = 0.99,
         d1_capacity: int = 100_000,
         d2_capacity: int = 100_000,
@@ -97,48 +77,30 @@ class HierarchicalAgent:
         eps2: EpsilonSchedule | None = None,
         eps1_floor: float = 0.1,
         tracker_window: int = 100,
-        hidden: int = 64,
-        target_sync: int = 1000,
-        estimators: tuple | None = None,
     ):
-        """An agent for env: its critic, goals and every dimension come
-        from env. estimators, when given, is a prebuilt (q1, q2) pair used in
-        place of fresh ones; backend, learning_rate and hidden are then unused."""
+        """An agent for env around its two value functions: q1, the
+        controller's, over n_states * n_goals rows and the env's actions,
+        and q2, the meta level's, over n_states rows and the goals. Its
+        critic, goals and every other dimension come from env."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if d1_warmup < 1 or d2_warmup < 1:
             raise ValueError("warm-up thresholds must be >= 1")
-        if target_sync < 1:
-            raise ValueError(f"target_sync must be >= 1, got {target_sync}")
         self.env = env
         self.critic = Critic(env)
         self.goal_names = env.goal_names
-        self.n_states = n_states = env.n_states
-        self.n_actions = n_actions = env.n_actions
+        self.n_states = env.n_states
+        self.n_actions = env.n_actions
         self.n_goals = n_goals = len(env.goal_names)
-        self.seed = seed
         self.gamma = gamma
         self.batch_size = batch_size
         self.d1_warmup = d1_warmup
         self.d2_warmup = d2_warmup
-        self.target_sync = target_sync
         self.eps1 = eps1 if eps1 is not None else EpsilonSchedule()
         self.eps2 = eps2 if eps2 is not None else EpsilonSchedule()
-
-        if estimators is None:
-            init_gen = rng.stream(seed, rng.INIT)
-            estimators = (
-                make_estimator(
-                    backend, n_states, n_actions, n_goals, learning_rate, hidden, init_gen
-                ),
-                make_estimator(
-                    backend, n_states, n_goals, None, learning_rate, hidden, init_gen
-                ),
-            )
-        self.q1, self.q2 = estimators
-        self.backend = self.q1.kind
+        self.q1, self.q2 = q1, q2
         self.d1 = ReplayBuffer(d1_capacity, rng.stream(seed, rng.REPLAY_D1))
         self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2))
         self.tracker = GoalSuccessTracker(n_goals, window=tracker_window, floor=eps1_floor)
@@ -164,17 +126,13 @@ class HierarchicalAgent:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
         joint = phase == "joint"
         env_step = self.env.step
-        q1, q2 = self.q1, self.q2
         d1, d2 = self.d1, self.d2
-        q1_values, q2_values = q1.values, q2.values
-        q1_train, q2_train = q1.train_on, q2.train_on
+        q1_values, q2_values = self.q1.values, self.q2.values
+        q1_train, q2_train = self.q1.train_on, self.q2.train_on
         d1_push, d2_push = d1.push, d2.push
         d1_sample, d2_sample = d1.sample, d2.sample
         d1_warmup, d2_warmup = self.d1_warmup, self.d2_warmup
         batch_size = self.batch_size
-        # Only a network keeps a frozen target, synced every target_sync steps.
-        q1_syncs, q2_syncs = q1.kind == "mlp", q2.kind == "mlp"
-        target_sync = self.target_sync
         eps2_value = self.eps2.value
         tracker = self.tracker
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen
@@ -221,12 +179,8 @@ class HierarchicalAgent:
                 # own memory once that holds its warm-up's worth.
                 if len(d1) >= d1_warmup:
                     q1_train(d1_sample(batch_size))
-                    if q1_syncs and q1.train_steps % target_sync == 0:
-                        q1.sync_target()
                 if len(d2) >= d2_warmup:
                     q2_train(d2_sample(batch_size))
-                    if q2_syncs and q2.train_steps % target_sync == 0:
-                        q2.sync_target()
                 row = row_next
             d2_push(s0 * n_goals + g, s, option_return, 0.0 if done else gamma)
             self.completed_options += 1

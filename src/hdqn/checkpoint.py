@@ -14,18 +14,19 @@ One binary container, little-endian, version 2. Layout:
     schedule: start f8, floor f8, horizon u64
     tracker:  window u32, floor f8, then per goal a u32 count and that
               many outcome bytes
-    value section: backend u8 (0 tabular, 1 mlp), n_states u32,
-              n_goals u32 (0 = no goal axis), n_choices u32,
+    value section: backend u8 (its index in values.BACKENDS), n_states
+              u32, n_goals u32 (0 = no goal axis), n_choices u32,
               learning_rate f8; mlp adds hidden u32 and train_steps u64;
               then f8 arrays: the table, one row per (state[, goal])
               in C order, or w1, b1, w2, b2 followed by their four
               snapshot arrays
 
 The environment fixes every dimension, so the reader checks each
-section's dimensions against the env's state and action counts and its
-number of goals, and each body's length, before it allocates the
-estimator. Trailing bytes are rejected, and every malformed field
-raises ConfigError. Checkpoints hold everything a frozen-policy
+section's dimensions against the env's, and a network body's length,
+before values.make_estimator builds the estimator, then fills the
+estimator's arrays() in place. A loaded network syncs its target every
+1000 train steps. Trailing bytes are rejected, and every malformed
+field raises ConfigError. Checkpoints hold everything a frozen-policy
 evaluation needs; replay contents are deliberately not persisted.
 """
 from __future__ import annotations
@@ -39,12 +40,11 @@ from hdqn.agents.flat import FlatQAgent
 from hdqn.agents.hierarchical import HierarchicalAgent
 from hdqn.envs import make_env
 from hdqn.errors import ConfigError
-from hdqn.values import MlpQ, TabularQ
+from hdqn.values import BACKENDS, make_estimator
 
 _MAGIC = b"HACK"
 _VERSION = 2
 _KINDS = ("flat", "hdqn")
-_BACKENDS = ("tabular", "mlp")
 
 
 class _Writer:
@@ -63,19 +63,16 @@ class _Writer:
         self.pack("ddQ", sched.start, sched.floor, sched.horizon)
 
     def values(self, vf):
-        if vf.kind == "tabular":
-            self.table(vf.n_states, vf.n_goals, vf.learning_rate, vf.table)
-            return
-        self.pack("BIIId", 1, vf.n_states, vf.n_goals or 0, vf.n_choices, vf.learning_rate)
-        self.pack("IQ", vf.hidden, vf.train_steps)
-        arrays = [vf.params[n] for n in vf.PARAM_NAMES]
-        arrays += [vf.snapshot[n] for n in vf.PARAM_NAMES]
-        self.parts.extend(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+        backend = BACKENDS.index(vf.kind)
+        self.pack("BIIId", backend, vf.n_states, vf.n_goals or 0, vf.n_choices, vf.learning_rate)
+        if vf.kind == "mlp":
+            self.pack("IQ", vf.hidden, vf.train_steps)
+        self.parts.extend(np.asarray(a, dtype="<f8").tobytes() for a in vf.arrays())
 
-    def table(self, n_states: int, n_goals: int | None, learning_rate: float, table):
-        """A tabular section; table has one row per (state[, goal]) in C order."""
+    def table(self, learning_rate: float, table):
+        """The flat agent's tabular section: one row per state."""
         table = np.asarray(table, dtype="<f8")
-        self.pack("BIIId", 0, n_states, n_goals or 0, table.shape[-1], learning_rate)
+        self.pack("BIIId", 0, table.shape[0], 0, table.shape[1], learning_rate)
         self.parts.append(table.tobytes())
 
 
@@ -108,7 +105,7 @@ class _Reader:
     def values(self, n_states: int, n_goals: int | None, n_choices: int):
         """One value section, which must have exactly these dimensions."""
         backend, *dims, lr = self.pack("BIIId")
-        if backend >= len(_BACKENDS):
+        if backend >= len(BACKENDS):
             raise ConfigError(f"unknown value-function backend {backend}")
         want = (n_states, n_goals or 0, n_choices)
         if tuple(dims) != want:
@@ -116,20 +113,18 @@ class _Reader:
                 f"value-function dimensions {tuple(dims)} do not match the "
                 f"environment's (states, goals, choices) {want}"
             )
-        if _BACKENDS[backend] == "tabular":
-            body = self.array((n_states * (n_goals or 1), n_choices))
-            vf = TabularQ(n_states, n_choices, n_goals=n_goals, learning_rate=lr)
-            vf.table[...] = body
-            return vf
-        hidden, train_steps = self.pack("IQ")
-        n_params = (n_states + (n_goals or 0) + 1) * hidden + (hidden + 1) * n_choices
-        if 2 * 8 * n_params > len(self.data) - self.pos:
-            raise ConfigError("checkpoint truncated")
-        vf = MlpQ(n_states, n_choices, n_goals=n_goals, hidden=hidden, learning_rate=lr)
-        vf.train_steps = train_steps
-        for arrays in (vf.params, vf.snapshot):
-            for name in vf.PARAM_NAMES:
-                arrays[name][...] = self.array(arrays[name].shape)
+        if BACKENDS[backend] == "tabular":
+            vf = make_estimator("tabular", n_states, n_choices, n_goals, lr)
+        else:
+            hidden, train_steps = self.pack("IQ")
+            # A crafted hidden could ask for any size: check the body first.
+            n_params = (n_states + (n_goals or 0) + 1) * hidden + (hidden + 1) * n_choices
+            if 2 * 8 * n_params > len(self.data) - self.pos:
+                raise ConfigError("checkpoint truncated")
+            vf = make_estimator("mlp", n_states, n_choices, n_goals, lr, hidden)
+            vf.train_steps = train_steps
+        for a in vf.arrays():
+            a[...] = self.array(a.shape)
         return vf
 
 
@@ -146,7 +141,7 @@ def dump_agent(agent, env) -> bytes:
     if agent.kind == "flat":
         w.pack("Qd", agent.primitive_steps, agent.gamma)
         w.schedule(agent.eps)
-        w.table(agent.n_states, None, agent.learning_rate, agent.table)
+        w.table(agent.learning_rate, agent.table)
         return b"".join(w.parts)
 
     w.pack(
@@ -214,12 +209,13 @@ def _load(r: _Reader):
     _check_end(r)
     agent = HierarchicalAgent(
         env,
+        q1,
+        q2,
         gamma=gamma,
         eps1=eps1,
         eps2=eps2,
         eps1_floor=floor,
         tracker_window=window,
-        estimators=(q1, q2),
     )
     agent.tracker.load(windows)
     agent.primitive_steps = primitive_steps

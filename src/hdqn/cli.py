@@ -14,9 +14,10 @@ import sys
 
 from hdqn import oracle
 from hdqn.checkpoint import read_agent
-from hdqn.config import BACKENDS, default_config, load_config
+from hdqn.config import default_config, load_config
 from hdqn.errors import ConfigError, DivergenceError
 from hdqn.harness import evaluate_policy, run_experiment
+from hdqn.values import BACKENDS
 
 MAX_EVAL_EPISODES = 10**7  # most episodes `hdqn eval` rolls out (8 bytes of reward each)
 

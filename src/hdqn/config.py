@@ -11,12 +11,20 @@ import re
 from dataclasses import dataclass, fields, replace
 
 from hdqn.errors import ConfigError
+from hdqn.values import BACKENDS
 
 ENVS = ("chain", "keydoor")
 AGENTS = ("hdqn", "flat")
-BACKENDS = ("tabular", "mlp")
 # Width in bits of the checkpoint field each of these settings is written to.
-_FIELD_BITS = dict(step_limit=32, tracker_window=32, hidden=32, eps1_horizon=64, eps2_horizon=64)
+_FIELD_BITS = dict(step_limit=32, tracker_window=32, eps1_horizon=64, eps2_horizon=64)
+# Most rows of a replay memory: 24 bytes a row (two int32 and two float64
+# columns), 2.4 GB at most. The shipped configs use up to 1,000,000.
+MAX_CAPACITY = 10**8
+# Most hidden units: a network keeps about four arrays of 8 bytes x inputs
+# x hidden, 21 MB each at 1024 units in the shipped key-door room (2596
+# inputs). The default is 64.
+MAX_HIDDEN = 1024
+_MOST = dict(d1_capacity=MAX_CAPACITY, d2_capacity=MAX_CAPACITY, hidden=MAX_HIDDEN)
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,10 @@ class ExperimentConfig:
         for name, bits in _FIELD_BITS.items():
             if getattr(self, name) >= 2**bits:
                 raise bad(f"{name} must be below 2**{bits}, got {getattr(self, name)}")
+        # Larger sizes would end in a memory error when the agent is built.
+        for name, most in _MOST.items():
+            if getattr(self, name) > most:
+                raise bad(f"{name} must be <= {most}, got {getattr(self, name)}")
         if self.pretrain_steps < 0:
             raise bad(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
         if self.workers < 0:

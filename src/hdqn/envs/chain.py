@@ -43,14 +43,6 @@ class ChainEnv(Environment):
         self._visited_top = False
         self._done = True
 
-    @property
-    def position(self) -> int:
-        return self._position
-
-    @staticmethod
-    def state_of(position: int) -> int:
-        return position - 1
-
     @staticmethod
     def agent_cell_index(state: int) -> int:
         return state
@@ -59,10 +51,9 @@ class ChainEnv(Environment):
         self._position = self.start_position
         self._visited_top = False
         self._done = False
-        return self.state_of(self._position)
+        return self.start_position - 1
 
     def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
-        # state_of, inlined: this runs every step.
         if self._done:
             raise RuntimeError("step() on a finished or unreset episode; call reset() first")
         if not 0 <= action < 2:

@@ -27,6 +27,7 @@ from hdqn.checkpoint import dump_agent
 from hdqn.config import ExperimentConfig
 from hdqn.envs import make_env
 from hdqn.errors import ConfigError, DivergenceError
+from hdqn.values import make_estimator
 
 
 def build_env(cfg: ExperimentConfig):
@@ -42,11 +43,16 @@ def build_agent(cfg: ExperimentConfig, seed: int, env):
             gamma=cfg.gamma,
             eps=EpsilonSchedule(1.0, cfg.eps_floor, cfg.eps1_horizon),
         )
+    n_goals = len(env.goal_names)
+    shared = (cfg.learning_rate, cfg.hidden, cfg.target_sync, rng.stream(seed, rng.INIT))
+    # A network draws its initial weights from the one INIT stream, q1 first.
+    q1 = make_estimator(cfg.backend, env.n_states, env.n_actions, n_goals, *shared)
+    q2 = make_estimator(cfg.backend, env.n_states, n_goals, None, *shared)
     return HierarchicalAgent(
         env,
+        q1,
+        q2,
         seed=seed,
-        backend=cfg.backend,
-        learning_rate=cfg.learning_rate,
         gamma=cfg.gamma,
         d1_capacity=cfg.d1_capacity,
         d2_capacity=cfg.d2_capacity,
@@ -57,8 +63,6 @@ def build_agent(cfg: ExperimentConfig, seed: int, env):
         eps2=EpsilonSchedule(1.0, cfg.eps_floor, cfg.eps2_horizon),
         eps1_floor=cfg.eps_floor,
         tracker_window=cfg.tracker_window,
-        hidden=cfg.hidden,
-        target_sync=cfg.target_sync,
     )
 
 

@@ -18,9 +18,11 @@ where the transition ended its episode or option and gamma elsewhere.
 The target is r + disc * max_a' Q(row', a'). ReplayBuffer.sample
 returns exactly these columns.
 
-Estimators have no file format of their own: checkpoint.py writes their
-arrays (the table, or params and snapshot) as sections of the agent
-checkpoint.
+make_estimator is the one constructor by backend name, and the index of
+a name in BACKENDS is its checkpoint code. Estimators have no file
+format of their own: checkpoint.py writes the arrays each one lists in
+arrays() as sections of the agent checkpoint, and fills them in place
+when it reads one back.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ import math
 import numpy as np
 
 from hdqn.errors import DivergenceError
+
+BACKENDS = ("tabular", "mlp")
 
 
 class TabularQ:
@@ -75,6 +79,10 @@ class TabularQ:
         if not 0 <= row < len(self.table):
             raise IndexError(f"row {row} out of range [0, {len(self.table)})")
         return self.table[row].tolist()
+
+    def arrays(self) -> list:
+        """The arrays a checkpoint stores: the table."""
+        return [self.table]
 
     def backup(
         self,
@@ -124,8 +132,9 @@ class MlpQ:
 
     Inputs are one-hot state vectors, concatenated with a one-hot goal
     vector when goal-conditioned; encode splits each row into the two.
-    A frozen snapshot of the parameters supplies bootstrap targets and
-    changes only on sync_target().
+    A frozen snapshot of the parameters supplies bootstrap targets;
+    train_on copies the live parameters into it every target_sync train
+    steps.
     Weights start uniform in +/- 1/sqrt(fan_in); biases start at zero.
     """
 
@@ -139,6 +148,7 @@ class MlpQ:
         n_goals: int | None = None,
         hidden: int = 64,
         learning_rate: float = 2.5e-4,
+        target_sync: int = 1000,
         init_rng: np.random.Generator | None = None,
     ):
         if n_states <= 0 or n_choices <= 0 or (n_goals is not None and n_goals <= 0):
@@ -147,6 +157,8 @@ class MlpQ:
             raise ValueError(f"hidden must be positive, got {hidden}")
         if not (math.isfinite(learning_rate) and learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
+        if target_sync < 1:
+            raise ValueError(f"target_sync must be >= 1, got {target_sync}")
         if init_rng is None:
             init_rng = np.random.default_rng(0)
         self.n_states = n_states
@@ -154,6 +166,7 @@ class MlpQ:
         self.n_goals = n_goals
         self.hidden = hidden
         self.learning_rate = learning_rate
+        self.target_sync = target_sync
         self.train_steps = 0
         d = n_states + (n_goals or 0)
         self.params = {
@@ -218,8 +231,15 @@ class MlpQ:
         }
         return loss, grads
 
+    def arrays(self) -> list:
+        """The arrays a checkpoint stores: params, then snapshot, each in
+        PARAM_NAMES order."""
+        return [arrays[n] for arrays in (self.params, self.snapshot) for n in self.PARAM_NAMES]
+
     def train_on(self, columns: tuple) -> float:
-        """One SGD step on the minibatch columns; returns the pre-step loss."""
+        """One SGD step on the minibatch columns, then a target sync if
+        train_steps has reached a multiple of target_sync; returns the
+        pre-step loss."""
         loss, grads = self.loss_and_grads(columns)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss {loss!r}")
@@ -227,9 +247,30 @@ class MlpQ:
         for name in self.PARAM_NAMES:
             self.params[name] -= lr * grads[name]
         self.train_steps += 1
+        if self.train_steps % self.target_sync == 0:
+            self.sync_target()
         return loss
 
     def sync_target(self) -> None:
         """snapshot := live parameters."""
         for name in self.PARAM_NAMES:
             np.copyto(self.snapshot[name], self.params[name])
+
+
+def make_estimator(
+    backend: str,
+    n_states: int,
+    n_choices: int,
+    n_goals: int | None,
+    learning_rate: float,
+    hidden: int = 64,
+    target_sync: int = 1000,
+    init_rng: np.random.Generator | None = None,
+):
+    """An estimator of the named backend; a table ignores hidden,
+    target_sync and init_rng."""
+    if backend == "tabular":
+        return TabularQ(n_states, n_choices, n_goals, learning_rate)
+    if backend == "mlp":
+        return MlpQ(n_states, n_choices, n_goals, hidden, learning_rate, target_sync, init_rng)
+    raise ValueError(f"unknown value-function backend {backend!r}")

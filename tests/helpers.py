@@ -3,7 +3,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from hdqn.values import MlpQ
+from hdqn import rng
+from hdqn.agents import HierarchicalAgent
+from hdqn.values import MlpQ, make_estimator
+
+
+def hdqn_agent(
+    env,
+    *,
+    seed: int = 0,
+    backend: str = "tabular",
+    learning_rate: float = 0.00025,
+    hidden: int = 64,
+    target_sync: int = 1000,
+    **kwargs,
+) -> HierarchicalAgent:
+    """A HierarchicalAgent for env around fresh estimators of the named
+    backend, made as harness.build_agent makes them: a network draws its
+    initial weights from the seed's INIT stream, q1 first. kwargs go to
+    the agent."""
+    n_goals = len(env.goal_names)
+    shared = (learning_rate, hidden, target_sync, rng.stream(seed, rng.INIT))
+    q1 = make_estimator(backend, env.n_states, env.n_actions, n_goals, *shared)
+    q2 = make_estimator(backend, env.n_states, n_goals, None, *shared)
+    return HierarchicalAgent(env, q1, q2, seed=seed, **kwargs)
 
 
 def transition_columns(row, a, r, row_next, term, n_choices: int, gamma: float) -> tuple:

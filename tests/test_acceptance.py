@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from hdqn import oracle, rng
-from hdqn.agents import EpsilonSchedule, HierarchicalAgent
+from hdqn.agents import EpsilonSchedule
 from hdqn.checkpoint import load_agent
 from hdqn.config import load_config
 from hdqn.envs.chain import ChainEnv
@@ -23,7 +23,7 @@ from hdqn.harness import evaluate_policy, run_all_seeds, run_experiment
 from hdqn.metrics import trailing_mean
 from hdqn.replay import ReplayBuffer
 
-from helpers import gradcheck_worst_rel_err, stored, stored_controller
+from helpers import gradcheck_worst_rel_err, hdqn_agent, stored, stored_controller
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 # Frozen-policy evaluation of the key-door checkpoints: the defaults of
@@ -116,7 +116,9 @@ def test_oracle_value_and_sampled_q_learning_agree():
 
     # Tabular Q-learning on the same augmented model: synchronous sampled
     # backups over every (s, a) pair with a polynomial step size. One
-    # fixed generator makes the outcome reproducible.
+    # fixed generator makes the outcome reproducible. The next states of
+    # `block` iterations are drawn at once: the same uniforms in the same
+    # order as one (n_s, n_a) draw per iteration, so the same q.
     P, R, terminal = model
     n_s, n_a = P.shape[0], P.shape[1]
     cdf = P.cumsum(axis=2)
@@ -124,12 +126,14 @@ def test_oracle_value_and_sampled_q_learning_agree():
     cols = np.arange(n_a)[None, :]
     gen = np.random.default_rng(7)
     q = np.zeros((n_s, n_a))
-    for i in range(1_000_000):
-        nxt = (gen.random((n_s, n_a, 1)) > cdf).sum(axis=2)
-        v_next = np.where(terminal[nxt], 0.0, q.max(axis=1)[nxt])
-        target = R[rows, cols, nxt] + v_next
-        q += (i + 1.0) ** -0.85 * (target - q)
-        q[terminal] = 0.0
+    iterations, block = 1_000_000, 4096
+    for start in range(0, iterations, block):
+        nxt_block = (gen.random((min(block, iterations - start), n_s, n_a, 1)) > cdf).sum(axis=3)
+        ends, rewards = terminal[nxt_block], R[rows, cols, nxt_block]
+        for j, nxt in enumerate(nxt_block):
+            v_next = np.where(ends[j], 0.0, q.max(axis=1)[nxt])
+            q += (start + j + 1.0) ** -0.85 * (rewards[j] + v_next - q)
+            q[terminal] = 0.0
     q_err = float(np.abs(q - sol.q)[~terminal].max())
     ok = value_ok and q_err < 1e-3
     report(
@@ -217,7 +221,7 @@ def test_invariant_suites():
     )
 
     # time-scale separation and goal persistence on a live agent
-    agent = HierarchicalAgent(
+    agent = hdqn_agent(
         ChainEnv(),
         seed=5,
         learning_rate=0.05,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import stored, stored_controller
+from helpers import hdqn_agent, stored, stored_controller
 from hdqn import rng
-from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent
+from hdqn.agents import EpsilonSchedule, FlatQAgent
 from hdqn.envs.base import Environment, StepOutcome
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
@@ -22,7 +22,7 @@ def chain_agent(seed=0, **overrides):
         eps2=EpsilonSchedule(horizon=500),
     )
     params.update(overrides)
-    return HierarchicalAgent(ChainEnv(), **params)
+    return hdqn_agent(ChainEnv(), **params)
 
 
 def run_episodes(agent, n, phase="joint", seed=0, count_visits=False):
@@ -77,7 +77,7 @@ def test_keydoor_rings_store_the_update_columns():
     the episode ended) and exactly gamma elsewhere."""
     env = KeyDoorEnv("#######/#.A.LL#/#.SS..#/#K...D#/#######", step_limit=40)
     gamma = 0.9
-    agent = HierarchicalAgent(
+    agent = hdqn_agent(
         env, seed=2, learning_rate=0.1, gamma=gamma, d1_warmup=32, d2_warmup=8, batch_size=8
     )
     steps = []  # (s, a, s', r, done) per primitive step
@@ -138,16 +138,17 @@ def test_meta_transitions_record_option_outcomes():
 
 
 def test_tracker_counts_option_attempts():
+    """Each goal's window holds the outcomes of its latest options, up to
+    the window's length, in the order the options ran."""
     agent = chain_agent()
     traces = run_episodes(agent, 40)
-    n_options = sum(len(tr.goal_picks) for tr in traces)
-    recorded = sum(
-        min(agent.tracker.attempts(g), 10**9) for g in range(agent.n_goals)
-    )
-    # window is 100 per goal; stay under it for an exact count
-    assert n_options == recorded or any(
-        agent.tracker.attempts(g) == agent.tracker.window for g in range(agent.n_goals)
-    )
+    picks = [g for tr in traces for g in tr.goal_picks]
+    outcomes = [ok for tr in traces for ok in tr.goal_successes]
+    windows = agent.tracker.dump()
+    assert sum(map(len, windows)) > 0
+    for g, window in enumerate(windows):
+        of_goal = [ok for pick, ok in zip(picks, outcomes) if pick == g]
+        assert window == of_goal[-agent.tracker.window :]
 
 
 def test_pretrain_pins_meta_epsilon_and_clock():
@@ -220,11 +221,11 @@ def test_no_update_below_warmup():
 
 @pytest.mark.parametrize("gamma", [float("nan"), -0.1, 1.01, float("inf")])
 def test_agents_reject_a_discount_outside_the_unit_interval(gamma):
-    for build in (FlatQAgent, HierarchicalAgent):
+    for build in (FlatQAgent, hdqn_agent):
         with pytest.raises(ValueError, match="gamma"):
             build(ChainEnv(), gamma=gamma)
     for ok in (0.0, 1.0):
-        assert FlatQAgent(ChainEnv(), gamma=ok).gamma == HierarchicalAgent(ChainEnv(), gamma=ok).gamma
+        assert FlatQAgent(ChainEnv(), gamma=ok).gamma == hdqn_agent(ChainEnv(), gamma=ok).gamma
 
 
 def test_chain_hdqn_learns_with_goal_chaining():
@@ -297,7 +298,7 @@ def test_identical_seeds_identical_agents():
 
 
 def test_mlp_backend_smoke():
-    agent = HierarchicalAgent(
+    agent = hdqn_agent(
         ChainEnv(),
         backend="mlp",
         learning_rate=1e-3,
@@ -312,11 +313,6 @@ def test_mlp_backend_smoke():
     assert agent.q1.train_steps > 0
     assert agent.q2.train_steps > 0
     assert all(np.all(np.isfinite(p)) for p in agent.q1.params.values())
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        HierarchicalAgent(ChainEnv(), backend="transformer")
 
 
 # -- flat baseline -----------------------------------------------------

@@ -44,8 +44,15 @@ def test_tracer_installs_on_the_current_package():
             1,
             ("values.train_on.q2.calls", "replay.sample.d2.calls"),
         ),
+        # The network's train_on, target sync included, under the tracer.
+        (
+            "chain_hdqn.cfg",
+            {"seeds": [0], "episodes": 300, "backend": "mlp"},
+            1,
+            ("values.train_on.q1.calls", "values.train_on.q2.calls"),
+        ),
     ],
-    ids=["chain_flat", "keydoor_hdqn"],
+    ids=["chain_flat", "keydoor_hdqn", "chain_mlp"],
 )
 def test_child_runs_a_toy_repetition(config, overrides, trace, called, tmp_path):
     job = {

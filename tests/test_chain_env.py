@@ -16,22 +16,20 @@ class FixedRng:
 
 
 def rollout(env, policy, gen):
-    """Run one episode; returns (positions visited, total reward)."""
-    env.reset(gen)
-    positions = [env.position]
+    """Run one episode; returns (state ids visited, total reward)."""
+    states = [env.reset(gen)]
     total = 0.0
     done = False
     while not done:
-        s, r, done = env.step(policy(env.position), gen)
-        positions.append(env.position)
+        s, r, done = env.step(policy(states[-1]), gen)
+        states.append(s)
         total += r
-    return positions, total
+    return states, total
 
 
 def test_reset_returns_start_state():
     env = ChainEnv()
-    assert env.reset(rng.stream(0, rng.ENV)) == 1
-    assert env.position == 2
+    assert env.reset(rng.stream(0, rng.ENV)) == ChainEnv.start_position - 1 == 1
 
 
 def test_left_always_descends():
@@ -56,13 +54,12 @@ def test_right_at_top_self_loops_on_success():
     env = ChainEnv()
     env.reset(FixedRng([]))
     for _ in range(4):  # climb 2 -> 6
-        env.step(RIGHT, FixedRng([0.0]))
-    assert env.position == 6
+        out = env.step(RIGHT, FixedRng([0.0]))
+    assert out.next_state == 5  # position 6
     out = env.step(RIGHT, FixedRng([0.0]))
     assert out.next_state == 5
-    assert env.position == 6
     out = env.step(RIGHT, FixedRng([0.9]))
-    assert env.position == 5
+    assert out.next_state == 4  # slipped to position 5
     assert not out.terminal
 
 
@@ -91,10 +88,10 @@ def test_reward_support_and_history_rule():
     gen = rng.stream(42, rng.ENV)
     act = rng.stream(42, rng.CONTROLLER)
     for _ in range(300):
-        policy = lambda pos: int(act.integers(2))
-        positions, total = rollout(env, policy, gen)
-        assert positions[-1] == 1
-        if 6 in positions:
+        policy = lambda s: int(act.integers(2))
+        states, total = rollout(env, policy, gen)
+        assert states[-1] == 0  # position 1
+        if 5 in states:  # position 6
             assert total == pytest.approx(1.0)
         else:
             assert total == pytest.approx(0.01)
@@ -136,13 +133,17 @@ def test_bad_action_raises():
 
 
 def test_state_position_mapping_roundtrip():
-    """The observed state id is the hidden position shifted by one, at
-    every step of a random walk."""
+    """The observed state id is the hidden position shifted by one at
+    every step of a random walk: it starts at 1 (position 2), moves one
+    down or one up, capped at 5 (position 6), and the episode ends on
+    entering 0 (position 1)."""
     env = ChainEnv()
     gen = rng.stream(4, rng.ENV)
     s = env.reset(gen)
+    assert s == 1
     done = False
     while not done:
-        assert s == ChainEnv.state_of(env.position) == env.position - 1
-        s, _, done = env.step(RIGHT, gen)
-    assert s == ChainEnv.state_of(1) == 0
+        s_next, _, done = env.step(RIGHT, gen)
+        assert s_next in (s - 1, min(s + 1, 5))
+        assert done == (s_next == 0)
+        s = s_next

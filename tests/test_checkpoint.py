@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from hdqn import rng
-from hdqn.agents import EpsilonSchedule, FlatQAgent, HierarchicalAgent, hierarchical
+from helpers import hdqn_agent
+from hdqn import checkpoint, rng
+from hdqn.agents import EpsilonSchedule, FlatQAgent
 from hdqn.checkpoint import _Writer, dump_agent, load_agent, read_agent
 from hdqn.config import load_config
 from hdqn.envs.chain import ChainEnv
@@ -19,7 +20,7 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def trained_chain_agent(episodes=60):
-    agent = HierarchicalAgent(
+    agent = hdqn_agent(
         ChainEnv(),
         seed=4,
         learning_rate=0.1,
@@ -78,7 +79,7 @@ def test_flat_roundtrip():
 
 def test_keydoor_env_reconstruction():
     env = KeyDoorEnv(step_limit=77)
-    agent = HierarchicalAgent(env, seed=0)
+    agent = hdqn_agent(env, seed=0)
     loaded, env2, _ = load_agent(dump_agent(agent, env))
     assert isinstance(env2, KeyDoorEnv)
     assert env2.step_limit == 77
@@ -89,7 +90,7 @@ def test_keydoor_env_reconstruction():
 def test_custom_layout_survives():
     layout = "#######/#.A.LL#/#.SS..#/#K...D#/#######"
     env = KeyDoorEnv(layout)
-    agent = HierarchicalAgent(env, seed=0)
+    agent = hdqn_agent(env, seed=0)
     _, env2, _ = load_agent(dump_agent(agent, env))
     assert env2.layout == env.layout
 
@@ -121,7 +122,7 @@ def test_meta_tabular_roundtrip():
 def test_mlp_roundtrip():
     """Live parameters, the frozen snapshot, train_steps and the rate."""
     env = ChainEnv()
-    agent = HierarchicalAgent(
+    agent = hdqn_agent(
         env,
         backend="mlp",
         hidden=7,
@@ -151,9 +152,9 @@ def test_mlp_roundtrip():
 
 def test_mlp_backend_roundtrip():
     env = ChainEnv()
-    agent = HierarchicalAgent(env, backend="mlp", hidden=5, seed=2)
+    agent = hdqn_agent(env, backend="mlp", hidden=5, seed=2)
     loaded, _, _ = load_agent(dump_agent(agent, env))
-    assert loaded.backend == "mlp"
+    assert loaded.q1.kind == loaded.q2.kind == "mlp"
     assert loaded.q1.hidden == 5
     for q in ("q1", "q2"):
         for name, p in getattr(agent, q).params.items():
@@ -217,9 +218,9 @@ def test_dump_writes_only_what_the_flat_agent_has():
 def test_dump_of_load_reproduces_the_bytes():
     env, agent = trained_chain_agent(episodes=10)
     flat_env, flat = flat_chain_agent()
-    mlp = HierarchicalAgent(env, backend="mlp", hidden=3, seed=2)
+    mlp = hdqn_agent(env, backend="mlp", hidden=3, seed=2)
     keydoor = KeyDoorEnv(step_limit=50)
-    kd_agent = HierarchicalAgent(keydoor, seed=1)
+    kd_agent = hdqn_agent(keydoor, seed=1)
     for a, e in ((agent, env), (flat, flat_env), (mlp, env), (kd_agent, keydoor)):
         blob = dump_agent(a, e)
         assert dump_agent(*load_agent(blob)[:2]) == blob
@@ -228,7 +229,7 @@ def test_dump_of_load_reproduces_the_bytes():
 def test_dump_rejects_an_environment_the_agent_was_not_built_for():
     """The environment block is the agent's own: a look-alike env with
     another step limit would load back as a different task."""
-    agent = HierarchicalAgent(KeyDoorEnv(step_limit=500), seed=0)
+    agent = hdqn_agent(KeyDoorEnv(step_limit=500), seed=0)
     with pytest.raises(ValueError, match="built for"):
         dump_agent(agent, KeyDoorEnv(step_limit=50))
     with pytest.raises(ValueError, match="built for"):
@@ -258,22 +259,33 @@ def test_flat_checkpoint_bytes_pinned():
 
 
 def test_load_builds_the_agent_around_the_read_estimators(monkeypatch):
-    """Loading allocates no estimator: MLP weights are never drawn only
-    to be thrown away."""
-    env = ChainEnv()
-    agent = HierarchicalAgent(env, backend="mlp", hidden=4, seed=3)
-    blob = dump_agent(agent, env)
+    """Loading builds exactly two estimators, both through
+    values.make_estimator, and the agent holds them with every array
+    as it was written."""
+    make = checkpoint.make_estimator
+    built = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("make_estimator called while loading")
+    def recording(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(hierarchical, "make_estimator", refuse)
-    loaded, _, _ = load_agent(blob)
-    assert loaded.backend == "mlp"
-    for name, p in agent.q1.params.items():
-        np.testing.assert_array_equal(loaded.q1.params[name], p)
-    with pytest.raises(AssertionError, match="make_estimator"):
-        HierarchicalAgent(env, backend="mlp", hidden=4, seed=3)
+    monkeypatch.setattr(checkpoint, "make_estimator", recording)
+    for backend in ("tabular", "mlp"):
+        env = ChainEnv()
+        agent = hdqn_agent(
+            env, backend=backend, hidden=4, learning_rate=0.1, seed=3, d1_warmup=8, d2_warmup=8
+        )
+        env_gen = rng.stream(3, rng.ENV)
+        for _ in range(5):
+            agent.run_episode(env_gen)
+        built.clear()
+        loaded, _, _ = load_agent(dump_agent(agent, env))
+        assert len(built) == 2 and built[0] is loaded.q1 and built[1] is loaded.q2
+        for name in ("q1", "q2"):
+            back, arrays = getattr(loaded, name).arrays(), getattr(agent, name).arrays()
+            assert len(back) == len(arrays) == (1 if backend == "tabular" else 8)
+            for a, b in zip(back, arrays):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_flat_checkpoint_with_a_network_section_rejected():
@@ -324,7 +336,7 @@ def test_bad_gamma_rejected(gamma):
 @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
 def test_non_finite_network_learning_rate_rejected(lr):
     env = ChainEnv()
-    agent = HierarchicalAgent(env, backend="mlp", hidden=3, learning_rate=3e-4, seed=2)
+    agent = hdqn_agent(env, backend="mlp", hidden=3, learning_rate=3e-4, seed=2)
     section = struct.pack("<BIIId", 1, 6, 6, 2, 3e-4)  # the low level's header
     blob = corrupted(dump_agent(agent, env), section, struct.pack("<BIIId", 1, 6, 6, 2, lr))
     with pytest.raises(ConfigError, match="learning_rate"):
@@ -371,7 +383,7 @@ def test_flat_dimension_mismatch_rejected():
 
 def test_oversized_network_rejected_before_allocation():
     env = ChainEnv()
-    agent = HierarchicalAgent(env, backend="mlp", hidden=5, seed=2)
+    agent = hdqn_agent(env, backend="mlp", hidden=5, seed=2)
     blob = corrupted(
         dump_agent(agent, env), struct.pack("<IQ", 5, 0), struct.pack("<IQ", 2**32 - 1, 0)
     )
@@ -416,7 +428,7 @@ def test_every_single_byte_corruption_is_handled():
     env, agent = flat_chain_agent()
     blob = dump_agent(agent, env)
     assert_loads_or_config_error(blob, range(len(blob)))
-    agent = HierarchicalAgent(ChainEnv(), backend="mlp", hidden=3, seed=2)
+    agent = hdqn_agent(ChainEnv(), backend="mlp", hidden=3, seed=2)
     blob = dump_agent(agent, agent.env)
     assert_loads_or_config_error(blob, range(len(blob)))
 
@@ -424,7 +436,7 @@ def test_every_single_byte_corruption_is_handled():
 def test_keydoor_env_block_and_dimension_corruption_is_handled():
     """Damage that changes the environment must not size any allocation."""
     env = KeyDoorEnv(step_limit=50)
-    agent = HierarchicalAgent(env, seed=0)
+    agent = hdqn_agent(env, seed=0)
     blob = dump_agent(agent, env)
     env_block = 9 + 4 + len("keydoor") + 4 + len(env.layout_text) + 4
     q1 = blob.index(struct.pack("<BIII", 0, env.n_states, agent.n_goals, env.n_actions))

@@ -85,8 +85,10 @@ def test_unknown_key_exits_1(tmp_path, capsys):
         ("learning_rate = 0.1", "learning_rate = 1.5\nagent = flat", []),
         ("seeds = 0,1", f"seeds = {2**64}", []),
         ("", "", ["--seed", str(2**64)]),
+        ("workers = 1", "workers = 1\nd1_capacity = 1000000000000000", []),
+        ("env = chain", "env = keydoor\nbackend = mlp\nhidden = 2147483647", []),
     ],
-    ids=["tabular-rate", "flat-rate", "config-seed", "flag-seed"],
+    ids=["tabular-rate", "flat-rate", "config-seed", "flag-seed", "replay-capacity", "mlp-hidden"],
 )
 def test_out_of_range_inputs_exit_1(tmp_path, capsys, old, new, flags):
     """Inputs that once passed validation and then crashed in training."""

@@ -1,6 +1,14 @@
 import pytest
 
-from hdqn.config import MAX_SEEDS, ExperimentConfig, default_config, load_config, parse_config
+from hdqn.config import (
+    MAX_CAPACITY,
+    MAX_HIDDEN,
+    MAX_SEEDS,
+    ExperimentConfig,
+    default_config,
+    load_config,
+    parse_config,
+)
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import ConfigError
 from hdqn.harness import build_env
@@ -101,11 +109,23 @@ def test_line_number_points_at_offender():
         {"backend": "mlp", "hidden": 2**32},
         {"eps1_horizon": 10**20},
         {"eps2_horizon": 2**64},
+        # Each would end in a memory error when the agent is built.
+        {"d1_capacity": 10**15},
+        {"d2_capacity": MAX_CAPACITY + 1},
+        {"env": "keydoor", "backend": "mlp", "hidden": 2**31 - 1},
+        {"backend": "mlp", "hidden": MAX_HIDDEN + 1},
     ],
 )
 def test_validation_rejects(overrides):
     with pytest.raises(ConfigError):
         default_config(**overrides)
+
+
+def test_size_bounds_admit_their_limits():
+    cfg = default_config(
+        d1_capacity=MAX_CAPACITY, d2_capacity=MAX_CAPACITY, backend="mlp", hidden=MAX_HIDDEN
+    )
+    assert (cfg.d1_capacity, cfg.hidden) == (MAX_CAPACITY, MAX_HIDDEN)
 
 
 def test_load_config_roundtrip(tmp_path):

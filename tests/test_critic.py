@@ -1,8 +1,8 @@
 import pytest
 
-from helpers import stored_controller
+from helpers import hdqn_agent, stored_controller
 from hdqn import rng
-from hdqn.agents import EpsilonSchedule, HierarchicalAgent
+from hdqn.agents import EpsilonSchedule
 from hdqn.critic import INTRINSIC_REWARD, Critic
 from hdqn.envs import make_env
 from hdqn.envs.chain import ChainEnv
@@ -17,7 +17,7 @@ def test_chain_goal_set():
     assert env.goal_names == ("s1", "s2", "s3", "s4", "s5", "s6")
     assert env.goal_cells == (0, 1, 2, 3, 4, 5)
     assert [env.agent_cell_index(s) for s in range(6)] == list(range(6))
-    assert HierarchicalAgent(env).goal_names == env.goal_names
+    assert hdqn_agent(env).goal_names == env.goal_names
 
 
 def test_keydoor_goal_set():
@@ -28,7 +28,7 @@ def test_keydoor_goal_set():
     assert env.goal_cells == tuple(y * lay.width + x for x, y in cells)
     for cell, target in zip(cells, env.goal_cells):
         assert env.agent_cell_index(env.encode(cell, 1, 1, True)) == target
-    assert HierarchicalAgent(env).n_goals == 4
+    assert hdqn_agent(env).n_goals == 4
 
 
 @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ def test_chain_goal_predicate():
 def test_intrinsic_positive_iff_reached_chain():
     """The low level is paid INTRINSIC_REWARD on exactly the steps that
     satisfy the critic's predicate, and nothing on any other step."""
-    agent = HierarchicalAgent(
+    agent = hdqn_agent(
         ChainEnv(),
         seed=2,
         learning_rate=0.1,

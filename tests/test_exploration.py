@@ -59,7 +59,7 @@ def test_tracker_rates_and_epsilon():
     for _ in range(50):
         tr.record(0, True)
         tr.record(0, False)
-    assert tr.attempts(0) == 100
+    assert len(tr.dump()[0]) == 100
     assert tr.success_rate(0) == pytest.approx(0.5)
     assert tr.epsilon(0) == pytest.approx(0.5)
     assert tr.epsilon(1) == 1.0  # untouched goal
@@ -72,7 +72,7 @@ def test_tracker_window_slides():
     assert tr.epsilon(0) == 1.0
     for _ in range(100):
         tr.record(0, True)
-    assert tr.attempts(0) == 100
+    assert len(tr.dump()[0]) == 100
     assert tr.success_rate(0) == 1.0
     assert tr.epsilon(0) == pytest.approx(0.1)  # floored
 
@@ -84,7 +84,7 @@ def test_tracker_epsilon_bounds(outcomes):
         tr.record(0, o)
     assert 0.1 <= tr.epsilon(0) <= 1.0
     assert 0.0 <= tr.success_rate(0) <= 1.0
-    assert tr.attempts(0) == min(len(outcomes), 100)
+    assert tr.dump() == [outcomes[-100:]]
 
 
 def test_tracker_dump_load_roundtrip():
@@ -94,9 +94,9 @@ def test_tracker_dump_load_roundtrip():
         tr.record(int(gen.integers(3)), bool(gen.random() < 0.6))
     copy = GoalSuccessTracker(n_goals=3, window=10)
     copy.load(tr.dump())
+    assert copy.dump() == tr.dump()
     for g in range(3):
         assert copy.success_rate(g) == tr.success_rate(g)
-        assert copy.attempts(g) == tr.attempts(g)
     with pytest.raises(ValueError):
         copy.load([[True]])
 

@@ -8,7 +8,7 @@ from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent
 from hdqn.envs.chain import ChainEnv
 from hdqn.errors import DivergenceError
-from hdqn.values import MlpQ, TabularQ
+from hdqn.values import BACKENDS, MlpQ, TabularQ, make_estimator
 
 # -- tabular -----------------------------------------------------------
 
@@ -190,15 +190,20 @@ def test_flat_agent_inline_rule_is_tabular_backup():
     env = ChainEnv()
     agent = FlatQAgent(env, seed=3, learning_rate=0.3, gamma=0.9, eps=EpsilonSchedule(horizon=400))
     steps = []
-    step = env.step
+    reset, step = env.reset, env.step
+    current = []
+
+    def recording_reset(gen):
+        current[:] = [reset(gen)]
+        return current[0]
 
     def recording_step(action, gen):
-        s = env.state_of(env.position)
         out = step(action, gen)
-        steps.append((s, action, out.extrinsic_reward, out.next_state, out.terminal))
+        steps.append((current[0], action, out.extrinsic_reward, out.next_state, out.terminal))
+        current[0] = out.next_state
         return out
 
-    env.step = recording_step
+    env.reset, env.step = recording_reset, recording_step
     env_gen = rng.stream(3, rng.ENV)
     for _ in range(200):
         agent.run_episode(env_gen)
@@ -355,6 +360,36 @@ def test_snapshot_frozen_until_sync():
     for k in net.PARAM_NAMES:
         assert np.array_equal(net.snapshot[k], net.params[k])
     assert net.train_steps == 100
+
+
+def test_train_on_syncs_the_target_every_target_sync_steps():
+    """The snapshot takes the live parameters right after train steps 3
+    and 6, and stays frozen in between."""
+    net = MlpQ(4, 2, hidden=6, learning_rate=0.05, target_sync=3, init_rng=np.random.default_rng(4))
+    batch = columns([(0, 0, 1.0, 1, False), (1, 1, -0.5, 2, False), (2, 0, 0.3, 3, True)], 2, 0.95)
+    synced = {k: v.copy() for k, v in net.snapshot.items()}
+    for step in range(1, 8):
+        net.train_on(batch)
+        if step in (3, 6):
+            synced = {k: v.copy() for k, v in net.params.items()}
+        for k in net.PARAM_NAMES:
+            assert np.array_equal(net.snapshot[k], synced[k])
+            assert np.array_equal(net.snapshot[k], net.params[k]) == (step in (3, 6))
+    with pytest.raises(ValueError, match="target_sync"):
+        MlpQ(4, 2, target_sync=0)
+
+
+def test_make_estimator_builds_every_backend_by_name():
+    for backend in BACKENDS:
+        vf = make_estimator(backend, 3, 2, 4, 0.1, 5, 7, np.random.default_rng(0))
+        assert (vf.kind, vf.n_states, vf.n_choices, vf.n_goals) == (backend, 3, 2, 4)
+    net = make_estimator("mlp", 3, 2, None, 0.1, 5, 7, np.random.default_rng(0))
+    assert (net.hidden, net.target_sync, net.learning_rate) == (5, 7, 0.1)
+
+
+def test_make_estimator_rejects_an_unknown_backend():
+    with pytest.raises(ValueError, match="backend"):
+        make_estimator("transformer", 3, 2, None, 0.1)
 
 
 def test_loss_decreases_on_fixed_batch():

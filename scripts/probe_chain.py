@@ -48,9 +48,9 @@ def main(argv=None) -> int:
     rewards = []
     s6_visits = []
     for ep in range(cfg.episodes):
-        tr = agent.run_episode(env_gen, count_visits=True)
+        tr = agent.run_episode(env_gen)
         rewards.append(tr.total_reward)
-        s6_visits.append(tr.state_visits[5])
+        s6_visits.append(agent.env.visits[5])
         if (ep + 1) % every == 0:
             block = slice(ep + 1 - every, ep + 1)
             rates = [round(agent.tracker.success_rate(g), 2) for g in goals]

@@ -27,24 +27,21 @@ def eps_greedy(values, n_choices: int, epsilon: float, gen: np.random.Generator)
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Linear anneal from start to floor over a fixed horizon of steps."""
+    """Linear anneal from 1, full exploration, to floor over a fixed horizon of steps."""
 
-    start: float = 1.0
     floor: float = 0.1
     horizon: int = 50_000
 
     def __post_init__(self):
-        if not 0.0 <= self.floor <= self.start <= 1.0:
-            raise ValueError(
-                f"need 0 <= floor <= start <= 1, got floor={self.floor} start={self.start}"
-            )
+        if not 0.0 <= self.floor <= 1.0:
+            raise ValueError(f"need 0 <= floor <= 1, got floor={self.floor}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     def value(self, t: int) -> float:
         if t >= self.horizon:
             return self.floor
-        return self.start - (self.start - self.floor) * (t / self.horizon)
+        return 1.0 - (1.0 - self.floor) * (t / self.horizon)
 
 
 class GoalSuccessTracker:
@@ -94,7 +91,7 @@ class GoalSuccessTracker:
                 f"expected {self.n_goals} goal windows, got {len(windows)}"
             )
         for g, outcomes in enumerate(windows):
+            if len(outcomes) > self.window or not set(outcomes) <= {0, 1}:
+                raise ValueError(f"goal {g}: at most {self.window} outcomes, each 0 or 1")
             self._attempts[g] = deque(bool(o) for o in outcomes)
             self._hits[g] = sum(self._attempts[g])
-            while len(self._attempts[g]) > self.window:
-                self._hits[g] -= self._attempts[g].popleft()

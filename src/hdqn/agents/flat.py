@@ -13,7 +13,8 @@ TabularQ.backup's, and a test holds the two equal.
 run_episode reads every per-step attribute once per episode (the bound
 env.step, the schedule's value, the table and the learning constants)
 and keeps the step clock and the episode's tallies in locals. It writes
-the clock back and builds the EpisodeTrace when the episode ends.
+the clock back and builds the EpisodeTrace when the episode ends. The
+env, not the loop, records which states an episode entered.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ class FlatQAgent:
         seed: int = 0,
         learning_rate: float = 0.00025,
         gamma: float = 0.99,
-        eps: EpsilonSchedule | None = None,
+        eps: EpsilonSchedule = EpsilonSchedule(),
     ):
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -43,15 +44,13 @@ class FlatQAgent:
         self.n_states = n_states = env.n_states
         self.n_actions = n_actions = env.n_actions
         self.gamma = gamma
-        self.eps = eps if eps is not None else EpsilonSchedule()
+        self.eps = eps
         self.learning_rate = learning_rate
         self.table = [[0.0] * n_actions for _ in range(n_states)]
         self._act_gen = rng.stream(seed, rng.CONTROLLER)
         self.primitive_steps = 0
 
-    def run_episode(
-        self, env_gen: np.random.Generator, count_visits: bool = False
-    ) -> EpisodeTrace:
+    def run_episode(self, env_gen: np.random.Generator) -> EpisodeTrace:
         env_step = self.env.step
         eps_value = self.eps.value
         table = self.table
@@ -63,7 +62,6 @@ class FlatQAgent:
         total_reward = 0.0
         steps = 0
         s = self.env.reset(env_gen)
-        visits = [0] * self.n_states if count_visits else None
         done = False
         while not done:
             cell = table[s]
@@ -83,11 +81,9 @@ class FlatQAgent:
             cell[a] = cur + alpha * (target - cur)
             total_reward += r
             steps += 1
-            if visits is not None:
-                visits[s_next] += 1
             s = s_next
         self.primitive_steps = t
-        return EpisodeTrace(total_reward, steps, visits)
+        return EpisodeTrace(total_reward, steps)
 
     def eval_episode(
         self,

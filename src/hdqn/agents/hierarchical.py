@@ -36,13 +36,13 @@ schedule's value, the warm-ups and the batch size) and builds the
 EpisodeTrace from local tallies at the end. A network syncs its own
 target inside train_on (values.py), so the loop is the same for both
 backends.
-Exploration at both levels is annealed 1 -> 0.1 on shared step clocks:
-the low level takes the smaller of a linear schedule (clock: primitive
-steps, all phases) and a per-goal rate derived from the tracker, so a
-goal mastered early anneals ahead of schedule but never lags behind it.
-Meta exploration follows its own linear schedule on a clock counting
-joint-phase primitive steps; in the pretrain phase it is pinned at 1 and
-the clock does not advance.
+Exploration at both levels anneals from 1 to a floor on shared step
+clocks: the low level takes the smaller of eps1 (clock: primitive steps,
+all phases) and a per-goal rate from the tracker, floored at eps1's
+floor, so a goal mastered early anneals ahead of schedule but never lags
+behind it. Meta exploration follows eps2 on a clock counting joint-phase
+primitive steps; in the pretrain phase it is pinned at 1 and the clock
+does not advance. completed_options counts options, one per meta choice.
 """
 from __future__ import annotations
 
@@ -73,9 +73,8 @@ class HierarchicalAgent:
         d1_warmup: int = 100,
         d2_warmup: int = 100,
         batch_size: int = 32,
-        eps1: EpsilonSchedule | None = None,
-        eps2: EpsilonSchedule | None = None,
-        eps1_floor: float = 0.1,
+        eps1: EpsilonSchedule = EpsilonSchedule(),
+        eps2: EpsilonSchedule = EpsilonSchedule(),
         tracker_window: int = 100,
     ):
         """An agent for env around its two value functions: q1, the
@@ -98,30 +97,23 @@ class HierarchicalAgent:
         self.batch_size = batch_size
         self.d1_warmup = d1_warmup
         self.d2_warmup = d2_warmup
-        self.eps1 = eps1 if eps1 is not None else EpsilonSchedule()
-        self.eps2 = eps2 if eps2 is not None else EpsilonSchedule()
+        self.eps1, self.eps2 = eps1, eps2  # frozen, so a shared default is safe
         self.q1, self.q2 = q1, q2
         self.d1 = ReplayBuffer(d1_capacity, rng.stream(seed, rng.REPLAY_D1))
         self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2))
-        self.tracker = GoalSuccessTracker(n_goals, window=tracker_window, floor=eps1_floor)
+        self.tracker = GoalSuccessTracker(n_goals, window=tracker_window, floor=self.eps1.floor)
         self._ctrl_gen = rng.stream(seed, rng.CONTROLLER)
         self._meta_gen = rng.stream(seed, rng.META)
 
         self.primitive_steps = 0
         self.joint_steps = 0  # the meta anneal clock
-        self.meta_decisions = 0
         self.completed_options = 0
 
     def controller_epsilon(self, goal: int) -> float:
         """Schedule-bounded adaptive exploration rate for one goal."""
         return min(self.eps1.value(self.primitive_steps), self.tracker.epsilon(goal))
 
-    def run_episode(
-        self,
-        env_gen: np.random.Generator,
-        count_visits: bool = False,
-        phase: str = "joint",
-    ) -> EpisodeTrace:
+    def run_episode(self, env_gen: np.random.Generator, phase: str = "joint") -> EpisodeTrace:
         if phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
         joint = phase == "joint"
@@ -141,14 +133,12 @@ class HierarchicalAgent:
         gamma = self.gamma
 
         s = self.env.reset(env_gen)
-        visits = [0] * self.n_states if count_visits else None
         goal_picks, goal_successes = [], []
         total_reward = 0.0
         steps = 0
         done = False
         while not done:
             eps2 = eps2_value(self.joint_steps) if joint else 1.0
-            self.meta_decisions += 1
             g = eps_greedy(q2_values(s), n_goals, eps2, meta_gen)
             goal_picks.append(g)
             s0 = s
@@ -173,8 +163,6 @@ class HierarchicalAgent:
                 option_return += r
                 total_reward += r
                 steps += 1
-                if visits is not None:
-                    visits[s] += 1
                 # Both levels learn once per primitive step, each from its
                 # own memory once that holds its warm-up's worth.
                 if len(d1) >= d1_warmup:
@@ -186,7 +174,7 @@ class HierarchicalAgent:
             self.completed_options += 1
             tracker.record(g, reached)
             goal_successes.append(reached)
-        return EpisodeTrace(total_reward, steps, visits, goal_picks, goal_successes)
+        return EpisodeTrace(total_reward, steps, goal_picks, goal_successes)
 
     def eval_episode(
         self,

@@ -8,14 +8,12 @@ from dataclasses import dataclass, field
 class EpisodeTrace:
     """What one episode did, in extrinsic terms only.
 
-    state_visits counts entries into each state (the reset state is not
-    counted); it is None when the caller did not ask for it. goal_picks
-    and goal_successes align index-for-index, one entry per option; both
-    are empty for the flat agent.
+    goal_picks and goal_successes align index-for-index, one entry per
+    option; both are empty for the flat agent. The states an episode
+    entered are the env's record (ChainEnv.visits).
     """
 
     total_reward: float = 0.0
     steps: int = 0
-    state_visits: "list[int] | None" = None
     goal_picks: list = field(default_factory=list)
     goal_successes: list = field(default_factory=list)

@@ -2,18 +2,18 @@
 
 One binary container, little-endian, version 2. Layout:
 
-    magic "HACK"[4] version u32 agent_kind u8 (0 flat, 1 hdqn)
+    magic "HACK"[4] version u32 agent_kind u8 (its index in agents.KINDS)
     env:      the env's name text, layout_text text and step_limit u32
               (chain: empty and 0), which envs.make_env rebuilds it from
     flat:     primitive_steps u64, gamma f8, schedule, value section
-    hdqn:     primitive_steps, joint_steps, meta_decisions,
-              completed_options (u64 each), gamma f8, low-level then
-              meta schedule, tracker, low-level then meta value section
+    hdqn:     primitive_steps, joint_steps, completed_options twice
+              (u64 each), gamma f8, low-level then meta schedule,
+              tracker, low-level then meta value section
 
     text:     u32 byte length, then UTF-8 bytes
-    schedule: start f8, floor f8, horizon u64
-    tracker:  window u32, floor f8, then per goal a u32 count and that
-              many outcome bytes
+    schedule: start f8 (always 1.0), floor f8, horizon u64
+    tracker:  window u32, floor f8 (eps1's), then per goal a u32 count
+              (at most window) and that many outcome bytes (0 or 1)
     value section: backend u8 (its index in values.BACKENDS), n_states
               u32, n_goals u32 (0 = no goal axis), n_choices u32,
               learning_rate f8; mlp adds hidden u32 and train_steps u64;
@@ -25,9 +25,11 @@ The environment fixes every dimension, so the reader checks each
 section's dimensions against the env's, and a network body's length,
 before values.make_estimator builds the estimator, then fills the
 estimator's arrays() in place. A loaded network syncs its target every
-1000 train steps. Trailing bytes are rejected, and every malformed
-field raises ConfigError. Checkpoints hold everything a frozen-policy
-evaluation needs; replay contents are deliberately not persisted.
+1000 train steps. A slot that repeats a fact is checked against it, so
+dump_agent(load_agent(b)) == b for every b that loads. Trailing bytes
+are rejected, and every malformed field raises ConfigError. Checkpoints
+hold everything a frozen-policy evaluation needs; replay contents are
+deliberately not persisted.
 """
 from __future__ import annotations
 
@@ -35,16 +37,13 @@ import struct
 
 import numpy as np
 
-from hdqn.agents.exploration import EpsilonSchedule
-from hdqn.agents.flat import FlatQAgent
-from hdqn.agents.hierarchical import HierarchicalAgent
+from hdqn.agents import KINDS, EpsilonSchedule, FlatQAgent, HierarchicalAgent
 from hdqn.envs import make_env
 from hdqn.errors import ConfigError
 from hdqn.values import BACKENDS, make_estimator
 
 _MAGIC = b"HACK"
 _VERSION = 2
-_KINDS = ("flat", "hdqn")
 
 
 class _Writer:
@@ -60,7 +59,7 @@ class _Writer:
         self.parts.append(data)
 
     def schedule(self, sched: EpsilonSchedule):
-        self.pack("ddQ", sched.start, sched.floor, sched.horizon)
+        self.pack("ddQ", 1.0, sched.floor, sched.horizon)
 
     def values(self, vf):
         backend = BACKENDS.index(vf.kind)
@@ -97,7 +96,10 @@ class _Reader:
         return self.raw(self.pack("I")).decode("utf-8")
 
     def schedule(self) -> EpsilonSchedule:
-        return EpsilonSchedule(*self.pack("ddQ"))
+        start, floor, horizon = self.pack("ddQ")
+        if start != 1.0:
+            raise ConfigError(f"an exploration schedule starts at 1.0, not {start!r}")
+        return EpsilonSchedule(floor, horizon)
 
     def array(self, shape) -> np.ndarray:
         return np.frombuffer(self.raw(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
@@ -133,7 +135,7 @@ def dump_agent(agent, env) -> bytes:
         raise ValueError("env must be the environment the agent was built for")
     w = _Writer()
     w.parts.append(_MAGIC)
-    w.pack("IB", _VERSION, _KINDS.index(agent.kind))
+    w.pack("IB", _VERSION, KINDS.index(agent.kind))
     w.text(env.name)
     w.text(env.layout_text)
     w.pack("I", env.step_limit)
@@ -144,14 +146,8 @@ def dump_agent(agent, env) -> bytes:
         w.table(agent.learning_rate, agent.table)
         return b"".join(w.parts)
 
-    w.pack(
-        "QQQQd",
-        agent.primitive_steps,
-        agent.joint_steps,
-        agent.meta_decisions,
-        agent.completed_options,
-        agent.gamma,
-    )
+    options = agent.completed_options  # both counter slots
+    w.pack("QQQQd", agent.primitive_steps, agent.joint_steps, options, options, agent.gamma)
     w.schedule(agent.eps1)
     w.schedule(agent.eps2)
     tracker = agent.tracker
@@ -178,9 +174,9 @@ def _load(r: _Reader):
     version, kind_id = r.pack("IB")
     if version != _VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
-    if kind_id >= len(_KINDS):
+    if kind_id >= len(KINDS):
         raise ConfigError(f"unknown agent kind {kind_id}")
-    kind = _KINDS[kind_id]
+    kind = KINDS[kind_id]
 
     env = make_env(r.text(), r.text(), r.pack("I"))
 
@@ -199,11 +195,16 @@ def _load(r: _Reader):
         return agent, env, kind
 
     n_goals = len(env.goal_names)
-    primitive_steps, joint_steps, meta_decisions, completed_options, gamma = r.pack("QQQQd")
+    primitive_steps, joint_steps, options, completed_options, gamma = r.pack("QQQQd")
+    if options != completed_options:
+        raise ConfigError(f"option counters disagree: {options} and {completed_options}")
     eps1 = r.schedule()
     eps2 = r.schedule()
     window, floor = r.pack("Id")
-    windows = [[bool(b) for b in r.raw(r.pack("I"))] for _ in range(n_goals)]
+    # Compared as bits: a -0.0 here would pass == 0.0 but be written back as eps1's.
+    if struct.pack("<d", floor) != struct.pack("<d", eps1.floor):
+        raise ConfigError(f"tracker floor {floor!r} is not the low-level floor {eps1.floor!r}")
+    windows = [r.raw(r.pack("I")) for _ in range(n_goals)]
     q1 = r.values(env.n_states, n_goals, env.n_actions)
     q2 = r.values(env.n_states, None, n_goals)
     _check_end(r)
@@ -214,13 +215,11 @@ def _load(r: _Reader):
         gamma=gamma,
         eps1=eps1,
         eps2=eps2,
-        eps1_floor=floor,
         tracker_window=window,
     )
     agent.tracker.load(windows)
     agent.primitive_steps = primitive_steps
     agent.joint_steps = joint_steps
-    agent.meta_decisions = meta_decisions
     agent.completed_options = completed_options
     return agent, env, kind
 

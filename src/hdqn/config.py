@@ -10,11 +10,11 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 
+from hdqn.agents import KINDS
+from hdqn.envs import NAMES
 from hdqn.errors import ConfigError
 from hdqn.values import BACKENDS
 
-ENVS = ("chain", "keydoor")
-AGENTS = ("hdqn", "flat")
 # Width in bits of the checkpoint field each of these settings is written to.
 _FIELD_BITS = dict(step_limit=32, tracker_window=32, eps1_horizon=64, eps2_horizon=64)
 # Most rows of a replay memory: 24 bytes a row (two int32 and two float64
@@ -59,10 +59,10 @@ class ExperimentConfig:
         def bad(msg):
             return ConfigError(f"invalid config: {msg}")
 
-        if self.env not in ENVS:
-            raise bad(f"env must be one of {ENVS}, got {self.env!r}")
-        if self.agent not in AGENTS:
-            raise bad(f"agent must be one of {AGENTS}, got {self.agent!r}")
+        if self.env not in NAMES:
+            raise bad(f"env must be one of {NAMES}, got {self.env!r}")
+        if self.agent not in KINDS:
+            raise bad(f"agent must be one of {KINDS}, got {self.agent!r}")
         if self.backend not in BACKENDS:
             raise bad(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.agent == "flat" and self.env != "chain":

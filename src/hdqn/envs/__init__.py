@@ -1,10 +1,13 @@
-"""The tasks, their shared contract, and make_env, which builds one by name."""
+"""The tasks, their shared contract, NAMES, the names a config's env may
+take, and make_env, which builds one by name."""
 from hdqn.envs.base import Environment, StepOutcome
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.errors import ConfigError
 
-__all__ = ["Environment", "StepOutcome", "ChainEnv", "KeyDoorEnv", "make_env"]
+__all__ = ["Environment", "StepOutcome", "ChainEnv", "KeyDoorEnv", "NAMES", "make_env"]
+
+NAMES = (ChainEnv.name, KeyDoorEnv.name)
 
 
 def make_env(name: str, layout: str, step_limit: int) -> Environment:

@@ -4,11 +4,14 @@ Positions run 1..6 and the observed state id is position - 1. Episodes
 start at position 2 and end on entering position 1. Moving left always
 steps down one position. Moving right steps up with probability 0.5 and
 otherwise slips down; a successful right move at position 6 stays at 6.
-Entering the terminal position pays 1.0 if position 6 was visited
+Entering the terminal position pays 1.0 if position 6 was entered
 earlier in the episode and 0.01 otherwise; every other step pays 0.
 
-The visited flag is deliberately absent from the observed state id, so
-the payoff is not a function of the observation an agent conditions on.
+The env records the episode's history in visits, a fresh list of zeros
+at each reset, adding one for the state each step enters; the payoff
+and the harness's visit columns read it. The history is deliberately
+absent from the observed state id, so the payoff is not a function of
+the observation an agent conditions on.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ class ChainEnv(Environment):
 
     def __init__(self) -> None:
         self._position = self.start_position
-        self._visited_top = False
+        self.visits = [0] * self.n_states
         self._done = True
 
     @staticmethod
@@ -49,7 +52,7 @@ class ChainEnv(Environment):
 
     def reset(self, rng: np.random.Generator) -> int:
         self._position = self.start_position
-        self._visited_top = False
+        self.visits = [0] * self.n_states
         self._done = False
         return self.start_position - 1
 
@@ -64,10 +67,9 @@ class ChainEnv(Environment):
         else:
             pos -= 1
         self._position = pos
-        if pos == self.top_position:
-            self._visited_top = True
+        self.visits[pos - 1] += 1
         if pos == self.terminal_position:
             self._done = True
-            reward = self.big_reward if self._visited_top else self.small_reward
+            reward = self.big_reward if self.visits[self.top_position - 1] else self.small_reward
             return StepOutcome(pos - 1, reward, True)
         return StepOutcome(pos - 1, 0.0, False)

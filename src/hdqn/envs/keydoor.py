@@ -43,6 +43,11 @@ _MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))
 DIR_RIGHT = 0
 DIR_LEFT = 1
 
+# Most states a layout may define, width * height * patrol length * 4. A
+# tabular q1 takes 128 bytes per state (4 goals x 4 actions x 8 bytes),
+# 128 MB at this bound. The shipped room has 2,592 states.
+MAX_STATES = 10**6
+
 DEFAULT_LAYOUT = "\n".join(
     [
         "############",
@@ -118,6 +123,9 @@ def parse_layout(text: str) -> Layout:
     xs = [c[0] for c in patrol]
     if xs != list(range(xs[0], xs[0] + len(xs))):
         raise ConfigError("layout: patrol cells must be contiguous")
+    n_states = width * height * len(patrol) * 4
+    if n_states > MAX_STATES:
+        raise ConfigError(f"layout: {n_states} states, more than MAX_STATES = {MAX_STATES}")
 
     # Leftmost ladder is ladder_bl; ties on x broken toward the lower row.
     ladders = sorted(marks["L"], key=lambda c: (c[0], -c[1]))

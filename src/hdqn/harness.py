@@ -41,7 +41,7 @@ def build_agent(cfg: ExperimentConfig, seed: int, env):
             seed=seed,
             learning_rate=cfg.learning_rate,
             gamma=cfg.gamma,
-            eps=EpsilonSchedule(1.0, cfg.eps_floor, cfg.eps1_horizon),
+            eps=EpsilonSchedule(cfg.eps_floor, cfg.eps1_horizon),
         )
     n_goals = len(env.goal_names)
     shared = (cfg.learning_rate, cfg.hidden, cfg.target_sync, rng.stream(seed, rng.INIT))
@@ -59,9 +59,8 @@ def build_agent(cfg: ExperimentConfig, seed: int, env):
         d1_warmup=cfg.d1_warmup,
         d2_warmup=cfg.d2_warmup,
         batch_size=cfg.batch_size,
-        eps1=EpsilonSchedule(1.0, cfg.eps_floor, cfg.eps1_horizon),
-        eps2=EpsilonSchedule(1.0, cfg.eps_floor, cfg.eps2_horizon),
-        eps1_floor=cfg.eps_floor,
+        eps1=EpsilonSchedule(cfg.eps_floor, cfg.eps1_horizon),
+        eps2=EpsilonSchedule(cfg.eps_floor, cfg.eps2_horizon),
         tracker_window=cfg.tracker_window,
     )
 
@@ -105,7 +104,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     def tally(trace):
         rewards.append(trace.total_reward)
         if track_visits:
-            visits.append(trace.state_visits)
+            visits.append(env.visits)  # a fresh list each episode
         else:
             # Exact: the weighted counts are sums of ones in float64.
             picks.append(np.bincount(trace.goal_picks, minlength=n_goals))
@@ -117,10 +116,11 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
 
     pretrain_episodes = 0  # validation allows pretraining for hdqn only
     while agent.primitive_steps < cfg.pretrain_steps:
-        tally(agent.run_episode(env_gen, count_visits=track_visits, phase="pretrain"))
+        tally(agent.run_episode(env_gen, phase="pretrain"))
         pretrain_episodes += 1
     for _ in range(cfg.episodes):
-        tally(agent.run_episode(env_gen, count_visits=track_visits))
+        tally(agent.run_episode(env_gen))
+    checkpoint = dump_agent(agent, env)  # as training ends, before any tally is converted
 
     visit_table = None
     if track_visits:
@@ -135,7 +135,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         picks=None if track_visits else np.asarray(picks, dtype=np.int64),
         successes=None if track_visits else np.asarray(successes, dtype=np.int64),
         pretrain_episodes=pretrain_episodes,
-        checkpoint=dump_agent(agent, env),
+        checkpoint=checkpoint,
         goal_names=agent.goal_names,
     )
 

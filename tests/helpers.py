@@ -29,6 +29,15 @@ def hdqn_agent(
     return HierarchicalAgent(env, q1, q2, seed=seed, **kwargs)
 
 
+def open_room(width: int, height: int, patrol: int) -> str:
+    """A wall-less width x height key-door layout, rows joined by '/': the
+    first row holds A, K, D and both ladders, the second row starts with
+    a skull patrol of the given length."""
+    first = "AKDLL" + "." * (width - 5)
+    second = "S" * patrol + "." * (width - patrol)
+    return "/".join([first, second] + ["." * width] * (height - 2))
+
+
 def transition_columns(row, a, r, row_next, term, n_choices: int, gamma: float) -> tuple:
     """The columns (cell, row', r, disc) that replay stores for transitions
     (row, a, r, row', term), by the agent's rule: cell = row * n_choices + a,

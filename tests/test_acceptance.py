@@ -211,7 +211,7 @@ def test_invariant_suites():
     uniform_ok = p > 0.01
 
     # schedule monotonicity and endpoints
-    sch = EpsilonSchedule(start=1.0, floor=0.1, horizon=50_000)
+    sch = EpsilonSchedule(floor=0.1, horizon=50_000)
     grid = [sch.value(t) for t in range(0, 60_001, 500)]
     sched_ok = (
         grid[0] == 1.0

@@ -25,9 +25,9 @@ def chain_agent(seed=0, **overrides):
     return hdqn_agent(ChainEnv(), **params)
 
 
-def run_episodes(agent, n, phase="joint", seed=0, count_visits=False):
+def run_episodes(agent, n, phase="joint", seed=0):
     env_gen = rng.stream(seed, rng.ENV)
-    return [agent.run_episode(env_gen, count_visits=count_visits, phase=phase) for _ in range(n)]
+    return [agent.run_episode(env_gen, phase=phase) for _ in range(n)]
 
 
 def test_time_scale_separation():
@@ -155,7 +155,7 @@ def test_pretrain_pins_meta_epsilon_and_clock():
     agent = chain_agent()
     run_episodes(agent, 50, phase="pretrain")
     assert agent.joint_steps == 0  # meta anneal clock frozen
-    assert agent.meta_decisions > 0
+    assert agent.completed_options > 0
     assert agent.primitive_steps > 0  # controller clock still runs
     run_episodes(agent, 10, phase="joint")
     assert agent.joint_steps > 0
@@ -242,13 +242,16 @@ def test_chain_hdqn_learns_with_goal_chaining():
 
 
 def test_trace_visit_counts():
+    """The chain counts the states each episode enters: one per step,
+    exactly one terminal entry, and the payoff is 1.0 iff s6 was entered."""
     agent = chain_agent()
-    traces = run_episodes(agent, 5, count_visits=True)
-    for tr in traces:
-        assert tr.state_visits is not None
-        assert sum(tr.state_visits) == tr.steps
-        assert tr.state_visits[0] == 1  # exactly one terminal entry
-        assert tr.total_reward in (0.01, 1.0)
+    env_gen = rng.stream(0, rng.ENV)
+    for _ in range(30):
+        tr = agent.run_episode(env_gen)
+        visits = agent.env.visits
+        assert sum(visits) == tr.steps
+        assert visits[0] == 1
+        assert tr.total_reward == (1.0 if visits[5] else 0.01)
 
 
 def test_eval_episode_mutates_nothing():
@@ -261,7 +264,7 @@ def test_eval_episode_mutates_nothing():
         len(agent.d2),
         agent.tracker.dump(),
         agent.primitive_steps,
-        agent.meta_decisions,
+        agent.completed_options,
     )
     tr = agent.eval_episode(0.1, rng.stream(99, rng.ENV), rng.stream(99, rng.EVAL))
     after = (
@@ -271,7 +274,7 @@ def test_eval_episode_mutates_nothing():
         len(agent.d2),
         agent.tracker.dump(),
         agent.primitive_steps,
-        agent.meta_decisions,
+        agent.completed_options,
     )
     assert np.array_equal(before[0], after[0])
     assert np.array_equal(before[1], after[1])
@@ -385,7 +388,10 @@ def test_flat_greedy_rollout_deterministic():
 def test_flat_agent_on_chain_reward_support():
     agent = FlatQAgent(ChainEnv(), seed=2, learning_rate=0.1, eps=EpsilonSchedule(horizon=1000))
     env_gen = rng.stream(2, rng.ENV)
-    traces = [agent.run_episode(env_gen, count_visits=True) for _ in range(300)]
+    traces = []
+    for _ in range(300):
+        traces.append(agent.run_episode(env_gen))
+        assert sum(agent.env.visits) == traces[-1].steps
     for tr in traces:
         assert tr.total_reward in (0.01, 1.0)
         assert tr.goal_picks == []

@@ -46,10 +46,11 @@ def test_hdqn_roundtrip_preserves_everything():
     assert loaded.tracker.dump() == agent.tracker.dump()
     assert loaded.primitive_steps == agent.primitive_steps
     assert loaded.joint_steps == agent.joint_steps
-    assert loaded.meta_decisions == agent.meta_decisions
     assert loaded.completed_options == agent.completed_options
     assert loaded.eps1 == agent.eps1
     assert loaded.eps2 == agent.eps2
+    assert loaded.tracker.floor == loaded.eps1.floor == agent.eps1.floor
+    assert loaded.tracker.window == agent.tracker.window
     assert loaded.gamma == agent.gamma
 
 
@@ -301,12 +302,14 @@ def test_flat_checkpoint_with_a_network_section_rejected():
 @pytest.mark.parametrize(
     "old,new",
     [
-        (struct.pack("<ddQ", 1.0, 0.1, 200), struct.pack("<ddQ", 2.0, 0.1, 200)),
+        (struct.pack("<ddQ", 1.0, 0.1, 200), struct.pack("<ddQ", 0.5, 0.1, 200)),
         (struct.pack("<ddQ", 1.0, 0.1, 200), struct.pack("<ddQ", 1.0, 0.1, 0)),
     ],
     ids=["start", "horizon"],
 )
 def test_bad_schedule_rejected(old, new):
+    """Every schedule starts at 1.0: a start slot holding anything else
+    is rejected, even one that would anneal down to its floor."""
     env, agent = trained_chain_agent(episodes=5)
     with pytest.raises(ConfigError):
         load_agent(corrupted(dump_agent(agent, env), old, new))
@@ -317,7 +320,7 @@ def test_bad_gamma_rejected(gamma):
     """A discount outside [0, 1] in either agent's fields ends in a
     ConfigError, as it does in a config file."""
     env, agent = trained_chain_agent(episodes=5)
-    head = (agent.primitive_steps, agent.joint_steps, agent.meta_decisions, agent.completed_options)
+    head = (agent.primitive_steps, agent.joint_steps, *[agent.completed_options] * 2)
     blob = corrupted(
         dump_agent(agent, env), struct.pack("<QQQQd", *head, 0.99), struct.pack("<QQQQd", *head, gamma)
     )
@@ -344,10 +347,62 @@ def test_non_finite_network_learning_rate_rejected(lr):
 
 
 def test_bad_tracker_floor_rejected():
+    """The tracker's floor is the low-level schedule's: a tracker floor
+    outside [0, 1], or one that differs from the schedule's, even in sign
+    alone, is rejected."""
     env, agent = trained_chain_agent(episodes=5)
-    blob = corrupted(dump_agent(agent, env), struct.pack("<Id", 100, 0.1), struct.pack("<Id", 100, 5.0))
-    with pytest.raises(ConfigError):
+    for schedule_floor, floor in ((0.1, 5.0), (0.1, 0.2), (0.0, -0.0)):
+        blob = corrupted(
+            dump_agent(agent, env), struct.pack("<Id", 100, 0.1), struct.pack("<Id", 100, floor)
+        )
+        blob = corrupted(  # the low-level schedule comes first
+            blob, struct.pack("<ddQ", 1.0, 0.1, 200), struct.pack("<ddQ", 1.0, schedule_floor, 200)
+        )
+        with pytest.raises(ConfigError, match="floor"):
+            load_agent(blob)
+
+
+def test_option_counters_must_agree():
+    """Both counter slots hold completed_options; a file whose two differ
+    would not reproduce its bytes, so it is rejected."""
+    env, agent = trained_chain_agent(episodes=5)
+    n = agent.completed_options
+    blob = corrupted(dump_agent(agent, env), struct.pack("<QQ", n, n), struct.pack("<QQ", n + 1, n))
+    with pytest.raises(ConfigError, match="option counters"):
         load_agent(blob)
+
+
+def tracker_windows(blob: bytes, n_goals: int) -> list:
+    """(offset of the count, count) of each goal window of a chain agent
+    checkpoint whose tracker has window 100 and floor 0.1."""
+    pos = blob.index(struct.pack("<Id", 100, 0.1)) + 12
+    out = []
+    for _ in range(n_goals):
+        (count,) = struct.unpack_from("<I", blob, pos)
+        out.append((pos, count))
+        pos += 4 + count
+    return out
+
+
+def test_tracker_outcome_byte_other_than_0_or_1_rejected():
+    env, agent = trained_chain_agent(episodes=5)
+    blob = dump_agent(agent, env)
+    pos, count = next(w for w in tracker_windows(blob, agent.n_goals) if w[1])
+    damaged = blob[: pos + 4] + b"\x02" + blob[pos + 5 :]
+    with pytest.raises(ConfigError, match="each 0 or 1"):
+        load_agent(damaged)
+
+
+def test_tracker_window_longer_than_its_length_rejected():
+    """A goal window holding more outcomes than the tracker's window is
+    rejected, not trimmed."""
+    env, agent = trained_chain_agent(episodes=5)
+    blob = dump_agent(agent, env)
+    longest = max(count for _, count in tracker_windows(blob, agent.n_goals))
+    assert longest >= 2
+    damaged = corrupted(blob, struct.pack("<Id", 100, 0.1), struct.pack("<Id", longest - 1, 0.1))
+    with pytest.raises(ConfigError, match=f"at most {longest - 1} outcomes"):
+        load_agent(damaged)
 
 
 def test_non_utf8_env_name_rejected():

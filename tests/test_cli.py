@@ -1,7 +1,11 @@
+import struct
+
 import pytest
 
-from hdqn import cli, harness
+from helpers import hdqn_agent, open_room
+from hdqn import checkpoint, cli, harness
 from hdqn.cli import main
+from hdqn.envs.keydoor import KeyDoorEnv
 
 TINY = """\
 env = chain
@@ -154,6 +158,40 @@ def test_eval_rejects_too_many_episodes_before_reading(tmp_path, capsys, monkeyp
     code = main(["eval", "--checkpoint", str(tmp_path / "x.ckpt"), "--episodes", str(episodes)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: --episodes")
+
+
+def test_oversized_room_exits_1_before_any_value_function_is_built(tmp_path, capsys, monkeypatch):
+    """A 402 x 402 room with a 398-cell patrol would size q1 at 30.7 GiB.
+    `hdqn run` on it, and `hdqn eval` on a checkpoint naming it with
+    matching dimensions, exit 1 with an error before building a table."""
+    for module in (harness, checkpoint):
+        monkeypatch.setattr(module, "make_estimator", lambda *a: pytest.fail("table built"))
+    big = open_room(402, 402, 398)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"env = keydoor\nseeds = 0\nworkers = 1\nlayout = {big}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith("error: layout:")
+
+    def text(t):
+        return struct.pack("<I", len(t)) + t.encode()
+
+    def section(n_states, n_goals):  # a tabular value section's header
+        return struct.pack("<BIII", 0, n_states, n_goals, 4)
+
+    env = KeyDoorEnv(step_limit=50)
+    blob = checkpoint.dump_agent(hdqn_agent(env), env)
+    n_states = 402 * 402 * 398 * 4
+    for old, new in (
+        (text(env.layout_text), text(big.replace("/", "\n"))),
+        (section(env.n_states, 4), section(n_states, 4)),
+        (section(env.n_states, 0), section(n_states, 0)),
+    ):
+        assert old in blob
+        blob = blob.replace(old, new, 1)
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(blob)
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    assert "MAX_STATES" in capsys.readouterr().err
 
 
 def test_oracle_prints_values(capsys):

@@ -8,7 +8,7 @@ from hdqn.agents.exploration import EpsilonSchedule, GoalSuccessTracker, eps_gre
 
 
 def test_schedule_endpoints_and_midpoint():
-    eps = EpsilonSchedule(start=1.0, floor=0.1, horizon=50_000)
+    eps = EpsilonSchedule(floor=0.1, horizon=50_000)
     assert eps.value(0) == 1.0
     assert eps.value(25_000) == pytest.approx(0.55)
     assert eps.value(50_000) == 0.1
@@ -17,19 +17,20 @@ def test_schedule_endpoints_and_midpoint():
 
 @given(st.integers(0, 200_000), st.integers(0, 200_000))
 def test_schedule_monotone_nonincreasing(t1, t2):
-    eps = EpsilonSchedule(start=1.0, floor=0.1, horizon=50_000)
+    eps = EpsilonSchedule(floor=0.1, horizon=50_000)
     lo, hi = sorted((t1, t2))
     assert eps.value(hi) <= eps.value(lo)
     assert 0.1 <= eps.value(t1) <= 1.0
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        EpsilonSchedule(start=0.5, floor=0.6, horizon=10)
+    """A schedule anneals from 1, so its floor lies in [0, 1]."""
+    for floor in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            EpsilonSchedule(floor=floor, horizon=10)
     with pytest.raises(ValueError):
         EpsilonSchedule(horizon=0)
-    with pytest.raises(ValueError):
-        EpsilonSchedule(start=1.5)
+    assert EpsilonSchedule(floor=1.0, horizon=10).value(5) == 1.0
 
 
 def test_greedy_breaks_ties_to_lowest_index():
@@ -99,6 +100,9 @@ def test_tracker_dump_load_roundtrip():
         assert copy.success_rate(g) == tr.success_rate(g)
     with pytest.raises(ValueError):
         copy.load([[True]])
+    for bad in ([[True] * 11, [], []], [[2], [], []]):
+        with pytest.raises(ValueError, match="at most 10 outcomes, each 0 or 1"):
+            copy.load(bad)
 
 
 def test_tracker_validation():

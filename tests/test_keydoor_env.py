@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import open_room
 from hdqn import rng
 from hdqn.envs.keydoor import (
     DEFAULT_LAYOUT,
@@ -10,6 +11,7 @@ from hdqn.envs.keydoor import (
     LEFT,
     RIGHT,
     UP,
+    MAX_STATES,
     KeyDoorEnv,
     parse_layout,
 )
@@ -82,6 +84,17 @@ def test_layout_accepts_slash_separated_rows():
 def test_bad_layouts_rejected(bad):
     with pytest.raises(ConfigError):
         parse_layout(bad)
+
+
+def test_state_count_is_bounded_where_the_layout_is_parsed():
+    """A room may define at most MAX_STATES states, width * height *
+    patrol length * 4; the shipped room defines 2,592."""
+    assert KeyDoorEnv().n_states == 2592
+    assert MAX_STATES == 500 * 500 * 1 * 4
+    parse_layout(open_room(500, 500, 1))
+    for width, height, patrol in ((501, 500, 1), (402, 402, 398)):
+        with pytest.raises(ConfigError, match="MAX_STATES"):
+            parse_layout(open_room(width, height, patrol))
 
 
 def test_state_count_matches_factored_form():

@@ -6,12 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hdqn.rng import Draws
 
-def eps_greedy(values, n_choices: int, epsilon: float, gen: np.random.Generator) -> int:
+
+def eps_greedy(values, n_choices: int, epsilon: float, gen: np.random.Generator | Draws) -> int:
     """Uniform choice with probability epsilon, else greedy.
 
-    Greedy ties break to the lowest index, so selection is deterministic
-    given values and the generator state.
+    gen is anything with random() and integers(n): the training loops
+    pass an rng.Draws, evaluation a numpy Generator; both yield the same
+    choices from one key. Greedy ties break to the lowest index, so
+    selection is deterministic given values and the generator state.
     """
     if gen.random() < epsilon:
         return int(gen.integers(n_choices))

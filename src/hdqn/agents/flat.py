@@ -47,10 +47,10 @@ class FlatQAgent:
         self.eps = eps
         self.learning_rate = learning_rate
         self.table = [[0.0] * n_actions for _ in range(n_states)]
-        self._act_gen = rng.stream(seed, rng.CONTROLLER)
+        self._act_gen = rng.draws(seed, rng.CONTROLLER)
         self.primitive_steps = 0
 
-    def run_episode(self, env_gen: np.random.Generator) -> EpisodeTrace:
+    def run_episode(self, env_gen: np.random.Generator | rng.Draws) -> EpisodeTrace:
         env_step = self.env.step
         eps_value = self.eps.value
         table = self.table

@@ -102,8 +102,8 @@ class HierarchicalAgent:
         self.d1 = ReplayBuffer(d1_capacity, rng.stream(seed, rng.REPLAY_D1))
         self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2))
         self.tracker = GoalSuccessTracker(n_goals, window=tracker_window, floor=self.eps1.floor)
-        self._ctrl_gen = rng.stream(seed, rng.CONTROLLER)
-        self._meta_gen = rng.stream(seed, rng.META)
+        self._ctrl_gen = rng.draws(seed, rng.CONTROLLER)
+        self._meta_gen = rng.draws(seed, rng.META)
 
         self.primitive_steps = 0
         self.joint_steps = 0  # the meta anneal clock
@@ -113,7 +113,9 @@ class HierarchicalAgent:
         """Schedule-bounded adaptive exploration rate for one goal."""
         return min(self.eps1.value(self.primitive_steps), self.tracker.epsilon(goal))
 
-    def run_episode(self, env_gen: np.random.Generator, phase: str = "joint") -> EpisodeTrace:
+    def run_episode(
+        self, env_gen: np.random.Generator | rng.Draws, phase: str = "joint"
+    ) -> EpisodeTrace:
         if phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
         joint = phase == "joint"

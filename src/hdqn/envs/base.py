@@ -47,7 +47,8 @@ class Environment:
         raise NotImplementedError
 
     def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
-        """Apply one primitive action to the live episode."""
+        """Apply one primitive action to the live episode. rng needs only
+        random() and integers(n), so training passes an rng.Draws."""
         raise NotImplementedError
 
     def agent_cell_index(self, state: int) -> int:

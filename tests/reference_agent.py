@@ -4,9 +4,11 @@ It follows the learning loop of Kulkarni et al. (2016), Algorithm 1, as
 plainly as Python allows and shares no code with hdqn.agents, hdqn.critic,
 hdqn.replay or hdqn.values: both value tables and both replay rings are
 Python lists, transitions are stored one at a time, and a minibatch
-update is a loop. It draws from the same rng.stream keys as
-HierarchicalAgent, in the same order, so two agents trained on one seed
-agree bit for bit. The rules it spells out:
+update is a loop. It draws from the same keys as HierarchicalAgent, in
+the same order, so two agents trained on one seed agree bit for bit.
+It opens every key as a plain rng.stream Generator, where the agent
+opens its exploration keys as rng.draws, so it is also the oracle for
+those draws inside the loop. The rules it spells out:
 
 - Exploration: with probability epsilon a uniform choice, else the first
   of the best choices. An epsilon anneals linearly from 1 to its floor

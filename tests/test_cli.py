@@ -160,6 +160,17 @@ def test_eval_rejects_too_many_episodes_before_reading(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err.startswith("error: --episodes")
 
 
+def test_bad_layout_exits_1_before_the_output_directory_exists(tmp_path, capsys):
+    """A room with no door fails validation, so `hdqn run` creates no
+    output directory and starts no worker."""
+    cfg = tmp_path / "nodoor.cfg"
+    cfg.write_text("env = keydoor\nseeds = 0-3\nworkers = 2\nlayout = ####/#AK#/####\n")
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: layout:")
+    assert not out.exists()
+
+
 def test_oversized_room_exits_1_before_any_value_function_is_built(tmp_path, capsys, monkeypatch):
     """A 402 x 402 room with a 398-cell patrol would size q1 at 30.7 GiB.
     `hdqn run` on it, and `hdqn eval` on a checkpoint naming it with

@@ -64,10 +64,10 @@ def main(argv=None) -> int:
             )
     print(f"{time.time()-t0:.1f}s  steps={agent.primitive_steps}")
     print("q2 table:")
-    for s in range(agent.n_states):
+    for s in range(agent.env.n_states):
         print(" ", s, [round(v, 3) for v in agent.q2.values(s)])
     print("q1 right-vs-left for goal s6:")
-    for s in range(agent.n_states):
+    for s in range(agent.env.n_states):
         print(" ", s, [round(x, 3) for x in agent.q1.values(s * agent.n_goals + 5)])
     return 0
 

@@ -9,24 +9,21 @@ import numpy as np
 from hdqn.rng import Draws
 
 
-def eps_greedy(values, n_choices: int, epsilon: float, gen: np.random.Generator | Draws) -> int:
+def eps_greedy(values: list, epsilon: float, gen: np.random.Generator | Draws) -> int:
     """Uniform choice with probability epsilon, else greedy.
 
-    gen is anything with random() and integers(n): the training loops
-    pass an rng.Draws, evaluation a numpy Generator; both yield the same
-    choices from one key. Greedy ties break to the lowest index, so
-    selection is deterministic given values and the generator state.
+    values is the list of choice values a backend's values(row) returns;
+    its length is the number of choices. gen is anything with random()
+    and integers(n): the training loops pass an rng.Draws, evaluation a
+    numpy Generator; both yield the same choices from one key. The greedy
+    choice is the first maximum under >: ties, -0.0 and 0.0 among them,
+    break to the lowest index, and a NaN wins only in first place, where
+    nothing compares greater. Selection is deterministic given values
+    and the generator state.
     """
     if gen.random() < epsilon:
-        return int(gen.integers(n_choices))
-    best = 0
-    best_v = values[0]
-    for c in range(1, n_choices):
-        v = values[c]
-        if v > best_v:
-            best = c
-            best_v = v
-    return best
+        return int(gen.integers(len(values)))
+    return values.index(max(values))
 
 
 @dataclass(frozen=True)

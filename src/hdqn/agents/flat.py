@@ -5,10 +5,12 @@ on every step (no replay), exploration annealed on a primitive-step
 clock. On the chain task this agent sees only the position, so the
 history-dependent payoff is invisible to it by design.
 
-The table is nested Python lists and the backup is written inline: one
-scalar update per step is where lists beat ndarray scalar access, and
-TabularQ's batch path would cost more than it saves. The rule is
-TabularQ.backup's, and a test holds the two equal.
+The table is nested Python lists, one row per state of env, and the
+backup is written inline: one scalar update per step is where lists beat
+ndarray scalar access, and TabularQ's batch path would cost more than it
+saves. The rule is TabularQ.backup's, and a test holds the two equal.
+A row is the list eps_greedy takes. The bootstrap max is a loop rather
+than max(): on a two-action row the loop takes about half the time.
 
 run_episode reads every per-step attribute once per episode (the bound
 env.step, the schedule's value, the table and the learning constants)
@@ -41,12 +43,10 @@ class FlatQAgent:
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
         self.env = env
-        self.n_states = n_states = env.n_states
-        self.n_actions = n_actions = env.n_actions
         self.gamma = gamma
         self.eps = eps
         self.learning_rate = learning_rate
-        self.table = [[0.0] * n_actions for _ in range(n_states)]
+        self.table = [[0.0] * env.n_actions for _ in range(env.n_states)]
         self._act_gen = rng.draws(seed, rng.CONTROLLER)
         self.primitive_steps = 0
 
@@ -57,15 +57,14 @@ class FlatQAgent:
         alpha = self.learning_rate
         gamma = self.gamma
         act_gen = self._act_gen
-        n_actions = self.n_actions
         t = self.primitive_steps
         total_reward = 0.0
         steps = 0
-        s = self.env.reset(env_gen)
+        s = self.env.reset()
         done = False
         while not done:
             cell = table[s]
-            a = eps_greedy(cell, n_actions, eps_value(t), act_gen)
+            a = eps_greedy(cell, eps_value(t), act_gen)
             s_next, r, done = env_step(a, env_gen)
             t += 1
             if done:
@@ -93,11 +92,11 @@ class FlatQAgent:
     ) -> EpisodeTrace:
         """Frozen-policy rollout; no learning."""
         env = self.env
-        s = env.reset(env_gen)
+        s = env.reset()
         trace = EpisodeTrace()
         done = False
         while not done:
-            a = eps_greedy(self.table[s], self.n_actions, epsilon, pick_gen)
+            a = eps_greedy(self.table[s], epsilon, pick_gen)
             s, r, done = env.step(a, env_gen)
             trace.total_reward += r
             trace.steps += 1

@@ -90,8 +90,6 @@ class HierarchicalAgent:
         self.env = env
         self.critic = Critic(env)
         self.goal_names = env.goal_names
-        self.n_states = env.n_states
-        self.n_actions = env.n_actions
         self.n_goals = n_goals = len(env.goal_names)
         self.gamma = gamma
         self.batch_size = batch_size
@@ -130,18 +128,18 @@ class HierarchicalAgent:
         eps2_value = self.eps2.value
         tracker = self.tracker
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen
-        n_actions, n_goals = self.n_actions, self.n_goals
+        n_actions, n_goals = self.env.n_actions, self.n_goals
         reached_check = self.critic.reached
         gamma = self.gamma
 
-        s = self.env.reset(env_gen)
+        s = self.env.reset()
         goal_picks, goal_successes = [], []
         total_reward = 0.0
         steps = 0
         done = False
         while not done:
             eps2 = eps2_value(self.joint_steps) if joint else 1.0
-            g = eps_greedy(q2_values(s), n_goals, eps2, meta_gen)
+            g = eps_greedy(q2_values(s), eps2, meta_gen)
             goal_picks.append(g)
             s0 = s
             row = s * n_goals + g
@@ -149,7 +147,7 @@ class HierarchicalAgent:
             reached = False
             eps1 = self.controller_epsilon(g)  # constant within the option
             while not (done or reached):
-                a = eps_greedy(q1_values(row), n_actions, eps1, ctrl_gen)
+                a = eps_greedy(q1_values(row), eps1, ctrl_gen)
                 s, r, done = env_step(a, env_gen)
                 self.primitive_steps += 1
                 if joint:
@@ -189,15 +187,15 @@ class HierarchicalAgent:
         q1, q2 = self.q1, self.q2
         n_goals = self.n_goals
         reached_check = self.critic.reached
-        s = env.reset(env_gen)
+        s = env.reset()
         trace = EpisodeTrace()
         done = False
         while not done:
-            g = eps_greedy(q2.values(s), n_goals, epsilon, pick_gen)
+            g = eps_greedy(q2.values(s), epsilon, pick_gen)
             trace.goal_picks.append(g)
             reached = False
             while not (done or reached):
-                a = eps_greedy(q1.values(s * n_goals + g), self.n_actions, epsilon, pick_gen)
+                a = eps_greedy(q1.values(s * n_goals + g), epsilon, pick_gen)
                 s, r, done = env.step(a, env_gen)
                 reached = reached_check(g, s)
                 trace.total_reward += r

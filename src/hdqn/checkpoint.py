@@ -44,6 +44,9 @@ from hdqn.values import BACKENDS, make_estimator
 
 _MAGIC = b"HACK"
 _VERSION = 2
+# Width in bits of the field each of these config settings is written to
+# (step_limit and the tracker's window u32, a schedule's horizon u64).
+FIELD_BITS = dict(step_limit=32, tracker_window=32, eps1_horizon=64, eps2_horizon=64)
 
 
 class _Writer:

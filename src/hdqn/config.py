@@ -11,12 +11,11 @@ import re
 from dataclasses import dataclass, fields, replace
 
 from hdqn.agents import KINDS
+from hdqn.checkpoint import FIELD_BITS
 from hdqn.envs import NAMES, make_env
 from hdqn.errors import ConfigError
 from hdqn.values import BACKENDS
 
-# Width in bits of the checkpoint field each of these settings is written to.
-_FIELD_BITS = dict(step_limit=32, tracker_window=32, eps1_horizon=64, eps2_horizon=64)
 # Most rows of a replay memory: 24 bytes a row (two int32 and two float64
 # columns), 2.4 GB at most. The shipped configs use up to 1,000,000.
 MAX_CAPACITY = 10**8
@@ -97,7 +96,7 @@ class ExperimentConfig:
                 raise bad(f"{name} must be >= 1, got {getattr(self, name)}")
         # A checkpoint stores these in fixed-width fields, so a larger
         # value would fail only after training, when the run is saved.
-        for name, bits in _FIELD_BITS.items():
+        for name, bits in FIELD_BITS.items():
             if getattr(self, name) >= 2**bits:
                 raise bad(f"{name} must be below 2**{bits}, got {getattr(self, name)}")
         # Larger sizes would end in a memory error when the agent is built.
@@ -106,8 +105,8 @@ class ExperimentConfig:
                 raise bad(f"{name} must be <= {most}, got {getattr(self, name)}")
         if self.pretrain_steps < 0:
             raise bad(f"pretrain_steps must be >= 0, got {self.pretrain_steps}")
-        if self.workers < 0:
-            raise bad(f"workers must be >= 0 (0 means auto), got {self.workers}")
+        if not 0 <= self.workers <= MAX_WORKERS:
+            raise bad(f"workers must be in [0, {MAX_WORKERS}] (0 means auto), got {self.workers}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise bad(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.backend == "tabular" and self.learning_rate > 1:
@@ -127,6 +126,10 @@ class ExperimentConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _COMMENT = re.compile(r"\s+#")
 MAX_SEEDS = 65536  # most seeds one `seeds` line may expand to
+# Most worker processes a `workers` line may ask for. A fork pool starts
+# them all at once, each an interpreter with numpy and an agent (about
+# 40 MB at the shipped sizes), so 2.6 GB at this bound.
+MAX_WORKERS = 64
 
 
 def _parse_seeds(raw: str):

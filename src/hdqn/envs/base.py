@@ -1,17 +1,7 @@
 """Environment contract shared by the tasks and both agents."""
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-
-
-class StepOutcome(NamedTuple):
-    """Result of one primitive step."""
-
-    next_state: int
-    extrinsic_reward: float
-    terminal: bool
 
 
 class Environment:
@@ -20,9 +10,12 @@ class Environment:
     State ids are integers in [0, n_states), action ids in
     [0, n_actions). An instance holds the state of one episode at a
     time: call reset() before the first step and after every terminal
-    step. step() raises RuntimeError on a terminal or unreset episode
-    and ValueError on an action outside [0, n_actions). Instances are
-    not thread-safe; parallel runs use independently seeded copies.
+    step. reset() draws nothing: every episode starts in the same state.
+    step(action, rng) returns a plain (next_state, reward, terminal)
+    tuple of int, float and bool, raises RuntimeError on a terminal or
+    unreset episode and ValueError on an action outside [0, n_actions).
+    Instances are not thread-safe; parallel runs use independently
+    seeded copies.
 
     An environment describes itself, so nothing else tells the tasks
     apart: its name (the config's env), goal_names in goal-id order (ids
@@ -42,11 +35,11 @@ class Environment:
     layout_text: str
     step_limit: int
 
-    def reset(self, rng: np.random.Generator) -> int:
+    def reset(self) -> int:
         """Start a new episode and return the initial state id."""
         raise NotImplementedError
 
-    def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
+    def step(self, action: int, rng: np.random.Generator) -> tuple[int, float, bool]:
         """Apply one primitive action to the live episode. rng needs only
         random() and integers(n), so training passes an rng.Draws."""
         raise NotImplementedError

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hdqn.envs.base import Environment, StepOutcome
+from hdqn.envs.base import Environment
 
 LEFT = 0
 RIGHT = 1
@@ -50,13 +50,13 @@ class ChainEnv(Environment):
     def agent_cell_index(state: int) -> int:
         return state
 
-    def reset(self, rng: np.random.Generator) -> int:
+    def reset(self) -> int:
         self._position = self.start_position
         self.visits = [0] * self.n_states
         self._done = False
         return self.start_position - 1
 
-    def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
+    def step(self, action: int, rng: np.random.Generator) -> tuple[int, float, bool]:
         if self._done:
             raise RuntimeError("step() on a finished or unreset episode; call reset() first")
         if not 0 <= action < 2:
@@ -71,5 +71,5 @@ class ChainEnv(Environment):
         if pos == self.terminal_position:
             self._done = True
             reward = self.big_reward if self.visits[self.top_position - 1] else self.small_reward
-            return StepOutcome(pos - 1, reward, True)
-        return StepOutcome(pos - 1, 0.0, False)
+            return pos - 1, reward, True
+        return pos - 1, 0.0, False

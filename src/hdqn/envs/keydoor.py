@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hdqn.envs.base import Environment, StepOutcome
+from hdqn.envs.base import Environment
 from hdqn.errors import ConfigError
 
 UP = 0
@@ -233,7 +233,7 @@ class KeyDoorEnv(Environment):
 
     # -- dynamics ------------------------------------------------------
 
-    def reset(self, rng: np.random.Generator) -> int:
+    def reset(self) -> int:
         self._cell = self._spawn
         self._phase = 0
         self._has_key = 0
@@ -241,7 +241,7 @@ class KeyDoorEnv(Environment):
         self._done = False
         return self._spawn * self._n_phases * 2
 
-    def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
+    def step(self, action: int, rng: np.random.Generator) -> tuple[int, float, bool]:
         # Without the range check, action 4 or -1 would read another
         # cell's entry.
         if self._done:
@@ -269,4 +269,4 @@ class KeyDoorEnv(Environment):
             terminal = True
         if terminal or self._steps >= self.step_limit:
             self._done = terminal = True
-        return StepOutcome((cell * self._n_phases + phase) * 2 + has_key, reward, terminal)
+        return (cell * self._n_phases + phase) * 2 + has_key, reward, terminal

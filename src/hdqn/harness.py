@@ -125,8 +125,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     if track_visits:
         # One flat pass: about twice as fast as np.asarray on the nested lists.
         visit_table = np.fromiter(
-            itertools.chain.from_iterable(visits), np.int64, len(visits) * agent.n_states
-        ).reshape(len(visits), agent.n_states)
+            itertools.chain.from_iterable(visits), np.int64, len(visits) * env.n_states
+        ).reshape(len(visits), env.n_states)
     return SeedResult(
         seed=seed,
         rewards=np.asarray(rewards, dtype=np.float64),

@@ -11,10 +11,11 @@ never replay a training stream, nor another seed's evaluation.
 A key opens in one of two forms that yield the same values. Consumers
 that draw arrays (replay sampling, a network's initial weights,
 evaluation episodes, which are too short to fill a block) take
-stream(), a numpy Generator. The training loops' scalar consumers (the
-environment's dynamics and exploration at each level) take draws(),
-which serves Generator.random() and Generator.integers(n) from blocks
-of raw PCG64 output without a numpy call per draw.
+stream(), a numpy Generator. The training loops' scalar consumers (an
+environment's step(action, rng), the one env call that draws, and
+eps_greedy at each level) take draws(), which serves Generator.random()
+and Generator.integers(n) from blocks of raw PCG64 output without a
+numpy call per draw.
 """
 from __future__ import annotations
 

@@ -10,7 +10,8 @@ Both are indexed by row. With a goal axis (n_goals set) an estimator
 serves the low level and has n_states * n_goals rows, row
 state * n_goals + goal; without one it serves the meta level, row =
 state, and its choices are goals. The agent forms rows; estimators take
-them as given. values(row) returns the action values at one row, and
+them as given. values(row) returns the action values at one row as a
+list of n_choices floats, which eps_greedy takes as it is, and
 train_on takes a minibatch as four columns (cell, row', r, disc) of
 equal length: cell = row * n_choices + a names the value to update,
 row' is the bootstrap row, and disc is the bootstrap's discount, 0.0
@@ -75,7 +76,7 @@ class TabularQ:
         self._starts = None
 
     def values(self, row: int) -> list:
-        """Action values at a row (copy; mutating it has no effect)."""
+        """Action values at a row, as a list (a copy; mutating it has no effect)."""
         if not 0 <= row < len(self.table):
             raise IndexError(f"row {row} out of range [0, {len(self.table)})")
         return self.table[row].tolist()
@@ -201,11 +202,12 @@ class MlpQ:
         q = h @ params["w2"] + params["b2"]
         return z1, h, q
 
-    def values(self, row: int) -> np.ndarray:
+    def values(self, row: int) -> list:
+        """Action values at a row, as a list."""
         n_rows = self.n_states * (self.n_goals or 1)
         if not 0 <= row < n_rows:
             raise IndexError(f"row {row} out of range [0, {n_rows})")
-        return self._forward(self.params, self.encode([row]))[2][0]
+        return self._forward(self.params, self.encode([row]))[2][0].tolist()
 
     def loss_and_grads(self, columns: tuple):
         """Pre-step batch loss and its gradient for every parameter."""

@@ -71,7 +71,7 @@ def stored_controller(agent) -> dict:
     into its row and action, "row" and "a", and the rows into state and
     goal: "s", "g", "s_next" and "g_next"."""
     out = stored(agent.d1)
-    out["row"], out["a"] = np.divmod(out["cell"], agent.n_actions)
+    out["row"], out["a"] = np.divmod(out["cell"], agent.env.n_actions)
     out["s"], out["g"] = np.divmod(out["row"], agent.n_goals)
     out["s_next"], out["g_next"] = np.divmod(out["row_next"], agent.n_goals)
     return out

@@ -145,7 +145,7 @@ class ReferenceAgent:
         env, n_goals, gamma = self.env, self.n_goals, self.gamma
         joint = phase == "joint"
         total, steps, picks, successes = 0.0, 0, [], []
-        s = env.reset(env_gen)
+        s = env.reset()
         done = False
         while not done:
             eps2 = anneal(self.floor, self.eps2_horizon, self.joint_steps) if joint else 1.0

@@ -4,7 +4,7 @@ import pytest
 from helpers import hdqn_agent, stored, stored_controller
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent
-from hdqn.envs.base import Environment, StepOutcome
+from hdqn.envs.base import Environment
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import KeyDoorEnv
 from hdqn.oracle import MdpModel, value_iteration
@@ -84,15 +84,15 @@ def test_keydoor_rings_store_the_update_columns():
     reset, step = env.reset, env.step
     current = []
 
-    def recording_reset(gen):
-        current[:] = [reset(gen)]
+    def recording_reset():
+        current[:] = [reset()]
         return current[0]
 
     def recording_step(action, gen):
-        out = step(action, gen)
-        steps.append((current[0], action, out.next_state, out.extrinsic_reward, out.terminal))
-        current[0] = out.next_state
-        return out
+        s_next, r, done = step(action, gen)
+        steps.append((current[0], action, s_next, r, done))
+        current[0] = s_next
+        return s_next, r, done
 
     env.reset, env.step = recording_reset, recording_step
     env_gen = rng.stream(2, rng.ENV)
@@ -331,7 +331,7 @@ class CorridorEnv(Environment):
         self._s = 0
         self._done = True
 
-    def reset(self, gen):
+    def reset(self):
         self._s = 0
         self._done = False
         return 0
@@ -347,8 +347,8 @@ class CorridorEnv(Environment):
             self._s += 1
         if self._s == 2:
             self._done = True
-            return StepOutcome(2, 1.0, True)
-        return StepOutcome(self._s, 0.0, False)
+            return 2, 1.0, True
+        return self._s, 0.0, False
 
 
 def corridor_model() -> MdpModel:

@@ -17,7 +17,7 @@ class FixedRng:
 
 def rollout(env, policy, gen):
     """Run one episode; returns (state ids visited, total reward)."""
-    states = [env.reset(gen)]
+    states = [env.reset()]
     total = 0.0
     done = False
     while not done:
@@ -29,56 +29,56 @@ def rollout(env, policy, gen):
 
 def test_reset_returns_start_state():
     env = ChainEnv()
-    assert env.reset(rng.stream(0, rng.ENV)) == ChainEnv.start_position - 1 == 1
+    assert env.reset() == ChainEnv.start_position - 1 == 1
 
 
 def test_left_always_descends():
     env = ChainEnv()
     gen = rng.stream(7, rng.ENV)
-    env.reset(gen)
-    out = env.step(LEFT, gen)
-    assert out.next_state == 0
-    assert out.terminal
+    env.reset()
+    s, _, done = env.step(LEFT, gen)
+    assert s == 0
+    assert done
 
 
 def test_right_success_ascends_and_failure_descends():
     env = ChainEnv()
-    env.reset(FixedRng([]))
-    out = env.step(RIGHT, FixedRng([0.49]))
-    assert out.next_state == 2  # position 3
-    out = env.step(RIGHT, FixedRng([0.51]))
-    assert out.next_state == 1  # back to position 2
+    env.reset()
+    s, _, _ = env.step(RIGHT, FixedRng([0.49]))
+    assert s == 2  # position 3
+    s, _, _ = env.step(RIGHT, FixedRng([0.51]))
+    assert s == 1  # back to position 2
 
 
 def test_right_at_top_self_loops_on_success():
     env = ChainEnv()
-    env.reset(FixedRng([]))
+    env.reset()
     for _ in range(4):  # climb 2 -> 6
-        out = env.step(RIGHT, FixedRng([0.0]))
-    assert out.next_state == 5  # position 6
-    out = env.step(RIGHT, FixedRng([0.0]))
-    assert out.next_state == 5
-    out = env.step(RIGHT, FixedRng([0.9]))
-    assert out.next_state == 4  # slipped to position 5
-    assert not out.terminal
+        s, _, _ = env.step(RIGHT, FixedRng([0.0]))
+    assert s == 5  # position 6
+    s, _, _ = env.step(RIGHT, FixedRng([0.0]))
+    assert s == 5
+    s, _, done = env.step(RIGHT, FixedRng([0.9]))
+    assert s == 4  # slipped to position 5
+    assert not done
 
 
 def test_big_reward_iff_top_visited():
     env = ChainEnv()
     # Straight down without visiting the top.
-    env.reset(FixedRng([]))
-    out = env.step(LEFT, FixedRng([]))
-    assert out.extrinsic_reward == pytest.approx(0.01)
-    assert out.terminal
+    env.reset()
+    _, r, done = env.step(LEFT, FixedRng([]))
+    assert r == pytest.approx(0.01)
+    assert done
     # Up to the top, then all the way down: exactly one reward of 1.0.
-    env.reset(FixedRng([]))
+    env.reset()
     total = 0.0
     for _ in range(4):
-        total += env.step(RIGHT, FixedRng([0.0])).extrinsic_reward
+        total += env.step(RIGHT, FixedRng([0.0]))[1]
     for _ in range(5):
-        out = env.step(LEFT, FixedRng([]))
-        total += out.extrinsic_reward
-    assert out.terminal
+        _, r, done = env.step(LEFT, FixedRng([]))
+        total += r
+    assert done
     assert total == pytest.approx(1.0)
 
 
@@ -103,8 +103,8 @@ def test_right_success_frequency_is_half():
     ups = 0
     n = 10000
     for _ in range(n):
-        env.reset(gen)
-        if env.step(RIGHT, gen).next_state == 2:
+        env.reset()
+        if env.step(RIGHT, gen)[0] == 2:
             ups += 1
     assert 0.47 < ups / n < 0.53
 
@@ -112,7 +112,7 @@ def test_right_success_frequency_is_half():
 def test_step_after_terminal_raises():
     env = ChainEnv()
     gen = rng.stream(0, rng.ENV)
-    env.reset(gen)
+    env.reset()
     env.step(LEFT, gen)
     with pytest.raises(RuntimeError):
         env.step(LEFT, gen)
@@ -127,7 +127,7 @@ def test_step_before_reset_raises():
 def test_bad_action_raises():
     env = ChainEnv()
     gen = rng.stream(0, rng.ENV)
-    env.reset(gen)
+    env.reset()
     with pytest.raises(ValueError):
         env.step(2, gen)
 
@@ -139,7 +139,7 @@ def test_state_position_mapping_roundtrip():
     entering 0 (position 1)."""
     env = ChainEnv()
     gen = rng.stream(4, rng.ENV)
-    s = env.reset(gen)
+    s = env.reset()
     assert s == 1
     done = False
     while not done:

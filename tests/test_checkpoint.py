@@ -85,7 +85,7 @@ def test_keydoor_env_reconstruction():
     assert isinstance(env2, KeyDoorEnv)
     assert env2.step_limit == 77
     assert env2.layout == env.layout
-    assert loaded.n_states == env.n_states
+    assert loaded.env.n_states == env.n_states
 
 
 def test_custom_layout_survives():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import struct
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from helpers import hdqn_agent, open_room
 from hdqn import checkpoint, cli, harness
 from hdqn.cli import main
+from hdqn.config import MAX_WORKERS
 from hdqn.envs.keydoor import KeyDoorEnv
 
 TINY = """\
@@ -168,6 +170,21 @@ def test_bad_layout_exits_1_before_the_output_directory_exists(tmp_path, capsys)
     out = tmp_path / "r"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: layout:")
+    assert not out.exists()
+
+
+def test_too_many_workers_exit_1_before_any_pool_exists(tmp_path, capsys, monkeypatch):
+    """One more worker than MAX_WORKERS, with a seed for each, fails
+    validation: `hdqn run` exits 1 before the output directory or any
+    process pool exists."""
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool started")
+    )
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"seeds = 0-{MAX_WORKERS}\nworkers = {MAX_WORKERS + 1}\n")
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid config: workers must be in [0, ")
     assert not out.exists()
 
 

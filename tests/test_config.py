@@ -4,6 +4,7 @@ from hdqn.config import (
     MAX_CAPACITY,
     MAX_HIDDEN,
     MAX_SEEDS,
+    MAX_WORKERS,
     ExperimentConfig,
     default_config,
     load_config,
@@ -114,6 +115,8 @@ def test_line_number_points_at_offender():
         {"d2_capacity": MAX_CAPACITY + 1},
         {"env": "keydoor", "backend": "mlp", "hidden": 2**31 - 1},
         {"backend": "mlp", "hidden": MAX_HIDDEN + 1},
+        # Would ask a process pool for that many workers at once.
+        {"workers": MAX_WORKERS + 1},
     ],
 )
 def test_validation_rejects(overrides):
@@ -123,9 +126,13 @@ def test_validation_rejects(overrides):
 
 def test_size_bounds_admit_their_limits():
     cfg = default_config(
-        d1_capacity=MAX_CAPACITY, d2_capacity=MAX_CAPACITY, backend="mlp", hidden=MAX_HIDDEN
+        d1_capacity=MAX_CAPACITY,
+        d2_capacity=MAX_CAPACITY,
+        backend="mlp",
+        hidden=MAX_HIDDEN,
+        workers=MAX_WORKERS,
     )
-    assert (cfg.d1_capacity, cfg.hidden) == (MAX_CAPACITY, MAX_HIDDEN)
+    assert (cfg.d1_capacity, cfg.hidden, cfg.workers) == (MAX_CAPACITY, MAX_HIDDEN, MAX_WORKERS)
 
 
 def test_load_config_roundtrip(tmp_path):

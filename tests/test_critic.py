@@ -4,12 +4,14 @@ from helpers import hdqn_agent, stored_controller
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule
 from hdqn.critic import INTRINSIC_REWARD, Critic
-from hdqn.envs import make_env
+from hdqn.envs import NAMES, make_env
 from hdqn.envs.chain import ChainEnv
 from hdqn.envs.keydoor import DOWN, LEFT, KeyDoorEnv
 from hdqn.errors import ConfigError
 
 WALLED = "#######/#.A.LL#/#.SS..#/#K...D#/#######"
+# One env of every name in envs.NAMES, and a key-door room from a layout.
+ENVS = [ChainEnv(), KeyDoorEnv(), KeyDoorEnv(WALLED, step_limit=37)]
 
 
 def test_chain_goal_set():
@@ -33,21 +35,27 @@ def test_keydoor_goal_set():
 
 @pytest.mark.parametrize(
     "env",
-    [ChainEnv(), KeyDoorEnv(), KeyDoorEnv(WALLED, step_limit=37)],
+    ENVS,
     ids=["chain", "keydoor-default", "keydoor-custom"],
 )
 def test_make_env_rebuilds_an_equal_env_from_its_description(env):
+    """The rebuilt env steps like the original, through the plain
+    contract: reset() takes no argument and step returns a tuple
+    (next state int, reward float, terminal bool)."""
+    assert {e.name for e in ENVS} == set(NAMES)
     back = make_env(env.name, env.layout_text, env.step_limit)
     assert type(back) is type(env)
     for attr in ("name", "layout_text", "step_limit", "n_states", "goal_names", "goal_cells"):
         assert getattr(back, attr) == getattr(env, attr)
     assert getattr(back, "layout", None) == getattr(env, "layout", None)
     gen_a, gen_b = rng.stream(0, rng.ENV), rng.stream(0, rng.ENV)
-    assert back.reset(gen_a) == env.reset(gen_b)
+    assert back.reset() == env.reset()
     for a in [0, 1, 1, 0, 1, 1, 1, 0]:
         out = env.step(a % env.n_actions, gen_b)
         assert back.step(a % env.n_actions, gen_a) == out
-        if out.terminal:
+        assert type(out) is tuple
+        assert [type(x) for x in out] == [int, float, bool]
+        if out[2]:
             break
 
 
@@ -87,7 +95,7 @@ def test_keydoor_goal_predicates():
     env = KeyDoorEnv()
     critic = Critic(env)
     gen = rng.stream(0, rng.ENV)
-    s = env.reset(gen)
+    s = env.reset()
     by_name = {name: g for g, name in enumerate(env.goal_names)}
     # Walk to the key: goal "key" is reached on the pickup step.
     for a in [LEFT] * 4 + [DOWN] * 5:
@@ -107,7 +115,7 @@ def test_door_goal_ignores_key_possession():
     # State with the agent on the door cell, no key.
     s = env.encode(env.layout.door, 0, 0, False)
     assert critic.reached(door, s)
-    assert critic.reached(door, env.reset(rng.stream(0, rng.ENV))) is False
+    assert critic.reached(door, env.reset()) is False
 
 
 def test_ladder_goals():

@@ -35,21 +35,29 @@ def test_schedule_validation():
 
 def test_greedy_breaks_ties_to_lowest_index():
     gen = rng.stream(0, rng.META)
-    assert eps_greedy([1.0, 1.0, 1.0], 3, 0.0, gen) == 0
-    assert eps_greedy([0.0, 2.0, 2.0], 3, 0.0, gen) == 1
-    assert eps_greedy(np.array([0.3, 0.1]), 2, 0.0, gen) == 0
+    nan = float("nan")
+    for values, best in (
+        ([1.0, 1.0, 1.0], 0),
+        ([0.0, 2.0, 2.0], 1),
+        ([0.3, 0.1], 0),
+        ([-0.0, 0.0], 0),
+        ([0.0, -0.0, 0.0], 0),
+        ([nan, 1.0], 0),
+        ([1.0, nan, 2.0], 2),
+    ):
+        assert eps_greedy(values, 0.0, gen) == best, values
 
 
 def test_full_exploration_is_roughly_uniform():
     gen = rng.stream(11, rng.META)
-    picks = [eps_greedy([5.0, 0.0, 0.0, 0.0], 4, 1.0, gen) for _ in range(8000)]
+    picks = [eps_greedy([5.0, 0.0, 0.0, 0.0], 1.0, gen) for _ in range(8000)]
     counts = np.bincount(picks, minlength=4)
     assert counts.min() > 1800  # greedy choice would pin everything on 0
 
 
 def test_eps_greedy_deterministic_given_generator_state():
-    a = eps_greedy([0.0, 1.0], 2, 0.3, rng.stream(5, rng.CONTROLLER))
-    b = eps_greedy([0.0, 1.0], 2, 0.3, rng.stream(5, rng.CONTROLLER))
+    a = eps_greedy([0.0, 1.0], 0.3, rng.stream(5, rng.CONTROLLER))
+    b = eps_greedy([0.0, 1.0], 0.3, rng.stream(5, rng.CONTROLLER))
     assert a == b
 
 

@@ -25,7 +25,7 @@ GOLDEN_REWARD = 400.0
 
 def fresh(layout=None, step_limit=500):
     env = KeyDoorEnv(layout=layout, step_limit=step_limit)
-    state = env.reset(rng.stream(0, rng.ENV))
+    state = env.reset()
     return env, state
 
 
@@ -49,8 +49,8 @@ def play(env, actions):
     out = None
     for a in actions:
         out = env.step(a, gen)
-        total += out.extrinsic_reward
-        if out.terminal:
+        total += out[1]
+        if out[2]:
             break
     return out, total
 
@@ -116,8 +116,8 @@ def test_encode_decode_roundtrip():
 
 def test_golden_run_scores_400():
     env, _ = fresh()
-    out, total = play(env, GOLDEN_ACTIONS)
-    assert out.terminal
+    (_, _, done), total = play(env, GOLDEN_ACTIONS)
+    assert done
     assert total == pytest.approx(GOLDEN_REWARD)
     assert len(GOLDEN_ACTIONS) == 25
     assert env.step_limit > len(GOLDEN_ACTIONS)
@@ -125,10 +125,10 @@ def test_golden_run_scores_400():
 
 def test_key_alone_scores_100_and_key_disappears():
     env, _ = fresh()
-    out, total = play(env, [LEFT] * 4 + [DOWN] * 6)
-    assert not out.terminal
+    (s, _, done), total = play(env, [LEFT] * 4 + [DOWN] * 6)
+    assert not done
     assert total == pytest.approx(100.0)
-    agent, _, _, has_key = configurations(env)[out.next_state]
+    agent, _, _, has_key = configurations(env)[s]
     assert has_key
     assert agent == (1, 7)
     # Standing on the key cell again pays nothing new.
@@ -138,25 +138,25 @@ def test_key_alone_scores_100_and_key_disappears():
 
 def test_door_without_key_is_inert():
     env, _ = fresh()
-    out, total = play(env, [RIGHT] * 5 + [LEFT])
+    (_, _, done), total = play(env, [RIGHT] * 5 + [LEFT])
     assert total == pytest.approx(0.0)
-    assert not out.terminal
+    assert not done
 
 
 def test_walls_block_movement():
     env, start = fresh()
     gen = rng.stream(0, rng.ENV)
-    out = env.step(UP, gen)  # spawn is against the top wall
-    assert out.next_state == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
+    s, _, _ = env.step(UP, gen)  # spawn is against the top wall
+    assert s == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
 
 
 def test_skull_collision_is_terminal_zero():
     env, _ = fresh()
     # Down the column x=4, then wait; the skull sweeps back into the agent.
-    out, total = play(env, [LEFT] + [DOWN] * 8)
-    assert out.terminal
+    (s, _, done), total = play(env, [LEFT] + [DOWN] * 8)
+    assert done
     assert total == pytest.approx(0.0)
-    assert configurations(env)[out.next_state][0] == (4, 7)
+    assert configurations(env)[s][0] == (4, 7)
 
 
 def test_skull_periodicity():
@@ -178,10 +178,10 @@ def test_skull_periodicity():
 
 def test_step_limit_truncates():
     env, _ = fresh(step_limit=7)
-    out, before = play(env, [UP] * 6)
-    assert not out.terminal
-    out, last = play(env, [UP])  # the 7th step hits the limit
-    assert out.terminal
+    (_, _, done), before = play(env, [UP] * 6)
+    assert not done
+    (_, _, done), last = play(env, [UP])  # the 7th step hits the limit
+    assert done
     assert before + last == pytest.approx(0.0)
 
 
@@ -192,12 +192,12 @@ def test_swap_through_skull_is_survivable():
     env, _ = fresh(layout=lay)
     gen = rng.stream(0, rng.ENV)
     by_state = configurations(env)
-    out = env.step(DOWN, gen)  # lands on the skull's vacated cell
-    assert not out.terminal
-    assert by_state[out.next_state][0] == (2, 2)
-    out = env.step(RIGHT, gen)  # true swap: agent and skull trade cells
-    assert not out.terminal
-    agent, off, _, _ = by_state[out.next_state]
+    s, _, done = env.step(DOWN, gen)  # lands on the skull's vacated cell
+    assert not done
+    assert by_state[s][0] == (2, 2)
+    s, _, done = env.step(RIGHT, gen)  # true swap: agent and skull trade cells
+    assert not done
+    agent, off, _, _ = by_state[s]
     assert agent == (3, 2)
     assert env.layout.patrol[off] == (2, 2)
 
@@ -208,7 +208,7 @@ def test_reward_budget_under_random_play():
     gen = rng.stream(9, rng.ENV)
     act = rng.stream(9, rng.CONTROLLER)
     for _ in range(40):
-        env.reset(gen)
+        env.reset()
         total = 0.0
         done = False
         while not done:
@@ -224,7 +224,7 @@ def test_entities_fresh_and_pure():
     env, state = fresh()
     lay = env.layout
     assert state == env.encode(lay.spawn, 0, DIR_RIGHT, False)
-    assert env.reset(rng.stream(1, rng.ENV)) == state
+    assert env.reset() == state
     assert len({lay.spawn, lay.key, lay.door, lay.ladder_bl, lay.ladder_br}) == 5
 
 
@@ -233,7 +233,7 @@ def test_step_before_reset_and_after_terminal_raise():
     gen = rng.stream(0, rng.ENV)
     with pytest.raises(RuntimeError):
         env.step(UP, gen)
-    env.reset(gen)
+    env.reset()
     env.step(UP, gen)
     with pytest.raises(RuntimeError):
         env.step(UP, gen)
@@ -247,7 +247,7 @@ def test_bad_action_raises():
     for bad in (4, -1):
         with pytest.raises(ValueError):
             env.step(bad, gen)
-    assert env.step(UP, gen).next_state == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
+    assert env.step(UP, gen)[0] == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
 
 
 # (dx, dy) per action id; y grows downward.
@@ -306,7 +306,7 @@ def skull_phases(patrol_len):
 def place(env, config, steps):
     """Put a reset env into a configuration after `steps` steps."""
     agent, off, heading, has_key = config
-    env.reset(rng.stream(0, rng.ENV))
+    env.reset()
     env._cell = agent[1] * env.layout.width + agent[0]
     env._phase = off * 2 + heading
     env._has_key = int(has_key)
@@ -358,6 +358,6 @@ def test_step_limit_ends_an_episode_on_the_limit_step():
         env, _ = fresh(step_limit=step_limit)
         gen = rng.stream(0, rng.ENV)
         for t in range(1, step_limit + 1):
-            assert env.step(UP, gen).terminal == (t == step_limit)
+            assert env.step(UP, gen)[2] == (t == step_limit)
         with pytest.raises(RuntimeError):
             env.step(UP, gen)

@@ -193,15 +193,15 @@ def test_flat_agent_inline_rule_is_tabular_backup():
     reset, step = env.reset, env.step
     current = []
 
-    def recording_reset(gen):
-        current[:] = [reset(gen)]
+    def recording_reset():
+        current[:] = [reset()]
         return current[0]
 
     def recording_step(action, gen):
-        out = step(action, gen)
-        steps.append((current[0], action, out.extrinsic_reward, out.next_state, out.terminal))
-        current[0] = out.next_state
-        return out
+        s_next, r, done = step(action, gen)
+        steps.append((current[0], action, r, s_next, done))
+        current[0] = s_next
+        return s_next, r, done
 
     env.reset, env.step = recording_reset, recording_step
     env_gen = rng.stream(3, rng.ENV)
@@ -383,6 +383,9 @@ def test_make_estimator_builds_every_backend_by_name():
     for backend in BACKENDS:
         vf = make_estimator(backend, 3, 2, 4, 0.1, 5, 7, np.random.default_rng(0))
         assert (vf.kind, vf.n_states, vf.n_choices, vf.n_goals) == (backend, 3, 2, 4)
+        # values(row) is a list of n_choices floats, which eps_greedy takes.
+        row = vf.values(5)
+        assert type(row) is list and [type(v) for v in row] == [float, float]
     net = make_estimator("mlp", 3, 2, None, 0.1, 5, 7, np.random.default_rng(0))
     assert (net.hidden, net.target_sync, net.learning_rate) == (5, 7, 0.1)
 

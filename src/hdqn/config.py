@@ -23,6 +23,10 @@ MAX_CAPACITY = 10**8
 # x hidden, 21 MB each at 1024 units in the shipped key-door room (2596
 # inputs). The default is 64.
 MAX_HIDDEN = 1024
+# Most first-layer weights of a network, (states + goals) x hidden: 64 MiB
+# an array, which bounds hidden for a large room as MAX_HIDDEN does for
+# the shipped one (2596 x 1024 = 2.7M).
+MAX_MLP_WEIGHTS = 2**23
 _MOST = dict(d1_capacity=MAX_CAPACITY, d2_capacity=MAX_CAPACITY, hidden=MAX_HIDDEN)
 
 
@@ -119,7 +123,13 @@ class ExperimentConfig:
             raise bad("layout applies to the keydoor environment only")
         # Builds the room once (0.14 ms for key-door), so a bad layout
         # fails here, before any output directory or worker exists.
-        make_env(self.env, self.layout, self.step_limit)
+        env = make_env(self.env, self.layout, self.step_limit)
+        weights = (env.n_states + len(env.goal_names)) * self.hidden
+        if self.backend == "mlp" and weights > MAX_MLP_WEIGHTS:
+            raise bad(
+                f"(n_states + n_goals) * hidden = {weights} network weights, "
+                f"more than MAX_MLP_WEIGHTS = {MAX_MLP_WEIGHTS}"
+            )
         return self
 
 

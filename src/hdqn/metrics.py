@@ -10,15 +10,19 @@ A column holds one value per episode, or one per goal per episode as an
 the columns, and a header with a "goal" column gets one row per goal per
 episode (long format).
 
-CSV text is made a column at a time, _ROW_BLOCK rows at a time, and
-each block is joined into one text chunk. A float64 column of a block
-is formatted once per distinct bit pattern, because chain curves repeat
-a few thousand values across tens of thousands of rows; every other
+CSV text is made a row block at a time: a block holds _ROW_BLOCK //
+goals whole episodes, and each of its columns is sliced, formatted and
+joined into one text chunk, so the writer holds one block of cells and
+arrays whatever the run's length. A float64 column of a block is
+formatted once per distinct bit pattern, because chain curves repeat a
+few thousand values across tens of thousands of rows; every other
 column goes through str cell by cell. Keying on bits, not values, keeps
 0.0 and -0.0 apart and gives every NaN its own entry. The memo is a
-dict, so no sort runs. A CSV or checkpoint is written to a temporary
-sibling that replaces the target only once it is complete, so an error
-never leaves a half-written file.
+dict, so no sort runs. The cross-seed aggregate is computed a block at
+a time too, from the seeds' slices of the block's episodes, with the
+same bits as over the whole run. A CSV or checkpoint is written to a
+temporary sibling that replaces the target only once it is complete,
+so an error never leaves a half-written file.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ CHAIN_AGGREGATE_HEADER = ("episode",) + _mean_sem(CHAIN_METRICS)
 KEYDOOR_AGGREGATE_HEADER = ("episode", "goal") + _mean_sem(KEYDOOR_METRICS)
 
 _ROW_BLOCK = 4096  # rows formatted into one text chunk at a time by csv_blocks
+_MADE = ("seed", "episode", "goal")  # csv_blocks names that are not columns of cols
 
 # env -> (per-seed header, aggregate header)
 HEADERS = {
@@ -57,18 +62,20 @@ def trailing_sum(values, window: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("trailing_sum expects a 1-D sequence")
-    n = arr.shape[0]
-    c = np.concatenate(([0.0], np.cumsum(arr)))
-    lo = np.maximum(0, np.arange(1, n + 1) - window)
-    return c[1:] - c[lo]
+    cum = np.cumsum(arr)
+    # Entry i is cum[i] - cum[i - window], or cum[i] while the window is
+    # still expanding; only the result is allocated beside the cumsum.
+    out = cum.copy()
+    np.subtract(out[window:], cum[:-window], out=out[window:])
+    return out
 
 
 def trailing_mean(values, window: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    sums = trailing_sum(arr, window)
-    n = arr.shape[0]
-    counts = np.minimum(np.arange(1, n + 1), window)
-    return sums / counts
+    sums = trailing_sum(values, window)
+    head = min(window, len(sums))
+    sums[:head] /= np.arange(1, head + 1)
+    sums[head:] /= window
+    return sums
 
 
 def windowed_ratio(numerators, denominators, window: int) -> np.ndarray:
@@ -84,9 +91,10 @@ def windowed_ratio(numerators, denominators, window: int) -> np.ndarray:
 def chain_columns(rewards, visit_counts, reward_window: int, visit_window: int) -> dict:
     """Column arrays for one chain seed.
 
-    visit_counts: (episodes, n_states) per-episode entry tallies.
+    visit_counts: (episodes, n_states) per-episode entry tallies; each
+    reported column is converted to float64 on its own.
     """
-    visits = np.asarray(visit_counts, dtype=np.float64)
+    visits = np.asarray(visit_counts)
     cols = {"reward_ma": trailing_mean(rewards, reward_window)}
     for offset, name in enumerate(CHAIN_STATES):
         cols[f"visits_{name}"] = trailing_mean(visits[:, offset + 2], visit_window)
@@ -155,51 +163,84 @@ def write_csv(path, header, blocks) -> None:
         fh.writelines(blocks)
 
 
-def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=()):
+def _episodes_per_block(per_episode: int) -> int:
+    # At least 2: numpy sums a one-episode (seeds, 1) block pairwise over
+    # its seeds, which for 8 seeds or more can differ in the last bits
+    # from the row-by-row sum over seeds that a wider block gets.
+    return max(2, _ROW_BLOCK // per_episode)
+
+
+def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=(), first_episode=1):
     """CSV text in header order, one chunk of whole lines per row block.
 
-    "seed" is the given seed, "episode" the 1-based episode index and
-    "goal" the goal name; every other name is a column of cols. With a
-    "goal" column there is one row per goal per episode, episode-major,
-    and a per-episode column repeats across its episode's rows. Each
-    name is resolved to a whole column once (the seed is formatted once,
-    and a column is copied only to repeat it per goal); each block of
-    rows is then formatted a column at a time, which bounds the strings
-    alive.
+    "seed" is the given seed, "episode" the episode index counted from
+    first_episode and "goal" the goal name; every other name is a column
+    of cols. With a "goal" column there is one row per goal per episode,
+    episode-major, and a per-episode column repeats across its episode's
+    rows. A block holds _ROW_BLOCK // goals whole episodes (at least 2);
+    its cells are made and formatted a column at a time, so the strings
+    and arrays alive depend on the block, not on the run.
     """
     per_episode = len(goal_names) if "goal" in header else 1
     n_episodes = len(next(iter(cols.values())))
     n_rows = n_episodes * per_episode
+    arrays = {name: np.asarray(cols[name]) for name in header if name not in _MADE}
+    for name, col in arrays.items():
+        size = col.size if col.ndim > 1 else len(col) * per_episode
+        if size != n_rows:
+            raise ValueError(f"column {name!r} has {size} values for {n_rows} rows")
+    seed_text, goals = str(seed), list(map(str, goal_names))
 
-    def column(name) -> np.ndarray:
+    def cells(name, lo, hi) -> list:
         if name == "seed":
-            return np.full(n_rows, str(seed), dtype=object)
-        if name == "episode":
-            return np.arange(n_rows) // per_episode + 1
+            return [seed_text] * ((hi - lo) * per_episode)
         if name == "goal":
-            return np.tile(np.asarray(goal_names, dtype=object), n_episodes)
-        col = np.asarray(cols[name])
+            return goals * (hi - lo)
+        if name == "episode":
+            col = np.arange(lo + first_episode, hi + first_episode)
+        else:
+            col = arrays[name][lo:hi]
         if col.ndim > 1:
-            return col.ravel()
-        return col.repeat(per_episode) if per_episode > 1 else col
+            return format_column(col.ravel())
+        return format_column(col.repeat(per_episode) if per_episode > 1 else col)
 
-    columns = [column(name) for name in header]
-    for name, col in zip(header, columns):
-        if len(col) != n_rows:
-            raise ValueError(f"column {name!r} has {len(col)} values for {n_rows} rows")
-    for lo in range(0, n_rows, _ROW_BLOCK):
-        yield _block_text([col[lo : lo + _ROW_BLOCK] for col in columns])
+    step = _episodes_per_block(per_episode)
+    for lo in range(0, n_episodes, step):
+        hi = min(lo + step, n_episodes)
+        yield _block_text(cells(name, lo, hi) for name in header)
 
 
-def _block_text(columns: list) -> str:
-    """CSV lines of equal-length column slices, as one newline-ended chunk.
+def _block_text(texts) -> str:
+    """CSV lines of an iterable of equal-length lists of cell text, as one
+    newline-ended chunk.
 
-    A function of its own so that the block's cell and line strings are
-    freed before its chunk is written.
+    The cell lists are freed once the lines are made, before they are
+    joined, and the lines before the chunk is written.
     """
-    lines = list(map(",".join, zip(*[format_column(col) for col in columns])))
+    lines = list(map(",".join, zip(*texts)))
     lines.append("")
     return "\n".join(lines)
+
+
+def aggregate_blocks(header, per_seed_cols: list, goal_names=()):
+    """The bytes of csv_blocks(header, aggregate(per_seed_cols), goal_names=
+    goal_names), aggregated one row block at a time.
+
+    Each block applies aggregate to every seed's slice of its episodes; a
+    seed that has ended gives an empty slice, zero-padded and masked as
+    in the whole run. aggregate sums over the seed axis and then works
+    element by element, so a block gives the bits the whole run gives. A
+    last block of one episode joins the block before it (see
+    _episodes_per_block).
+    """
+    step = _episodes_per_block(len(goal_names) if "goal" in header else 1)
+    n_max = max(len(next(iter(cols.values()))) for cols in per_seed_cols)
+    lo = 0
+    while lo < n_max:
+        hi = n_max if n_max - lo <= step + 1 else lo + step
+        part = [{name: col[lo:hi] for name, col in cols.items()} for cols in per_seed_cols]
+        yield from csv_blocks(header, aggregate(part), goal_names=goal_names, first_episode=lo + 1)
+        lo = hi
 
 
 def aggregate(per_seed_cols: list) -> dict:

@@ -35,7 +35,9 @@ def test_tracer_installs_on_the_current_package():
 @pytest.mark.parametrize(
     "config, overrides, trace, called",
     [
-        ("chain_flat.cfg", {"episodes": 300, "seeds": [0, 1]}, 0, ()),
+        # Past one 4096-row block, so that the child's checks on the
+        # aggregate's length and means read output written in blocks.
+        ("chain_flat.cfg", {"episodes": 5000, "seeds": [0, 1]}, 0, ()),
         # The hierarchical path under the tracer, with d2 past its warm-up
         # so that the meta level's replay and update layers are called.
         (

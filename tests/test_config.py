@@ -1,8 +1,13 @@
+import pathlib
+import tracemalloc
+
 import pytest
 
+from helpers import open_room
 from hdqn.config import (
     MAX_CAPACITY,
     MAX_HIDDEN,
+    MAX_MLP_WEIGHTS,
     MAX_SEEDS,
     MAX_WORKERS,
     ExperimentConfig,
@@ -133,6 +138,28 @@ def test_size_bounds_admit_their_limits():
         workers=MAX_WORKERS,
     )
     assert (cfg.d1_capacity, cfg.hidden, cfg.workers) == (MAX_CAPACITY, MAX_HIDDEN, MAX_WORKERS)
+
+
+def test_network_weights_are_bounded_before_any_array_exists():
+    """(n_states + n_goals) * hidden is checked when the config is
+    validated, from the room alone. A 100 x 100 room with a 4-cell patrol
+    (160,000 states) at the default 64 units would take 78 MB a
+    first-layer array; validation allocates no such array. The shipped
+    key-door room is admitted at MAX_HIDDEN."""
+    shipped = pathlib.Path(__file__).resolve().parent.parent / "configs" / "keydoor_hdqn.cfg"
+    assert load_config(str(shipped), {"backend": "mlp", "hidden": MAX_HIDDEN}).hidden == MAX_HIDDEN
+    assert (2592 + 4) * MAX_HIDDEN <= MAX_MLP_WEIGHTS
+    for layout, hidden in ((open_room(100, 100, 4), 64), (open_room(24, 24, 4), MAX_HIDDEN)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="MAX_MLP_WEIGHTS"):
+                default_config(env="keydoor", backend="mlp", hidden=hidden, layout=layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+    # The tabular backend has no weights to bound.
+    assert default_config(env="keydoor", layout=open_room(24, 24, 4), hidden=MAX_HIDDEN).hidden == MAX_HIDDEN
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -1,21 +1,24 @@
 import copy
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hdqn import rng
+from hdqn import metrics, rng
 from hdqn.agents import FlatQAgent
 from hdqn.checkpoint import read_agent
 from hdqn.config import default_config
 from hdqn.envs.chain import ChainEnv
 from hdqn.harness import (
+    SeedResult,
     build_agent,
     build_env,
     evaluate_policy,
     file_stem,
     run_experiment,
     run_seed,
+    write_outputs,
 )
 from hdqn.metrics import CHAIN_HEADER, KEYDOOR_HEADER
 
@@ -150,6 +153,39 @@ def test_aggregate_mean_consistent_with_seeds(tmp_path):
         want = sum(per_seed) / 2
         got = float(row[1])
         assert abs(got - want) < 1e-12
+
+
+def test_aggregate_is_written_holding_one_row_block(tmp_path, monkeypatch):
+    """From the last seed's CSV to the end of the aggregate CSV, the
+    traced peak stays below one (seeds x episodes) float64 array: the
+    aggregate is made and written one row block at a time. The seeds'
+    own CSVs are not written here; only their columns feed the aggregate.
+    """
+    n_seeds, episodes = 12, 2**16
+    cfg = default_config(agent="flat", seeds=tuple(range(n_seeds)), episodes=episodes)
+    gen = np.random.default_rng(3)
+    results = [
+        SeedResult(seed, gen.integers(0, 2, episodes) * 1.0, gen.integers(0, 3, (episodes, 6)))
+        for seed in cfg.seeds
+    ]
+    write_csv, seed_files = metrics.write_csv, []
+
+    def traced_write_csv(path, header, blocks):
+        if header != metrics.CHAIN_AGGREGATE_HEADER:
+            seed_files.append(path)
+            if len(seed_files) == n_seeds:
+                tracemalloc.start()
+            return
+        write_csv(path, header, blocks)
+
+    monkeypatch.setattr(metrics, "write_csv", traced_write_csv)
+    try:
+        written = write_outputs(cfg, results, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_rows(written[-1])) == episodes + 1
+    assert len(seed_files) == n_seeds and 0 < peak < n_seeds * episodes * 8
 
 
 def test_checkpoint_on_disk_is_loadable(tmp_path):

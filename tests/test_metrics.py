@@ -141,8 +141,9 @@ def test_write_csv_bytes(tmp_path):
 
 def test_csv_blocks_match_per_cell_reference_across_blocks(tmp_path):
     """A 3-goal long-format file over more than two row blocks: 4096 % 3
-    != 0, so episodes straddle block boundaries. Then the aggregate over
-    ragged seeds, whose later episodes have one seed and a 0.0 SEM."""
+    != 0, so a block holds 1365 whole episodes, 4095 rows. Then the
+    aggregate over ragged seeds, whose later episodes have one seed and a
+    0.0 SEM."""
     gen = np.random.default_rng(5)
     goals = ("a", "b", "c")
     per_seed = []
@@ -295,6 +296,38 @@ def test_aggregate_per_goal_columns_match_per_goal_aggregates():
         ref = metrics.aggregate([{"p": c["p"][:, g]} for c in cols])
         np.testing.assert_array_equal(agg["p_mean"][:, g], ref["p_mean"])
         np.testing.assert_array_equal(agg["p_sem"][:, g], ref["p_sem"])
+
+
+B = metrics._ROW_BLOCK
+KB = metrics._ROW_BLOCK // 4  # episodes in a key-door block, 4 goals
+
+
+@pytest.mark.parametrize(
+    "header, goals, lengths",
+    [
+        # Seeds that end mid-block, one that ends exactly on a block
+        # boundary, and one shorter than one block.
+        (metrics.CHAIN_AGGREGATE_HEADER, (), (2 * B + 100, B + 7, B, 10)),
+        # Per-goal 2-D columns in long format, with the same endings.
+        (metrics.KEYDOOR_AGGREGATE_HEADER, ("a", "b", "c", "d"), (2 * KB + 100, KB + 7, KB, 10)),
+        # Nine seeds, six of them one episode past a block: numpy would sum
+        # a one-episode block pairwise over the seeds, so it is aggregated
+        # with the block before it.
+        (metrics.CHAIN_AGGREGATE_HEADER, (), (2 * B + 1,) * 6 + (2 * B, B, 5)),
+    ],
+    ids=["chain", "keydoor", "one-episode-tail"],
+)
+def test_aggregate_blocks_equal_the_whole_run_aggregate(header, goals, lengths):
+    gen = np.random.default_rng(len(lengths))
+    names = [name[: -len("_mean")] for name in header if name.endswith("_mean")]
+    per_seed = []
+    for n in lengths:
+        shape = (n, len(goals)) if goals else (n,)
+        cols = {name: gen.normal(size=shape) * 10.0 ** gen.integers(-3, 3) for name in names}
+        cols[names[0]] = cols[names[0]].reshape(n, -1)[:, 0]  # reward_ma is per episode
+        per_seed.append(cols)
+    whole = metrics.csv_blocks(header, metrics.aggregate(per_seed), goal_names=goals)
+    assert "".join(metrics.aggregate_blocks(header, per_seed, goals)) == "".join(whole)
 
 
 def test_row_generators():

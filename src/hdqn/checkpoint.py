@@ -1,35 +1,37 @@
 """Agent checkpoints: the value functions plus exploration state.
 
-One binary container, little-endian, version 2. Layout:
+One binary container, little-endian, version 3. Each fact is stored
+once. Layout:
 
     magic "HACK"[4] version u32 agent_kind u8 (its index in agents.KINDS)
     env:      the env's name text, layout_text text and step_limit u32
               (chain: empty and 0), which envs.make_env rebuilds it from
     flat:     primitive_steps u64, gamma f8, schedule, value section
-    hdqn:     primitive_steps, joint_steps, completed_options twice
-              (u64 each), gamma f8, low-level then meta schedule,
-              tracker, low-level then meta value section
+    hdqn:     primitive_steps, joint_steps, completed_options (u64
+              each), gamma f8, low-level then meta schedule, tracker,
+              low-level then meta value section
 
     text:     u32 byte length, then UTF-8 bytes
-    schedule: start f8 (always 1.0), floor f8, horizon u64
-    tracker:  window u32, floor f8 (eps1's), then per goal a u32 count
-              (at most window) and that many outcome bytes (0 or 1)
+    schedule: floor f8, horizon u64 (every schedule anneals from 1)
+    tracker:  window u32, then per goal a u32 count (at most window)
+              and that many outcome bytes (0 or 1); its floor is eps1's
     value section: backend u8 (its index in values.BACKENDS), n_states
               u32, n_goals u32 (0 = no goal axis), n_choices u32,
-              learning_rate f8; mlp adds hidden u32 and train_steps u64;
-              then f8 arrays: the table, one row per (state[, goal])
-              in C order, or w1, b1, w2, b2 followed by their four
-              snapshot arrays
+              learning_rate f8; mlp adds hidden u32, train_steps u64
+              and target_sync u32; then f8 arrays: the table, one row
+              per (state[, goal]) in C order, or w1, b1, w2, b2
+              followed by their four snapshot arrays
 
-The environment fixes every dimension, so the reader checks each
-section's dimensions against the env's, and a network body's length,
-before values.make_estimator builds the estimator, then fills the
-estimator's arrays() in place. A loaded network syncs its target every
-1000 train steps. A slot that repeats a fact is checked against it, so
-dump_agent(load_agent(b)) == b for every b that loads. Trailing bytes
-are rejected, and every malformed field raises ConfigError. Checkpoints
-hold everything a frozen-policy evaluation needs; replay contents are
-deliberately not persisted.
+The flat agent's list table is written as a tabular value section with
+no goal axis. The environment fixes every dimension, so the reader
+checks each section's dimensions against the env's, and a network
+body's length, before values.make_estimator builds the estimator, then
+fills the estimator's arrays() in place. dump_agent(load_agent(b)) == b
+for every b that loads. Any version but 3 is rejected: an older file is
+regenerated by re-running its config. Trailing bytes are rejected, and
+every malformed field raises ConfigError. Checkpoints hold everything a
+frozen-policy evaluation needs; replay contents are deliberately not
+persisted.
 """
 from __future__ import annotations
 
@@ -43,10 +45,13 @@ from hdqn.errors import ConfigError
 from hdqn.values import BACKENDS, make_estimator
 
 _MAGIC = b"HACK"
-_VERSION = 2
+_VERSION = 3
 # Width in bits of the field each of these config settings is written to
-# (step_limit and the tracker's window u32, a schedule's horizon u64).
-FIELD_BITS = dict(step_limit=32, tracker_window=32, eps1_horizon=64, eps2_horizon=64)
+# (step_limit, the tracker's window and a network's target_sync u32, a
+# schedule's horizon u64).
+FIELD_BITS = dict(
+    step_limit=32, tracker_window=32, target_sync=32, eps1_horizon=64, eps2_horizon=64
+)
 
 
 class _Writer:
@@ -62,20 +67,14 @@ class _Writer:
         self.parts.append(data)
 
     def schedule(self, sched: EpsilonSchedule):
-        self.pack("ddQ", 1.0, sched.floor, sched.horizon)
+        self.pack("dQ", sched.floor, sched.horizon)
 
     def values(self, vf):
         backend = BACKENDS.index(vf.kind)
         self.pack("BIIId", backend, vf.n_states, vf.n_goals or 0, vf.n_choices, vf.learning_rate)
         if vf.kind == "mlp":
-            self.pack("IQ", vf.hidden, vf.train_steps)
+            self.pack("IQI", vf.hidden, vf.train_steps, vf.target_sync)
         self.parts.extend(np.asarray(a, dtype="<f8").tobytes() for a in vf.arrays())
-
-    def table(self, learning_rate: float, table):
-        """The flat agent's tabular section: one row per state."""
-        table = np.asarray(table, dtype="<f8")
-        self.pack("BIIId", 0, table.shape[0], 0, table.shape[1], learning_rate)
-        self.parts.append(table.tobytes())
 
 
 class _Reader:
@@ -99,10 +98,7 @@ class _Reader:
         return self.raw(self.pack("I")).decode("utf-8")
 
     def schedule(self) -> EpsilonSchedule:
-        start, floor, horizon = self.pack("ddQ")
-        if start != 1.0:
-            raise ConfigError(f"an exploration schedule starts at 1.0, not {start!r}")
-        return EpsilonSchedule(floor, horizon)
+        return EpsilonSchedule(*self.pack("dQ"))
 
     def array(self, shape) -> np.ndarray:
         return np.frombuffer(self.raw(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
@@ -121,12 +117,12 @@ class _Reader:
         if BACKENDS[backend] == "tabular":
             vf = make_estimator("tabular", n_states, n_choices, n_goals, lr)
         else:
-            hidden, train_steps = self.pack("IQ")
+            hidden, train_steps, target_sync = self.pack("IQI")
             # A crafted hidden could ask for any size: check the body first.
             n_params = (n_states + (n_goals or 0) + 1) * hidden + (hidden + 1) * n_choices
             if 2 * 8 * n_params > len(self.data) - self.pos:
                 raise ConfigError("checkpoint truncated")
-            vf = make_estimator("mlp", n_states, n_choices, n_goals, lr, hidden)
+            vf = make_estimator("mlp", n_states, n_choices, n_goals, lr, hidden, target_sync)
             vf.train_steps = train_steps
         for a in vf.arrays():
             a[...] = self.array(a.shape)
@@ -146,16 +142,16 @@ def dump_agent(agent, env) -> bytes:
     if agent.kind == "flat":
         w.pack("Qd", agent.primitive_steps, agent.gamma)
         w.schedule(agent.eps)
-        w.table(agent.learning_rate, agent.table)
+        q = make_estimator("tabular", env.n_states, env.n_actions, None, agent.learning_rate)
+        q.table[...] = agent.table
+        w.values(q)
         return b"".join(w.parts)
 
-    options = agent.completed_options  # both counter slots
-    w.pack("QQQQd", agent.primitive_steps, agent.joint_steps, options, options, agent.gamma)
+    w.pack("QQQd", agent.primitive_steps, agent.joint_steps, agent.completed_options, agent.gamma)
     w.schedule(agent.eps1)
     w.schedule(agent.eps2)
-    tracker = agent.tracker
-    w.pack("Id", tracker.window, tracker.floor)
-    for outcomes in tracker.dump():
+    w.pack("I", agent.tracker.window)
+    for outcomes in agent.tracker.dump():
         w.pack("I", len(outcomes))
         w.parts.append(bytes(int(o) for o in outcomes))
     w.values(agent.q1)
@@ -198,15 +194,10 @@ def _load(r: _Reader):
         return agent, env, kind
 
     n_goals = len(env.goal_names)
-    primitive_steps, joint_steps, options, completed_options, gamma = r.pack("QQQQd")
-    if options != completed_options:
-        raise ConfigError(f"option counters disagree: {options} and {completed_options}")
+    primitive_steps, joint_steps, completed_options, gamma = r.pack("QQQd")
     eps1 = r.schedule()
     eps2 = r.schedule()
-    window, floor = r.pack("Id")
-    # Compared as bits: a -0.0 here would pass == 0.0 but be written back as eps1's.
-    if struct.pack("<d", floor) != struct.pack("<d", eps1.floor):
-        raise ConfigError(f"tracker floor {floor!r} is not the low-level floor {eps1.floor!r}")
+    window = r.pack("I")
     windows = [r.raw(r.pack("I")) for _ in range(n_goals)]
     q1 = r.values(env.n_states, n_goals, env.n_actions)
     q2 = r.values(env.n_states, None, n_goals)

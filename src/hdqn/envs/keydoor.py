@@ -217,16 +217,6 @@ class KeyDoorEnv(Environment):
     def _cell_index(self, cell: tuple[int, int]) -> int:
         return cell[1] * self.layout.width + cell[0]
 
-    def encode(
-        self,
-        agent: tuple[int, int],
-        skull_off: int,
-        skull_dir: int,
-        has_key: bool,
-    ) -> int:
-        idx = self._cell_index(agent)
-        return ((idx * self.patrol_len + skull_off) * 2 + skull_dir) * 2 + int(has_key)
-
     def agent_cell_index(self, state: int) -> int:
         """Agent's flat cell index; cheap enough for per-step goal checks."""
         return state // (self.patrol_len * 4)

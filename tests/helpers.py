@@ -29,6 +29,18 @@ def hdqn_agent(
     return HierarchicalAgent(env, q1, q2, seed=seed, **kwargs)
 
 
+def keydoor_state(
+    env, agent: tuple[int, int], skull_off: int, skull_dir: int, has_key: bool
+) -> int:
+    """The state id of a key-door configuration, computed here from the
+    factored form rather than by the env: ((cell * P + offset) * 2 +
+    heading) * 2 + key, with cell = y * width + x and P the patrol
+    length."""
+    x, y = agent
+    cell = y * env.layout.width + x
+    return ((cell * env.patrol_len + skull_off) * 2 + skull_dir) * 2 + int(has_key)
+
+
 def open_room(width: int, height: int, patrol: int) -> str:
     """A wall-less width x height key-door layout, rows joined by '/': the
     first row holds A, K, D and both ladders, the second row starts with

@@ -121,7 +121,8 @@ def test_meta_tabular_roundtrip():
 
 
 def test_mlp_roundtrip():
-    """Live parameters, the frozen snapshot, train_steps and the rate."""
+    """Live parameters, the frozen snapshot, train_steps, target_sync and
+    the rate."""
     env = ChainEnv()
     agent = hdqn_agent(
         env,
@@ -142,6 +143,7 @@ def test_mlp_roundtrip():
         back, net = getattr(loaded, name), getattr(agent, name)
         assert back.kind == "mlp"
         assert (back.hidden, back.train_steps, back.learning_rate) == (7, net.train_steps, 3e-4)
+        assert back.target_sync == 10_000
         for k in net.PARAM_NAMES:
             assert np.array_equal(back.params[k], net.params[k])
             assert np.array_equal(back.snapshot[k], net.snapshot[k])
@@ -186,11 +188,14 @@ def test_corrupt_checkpoints_rejected(tmp_path):
 
 
 def test_unsupported_version_rejected():
+    """Version 2, which repeated facts and left out target_sync, has no
+    reader; neither has any other version but 3."""
     env, agent = trained_chain_agent(episodes=5)
     blob = bytearray(dump_agent(agent, env))
-    blob[4] = 99
-    with pytest.raises(ConfigError):
-        load_agent(bytes(blob))
+    for version in (2, 99):
+        blob[4] = version
+        with pytest.raises(ConfigError, match=f"unsupported checkpoint version {version}"):
+            load_agent(bytes(blob))
 
 
 def flat_chain_agent():
@@ -207,13 +212,39 @@ def corrupted(blob: bytes, old: bytes, new: bytes) -> bytes:
     return blob.replace(old, new, 1)
 
 
-def test_dump_writes_only_what_the_flat_agent_has():
-    env, agent = flat_chain_agent()
+HEADER = 4 + 4 + 1 + (4 + 5) + 4 + 4  # magic, version, kind, the chain's env block
+SCHEDULE = 8 + 8  # floor, horizon
+SECTION = 1 + 3 * 4 + 8  # a value section's backend, dims and rate
+
+
+@pytest.mark.parametrize("kind", ["flat", "hdqn", "mlp"])
+def test_dump_writes_only_what_the_agent_has(kind):
+    """Each fact once: one option counter, schedules without a start,
+    a tracker without a floor; a network section adds hidden,
+    train_steps and target_sync, a u32."""
+    if kind == "flat":
+        env, agent = flat_chain_agent()
+        fields = 8 + 8 + SCHEDULE  # primitive_steps, gamma, one schedule
+        sections = SECTION + 6 * 2 * 8  # the table
+    else:
+        if kind == "hdqn":
+            env, agent = trained_chain_agent(episodes=5)
+            sections = SECTION + 6 * 6 * 2 * 8 + SECTION + 6 * 6 * 8  # q1, q2 tables
+        else:
+            agent = hdqn_agent(ChainEnv(), backend="mlp", hidden=3, target_sync=777, seed=2)
+            env = agent.env
+            net = SECTION + 4 + 8 + 4  # hidden, train_steps, target_sync
+            # Live and snapshot parameters: (states + goals + 1) * hidden
+            # + (hidden + 1) * choices each.
+            sections = net + 2 * 8 * (13 * 3 + 4 * 2) + net + 2 * 8 * (7 * 3 + 4 * 6)
+        # primitive_steps, joint_steps, completed_options, gamma, two
+        # schedules, the tracker's window and its goal windows
+        tracker = 4 + sum(4 + len(w) for w in agent.tracker.dump())
+        fields = 3 * 8 + 8 + 2 * SCHEDULE + tracker
     blob = dump_agent(agent, env)
-    header = 4 + 4 + 1 + (4 + 5) + 4 + 4  # magic, version, kind, env block
-    fields = 8 + 8 + 24  # primitive_steps, gamma, one schedule
-    section = 1 + 3 * 4 + 8 + 6 * 2 * 8  # backend, dims, rate, table
-    assert len(blob) == header + fields + section
+    assert len(blob) == HEADER + fields + sections
+    if kind == "mlp":
+        assert blob.count(struct.pack("<IQI", 3, 0, 777)) == 2
 
 
 def test_dump_of_load_reproduces_the_bytes():
@@ -252,11 +283,11 @@ def test_shipped_config_checkpoints_reproduce_their_bytes(name, overrides):
 
 
 def test_flat_checkpoint_bytes_pinned():
-    """The flat agent writes its list table as the same tabular section
-    bytes as when it held a TabularQ (digest recorded before the change)."""
+    """The flat agent writes its list table as a tabular value section
+    (digest re-recorded for checkpoint version 3)."""
     cfg = load_config(CONFIGS / "chain_flat.cfg", {"seeds": (0,), "episodes": 300, "workers": 1})
     digest = hashlib.sha256(run_seed(cfg, 0).checkpoint).hexdigest()
-    assert digest == "f212ee56563e969fbadf70c414f67594de2ad036a05e992b59778abcf2fdeabf"
+    assert digest == "ecfc3314de90240de64c06fd5d4afa23d06cf5782323bfb30c4a6c4107d31039"
 
 
 def test_load_builds_the_agent_around_the_read_estimators(monkeypatch):
@@ -302,14 +333,14 @@ def test_flat_checkpoint_with_a_network_section_rejected():
 @pytest.mark.parametrize(
     "old,new",
     [
-        (struct.pack("<ddQ", 1.0, 0.1, 200), struct.pack("<ddQ", 0.5, 0.1, 200)),
-        (struct.pack("<ddQ", 1.0, 0.1, 200), struct.pack("<ddQ", 1.0, 0.1, 0)),
+        (struct.pack("<dQ", 0.1, 200), struct.pack("<dQ", 0.1, 0)),
+        (struct.pack("<dQ", 0.1, 200), struct.pack("<dQ", 5.0, 200)),
     ],
-    ids=["start", "horizon"],
+    ids=["horizon", "floor"],
 )
 def test_bad_schedule_rejected(old, new):
-    """Every schedule starts at 1.0: a start slot holding anything else
-    is rejected, even one that would anneal down to its floor."""
+    """A schedule with no steps to anneal over, or a floor outside
+    [0, 1], which the tracker would also take, is rejected."""
     env, agent = trained_chain_agent(episodes=5)
     with pytest.raises(ConfigError):
         load_agent(corrupted(dump_agent(agent, env), old, new))
@@ -320,9 +351,9 @@ def test_bad_gamma_rejected(gamma):
     """A discount outside [0, 1] in either agent's fields ends in a
     ConfigError, as it does in a config file."""
     env, agent = trained_chain_agent(episodes=5)
-    head = (agent.primitive_steps, agent.joint_steps, *[agent.completed_options] * 2)
+    head = (agent.primitive_steps, agent.joint_steps, agent.completed_options)
     blob = corrupted(
-        dump_agent(agent, env), struct.pack("<QQQQd", *head, 0.99), struct.pack("<QQQQd", *head, gamma)
+        dump_agent(agent, env), struct.pack("<QQQd", *head, 0.99), struct.pack("<QQQd", *head, gamma)
     )
     with pytest.raises(ConfigError, match="gamma"):
         load_agent(blob)
@@ -346,36 +377,24 @@ def test_non_finite_network_learning_rate_rejected(lr):
         load_agent(blob)
 
 
-def test_bad_tracker_floor_rejected():
-    """The tracker's floor is the low-level schedule's: a tracker floor
-    outside [0, 1], or one that differs from the schedule's, even in sign
-    alone, is rejected."""
-    env, agent = trained_chain_agent(episodes=5)
-    for schedule_floor, floor in ((0.1, 5.0), (0.1, 0.2), (0.0, -0.0)):
-        blob = corrupted(
-            dump_agent(agent, env), struct.pack("<Id", 100, 0.1), struct.pack("<Id", 100, floor)
-        )
-        blob = corrupted(  # the low-level schedule comes first
-            blob, struct.pack("<ddQ", 1.0, 0.1, 200), struct.pack("<ddQ", 1.0, schedule_floor, 200)
-        )
-        with pytest.raises(ConfigError, match="floor"):
-            load_agent(blob)
-
-
-def test_option_counters_must_agree():
-    """Both counter slots hold completed_options; a file whose two differ
-    would not reproduce its bytes, so it is rejected."""
-    env, agent = trained_chain_agent(episodes=5)
-    n = agent.completed_options
-    blob = corrupted(dump_agent(agent, env), struct.pack("<QQ", n, n), struct.pack("<QQ", n + 1, n))
-    with pytest.raises(ConfigError, match="option counters"):
+def test_zero_target_sync_rejected():
+    agent = hdqn_agent(ChainEnv(), backend="mlp", hidden=3, seed=2)
+    blob = corrupted(
+        dump_agent(agent, agent.env), struct.pack("<IQI", 3, 0, 1000), struct.pack("<IQI", 3, 0, 0)
+    )
+    with pytest.raises(ConfigError, match="target_sync"):
         load_agent(blob)
 
 
+# A trained_chain_agent's two schedules (floor 0.1, horizon 200) and its
+# tracker's window (100): the bytes just before the goal windows.
+BEFORE_WINDOWS = struct.pack("<dQdQI", 0.1, 200, 0.1, 200, 100)
+
+
 def tracker_windows(blob: bytes, n_goals: int) -> list:
-    """(offset of the count, count) of each goal window of a chain agent
-    checkpoint whose tracker has window 100 and floor 0.1."""
-    pos = blob.index(struct.pack("<Id", 100, 0.1)) + 12
+    """(offset of the count, count) of each goal window of a
+    trained_chain_agent checkpoint."""
+    pos = blob.index(BEFORE_WINDOWS) + len(BEFORE_WINDOWS)
     out = []
     for _ in range(n_goals):
         (count,) = struct.unpack_from("<I", blob, pos)
@@ -400,7 +419,7 @@ def test_tracker_window_longer_than_its_length_rejected():
     blob = dump_agent(agent, env)
     longest = max(count for _, count in tracker_windows(blob, agent.n_goals))
     assert longest >= 2
-    damaged = corrupted(blob, struct.pack("<Id", 100, 0.1), struct.pack("<Id", longest - 1, 0.1))
+    damaged = corrupted(blob, BEFORE_WINDOWS, BEFORE_WINDOWS[:-4] + struct.pack("<I", longest - 1))
     with pytest.raises(ConfigError, match=f"at most {longest - 1} outcomes"):
         load_agent(damaged)
 

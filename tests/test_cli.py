@@ -93,8 +93,17 @@ def test_unknown_key_exits_1(tmp_path, capsys):
         ("", "", ["--seed", str(2**64)]),
         ("workers = 1", "workers = 1\nd1_capacity = 1000000000000000", []),
         ("env = chain", "env = keydoor\nbackend = mlp\nhidden = 2147483647", []),
+        ("workers = 1", f"workers = 1\nbackend = mlp\ntarget_sync = {2**32}", []),
     ],
-    ids=["tabular-rate", "flat-rate", "config-seed", "flag-seed", "replay-capacity", "mlp-hidden"],
+    ids=[
+        "tabular-rate",
+        "flat-rate",
+        "config-seed",
+        "flag-seed",
+        "replay-capacity",
+        "mlp-hidden",
+        "mlp-target-sync",
+    ],
 )
 def test_out_of_range_inputs_exit_1(tmp_path, capsys, old, new, flags):
     """Inputs that once passed validation and then crashed in training."""
@@ -129,6 +138,29 @@ def test_eval_runs_on_written_checkpoint(tiny_cfg, tmp_path, capsys):
 def test_eval_missing_checkpoint_exits_1(tmp_path):
     code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt")])
     assert code == 1
+
+
+def test_eval_rejects_a_version_2_checkpoint(tmp_path, capsys):
+    """A flat chain agent as version 2 wrote it, whose schedule held a
+    start of 1.0, has no reader: eval exits 1 with an error line."""
+    blob = b"".join(
+        [
+            b"HACK",
+            struct.pack("<IB", 2, 0),  # version 2, the flat kind
+            struct.pack("<I5sII", 5, b"chain", 0, 0),  # name, empty layout, step_limit 0
+            struct.pack("<Qd", 0, 0.99),  # primitive_steps, gamma
+            struct.pack("<ddQ", 1.0, 0.1, 300),  # start, floor, horizon
+            struct.pack("<BIIId", 0, 6, 0, 2, 0.2),  # tabular section header
+            bytes(6 * 2 * 8),
+        ]
+    )
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(blob)
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "unsupported checkpoint version 2" in err
+    assert "Traceback" not in err
 
 
 def test_eval_rejects_bad_epsilon(tiny_cfg, tmp_path):

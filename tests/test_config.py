@@ -113,6 +113,7 @@ def test_line_number_points_at_offender():
         {"env": "keydoor", "step_limit": 5_000_000_000},
         {"tracker_window": 5_000_000_000},
         {"backend": "mlp", "hidden": 2**32},
+        {"backend": "mlp", "target_sync": 2**32},
         {"eps1_horizon": 10**20},
         {"eps2_horizon": 2**64},
         # Each would end in a memory error when the agent is built.
@@ -136,8 +137,11 @@ def test_size_bounds_admit_their_limits():
         backend="mlp",
         hidden=MAX_HIDDEN,
         workers=MAX_WORKERS,
+        target_sync=2**32 - 1,
+        tracker_window=2**32 - 1,
     )
     assert (cfg.d1_capacity, cfg.hidden, cfg.workers) == (MAX_CAPACITY, MAX_HIDDEN, MAX_WORKERS)
+    assert cfg.target_sync == cfg.tracker_window == 2**32 - 1
 
 
 def test_network_weights_are_bounded_before_any_array_exists():

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import hdqn_agent, stored_controller
+from helpers import hdqn_agent, keydoor_state, stored_controller
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule
 from hdqn.critic import INTRINSIC_REWARD, Critic
@@ -29,7 +29,7 @@ def test_keydoor_goal_set():
     cells = [lay.key, lay.door, lay.ladder_bl, lay.ladder_br]
     assert env.goal_cells == tuple(y * lay.width + x for x, y in cells)
     for cell, target in zip(cells, env.goal_cells):
-        assert env.agent_cell_index(env.encode(cell, 1, 1, True)) == target
+        assert env.agent_cell_index(keydoor_state(env, cell, 1, 1, True)) == target
     assert hdqn_agent(env).n_goals == 4
 
 
@@ -113,7 +113,7 @@ def test_door_goal_ignores_key_possession():
     critic = Critic(env)
     door = env.goal_names.index("door")
     # State with the agent on the door cell, no key.
-    s = env.encode(env.layout.door, 0, 0, False)
+    s = keydoor_state(env, env.layout.door, 0, 0, False)
     assert critic.reached(door, s)
     assert critic.reached(door, env.reset()) is False
 
@@ -123,6 +123,6 @@ def test_ladder_goals():
     critic = Critic(env)
     for name, cell in (("ladder_bl", env.layout.ladder_bl), ("ladder_br", env.layout.ladder_br)):
         goal = env.goal_names.index(name)
-        s = env.encode(cell, 3, 1, True)
+        s = keydoor_state(env, cell, 3, 1, True)
         assert critic.reached(goal, s)
 

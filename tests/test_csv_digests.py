@@ -15,8 +15,9 @@ CSV writer; those digests were recorded with the cell-at-a-time writer,
 before CSVs were formatted a column at a time.
 
 Checkpoint digests pin the value tables, the tracker windows and the
-key-door layout text byte for byte; they were recorded while replay
-rows still held the state and goal as separate columns. The key-door
+key-door layout text byte for byte; they were re-recorded for
+checkpoint version 3, which stores each fact once and writes a
+network's target_sync, with no CSV digest moving. The key-door
 pin lowers d2_warmup so that the meta level trains in every seed (at
 the shipped 1000 the meta memory holds 19 to 34 options here), and
 the MLP pin is the only digest of the network backend.
@@ -40,9 +41,9 @@ PINNED = {
         {"seeds": (0, 1), "episodes": 2000},
         {
             "chain_hdqn_seed0.csv": "ab9db604d9ef6c21bc8fb23632de133cc99b54374c7fe36b53887bbdb00cd8eb",
-            "chain_hdqn_seed0.ckpt": "bd58a028c40b817b7b1f157c3882f1812c342d453b98e90ff10334d21a9c8bc5",
+            "chain_hdqn_seed0.ckpt": "f72c596b10b88f4c72fd2ecaee27cd19ba2fa566c496cdbdde61c4c168f69ab2",
             "chain_hdqn_seed1.csv": "f5cfec455eab76a231ed89a7c761f36cd2041f3d5e52850f3e1d3bb61ff794c4",
-            "chain_hdqn_seed1.ckpt": "036c5cbcc1a489613d92c672404537adc6eeae830f0ac6ab60cf4466ad01ebb0",
+            "chain_hdqn_seed1.ckpt": "21f3848d0d316a3e66ecacabfa06476751cee667e4096f99891b3d84dae7e6c9",
             "chain_hdqn_aggregate.csv": "b1713fedb75bad59c1a9cf6599f127538faedd12c273b0ccc813e65e4905b93b",
         },
     ),
@@ -53,7 +54,7 @@ PINNED = {
         {"seeds": (0,), "episodes": 300, "backend": "mlp"},
         {
             "chain_hdqn_seed0.csv": "87772133e5ef523663f44bf86182f467302026e3df74bf3783c2793f4ad51485",
-            "chain_hdqn_seed0.ckpt": "7369e19bfdcdf91510c2a5086d46b828505bf3e9afee6c98a5d74c62dfb88586",
+            "chain_hdqn_seed0.ckpt": "d09a788b391a3571688104fa3aeca59d137228bd336711ee2eb0e2eb5b466fca",
             "chain_hdqn_aggregate.csv": "1a6505d05b82f8f75e3835df57f56aac7e70a6ed00fef500e22212f0bef50db5",
         },
     ),
@@ -64,9 +65,9 @@ PINNED = {
         {"seeds": (0, 1), "episodes": 5000},
         {
             "chain_flat_seed0.csv": "9b6f5bd7c06e262efaf12ccb6228d7e567124badb104c3084d0e1be2b35d92ef",
-            "chain_flat_seed0.ckpt": "ecbc4366dc8dab31d48c49915bed68eddd17aa91ff24af176692e03caeccad05",
+            "chain_flat_seed0.ckpt": "5a0987f307c0b267516443fa7a93b82c13c1d828ececc3c6d01f126ae982591c",
             "chain_flat_seed1.csv": "4ecbf096568d2248ebe0eae55607a0541a68945a94ba54496241e41fecea912c",
-            "chain_flat_seed1.ckpt": "1fc020d393b89b4bd992f98b9da1f7d4c36c9ef39a0101be3a6888cfe1177ec4",
+            "chain_flat_seed1.ckpt": "7cea02e4e0f4e4e670c3b34d1c419ea97f852e2de43f829efbe587b70fbc44c9",
             "chain_flat_aggregate.csv": "9067e5adc7238898f52058354297495f5b5ca2fbcec0db25d34c7c5e6bd6e1c3",
         },
     ),
@@ -79,11 +80,11 @@ PINNED = {
         {"seeds": (0, 1, 2), "pretrain_steps": 3000, "episodes": 5, "d2_warmup": 10},
         {
             "keydoor_hdqn_seed0.csv": "fef0b8d4640f8d3969ccc9108f07439e4b608d20c24be6e05cb178c1f42fbb66",
-            "keydoor_hdqn_seed0.ckpt": "28b008db200a1b935a505b0b1ec5036b94dc9610f9d113b9c97d6bdf15e1c414",
+            "keydoor_hdqn_seed0.ckpt": "03d1f9ff0afca8f81e137fda22d34b15cb84c73beedfff1a52ea07efaaa186ef",
             "keydoor_hdqn_seed1.csv": "f9f823fd774d308072bd695a84606fcdcaa3da453c0698947c5bf0584ef1a8a5",
-            "keydoor_hdqn_seed1.ckpt": "3cbffb3e53b857be4345ec8e2ef981fa7027053d719abc49e4b86cf33a5f05ec",
+            "keydoor_hdqn_seed1.ckpt": "9f98c06a85840a611a02abc3b11e0b0bffeffa95e2e3260e4c453a9bc4e542ae",
             "keydoor_hdqn_seed2.csv": "7aac9d86645f87b47f710e17e550be3a854bf4f6c7112954848c68312c405548",
-            "keydoor_hdqn_seed2.ckpt": "1400e14dced624e971ee3916fc8a9b345a62b94467de7bc97151335967498e81",
+            "keydoor_hdqn_seed2.ckpt": "076efee8b81938223f20ad503575a78ec66126d528fe21d9a97a084d5da9b7cb",
             "keydoor_hdqn_aggregate.csv": "cea1e0c33ce78a087b83424e7bf96f4d03ccaddc20e8cd09914b1362e33817b8",
         },
     ),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import open_room
+from helpers import keydoor_state, open_room
 from hdqn import rng
 from hdqn.envs.keydoor import (
     DEFAULT_LAYOUT,
@@ -31,10 +31,10 @@ def fresh(layout=None, step_limit=500):
 
 def configurations(env) -> dict:
     """state id -> (agent cell, skull offset, skull heading, key flag)
-    for every configuration, built from encode alone."""
+    for every configuration, built from keydoor_state alone."""
     lay = env.layout
     return {
-        env.encode((x, y), off, d, k): ((x, y), off, d, k)
+        keydoor_state(env, (x, y), off, d, k): ((x, y), off, d, k)
         for y in range(lay.height)
         for x in range(lay.width)
         for off in range(env.patrol_len)
@@ -104,7 +104,7 @@ def test_state_count_matches_factored_form():
 
 
 def test_encode_decode_roundtrip():
-    """encode is one-to-one onto range(n_states), so the table inverting
+    """keydoor_state is one-to-one onto range(n_states), so the table inverting
     it decodes every id, and agent_cell_index reads the agent's cell."""
     env, _ = fresh()
     lay = env.layout
@@ -147,7 +147,7 @@ def test_walls_block_movement():
     env, start = fresh()
     gen = rng.stream(0, rng.ENV)
     s, _, _ = env.step(UP, gen)  # spawn is against the top wall
-    assert s == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
+    assert s == keydoor_state(env, env.layout.spawn, 1, DIR_RIGHT, False)
 
 
 def test_skull_collision_is_terminal_zero():
@@ -223,7 +223,7 @@ def test_entities_fresh_and_pure():
     right, the key not held; the other entities are fixed layout cells."""
     env, state = fresh()
     lay = env.layout
-    assert state == env.encode(lay.spawn, 0, DIR_RIGHT, False)
+    assert state == keydoor_state(env, lay.spawn, 0, DIR_RIGHT, False)
     assert env.reset() == state
     assert len({lay.spawn, lay.key, lay.door, lay.ladder_bl, lay.ladder_br}) == 5
 
@@ -247,7 +247,7 @@ def test_bad_action_raises():
     for bad in (4, -1):
         with pytest.raises(ValueError):
             env.step(bad, gen)
-    assert env.step(UP, gen)[0] == env.encode(env.layout.spawn, 1, DIR_RIGHT, False)
+    assert env.step(UP, gen)[0] == keydoor_state(env, env.layout.spawn, 1, DIR_RIGHT, False)
 
 
 # (dx, dy) per action id; y grows downward.
@@ -343,7 +343,8 @@ def test_table_step_matches_the_coordinate_reference_everywhere(layout):
                         place(env, config, steps)
                         out = env.step(action, gen)
                         want, reward, terminal = reference_step(lay, step_limit, config, steps, action)
-                        assert out == (env.encode(*want), reward, terminal), (config, steps, action)
+                        state = keydoor_state(env, *want)
+                        assert out == (state, reward, terminal), (config, steps, action)
                         if terminal:
                             with pytest.raises(RuntimeError):
                                 env.step(UP, gen)

@@ -19,9 +19,9 @@ from hdqn.values import BACKENDS
 # Most rows of a replay memory: 24 bytes a row (two int32 and two float64
 # columns), 2.4 GB at most. The shipped configs use up to 1,000,000.
 MAX_CAPACITY = 10**8
-# Most hidden units: a network keeps about four arrays of 8 bytes x inputs
-# x hidden, 21 MB each at 1024 units in the shipped key-door room (2596
-# inputs). The default is 64.
+# Most hidden units: a network keeps two arrays of 8 bytes x inputs x
+# hidden, w1 and its snapshot, 21 MB each at 1024 units in the shipped
+# key-door room (2596 inputs). The default is 64.
 MAX_HIDDEN = 1024
 # Most first-layer weights of a network, (states + goals) x hidden: 64 MiB
 # an array, which bounds hidden for a large room as MAX_HIDDEN does for

@@ -3,8 +3,9 @@
 Two interchangeable backends behind one minibatch contract. TabularQ is
 a dense table; MlpQ is a one-hidden-layer rectified linear network
 trained by plain stochastic gradient descent on squared error against
-frozen-snapshot bootstrap targets. A goal-conditioned table is the
-one-hot linear case of such a network, so both train the same way.
+frozen-snapshot bootstrap targets, which reads its first layer by row.
+A goal-conditioned table is the one-hot linear case of such a network,
+so both train the same way.
 
 Both are indexed by row. With a goal axis (n_goals set) an estimator
 serves the low level and has n_states * n_goals rows, row
@@ -131,8 +132,10 @@ class TabularQ:
 class MlpQ:
     """One-hidden-layer rectified linear action-value network.
 
-    Inputs are one-hot state vectors, concatenated with a one-hot goal
-    vector when goal-conditioned; encode splits each row into the two.
+    The one-hot input (state, then goal) is never built: a row selects
+    w1's state row and, with a goal axis, row n_states + goal, whose sum
+    plus b1 is exactly x @ w1 + b1. The w1 gradient and update touch
+    only the selected rows, each summing its items in batch order.
     A frozen snapshot of the parameters supplies bootstrap targets;
     train_on copies the live parameters into it every target_sync train
     steps.
@@ -178,26 +181,16 @@ class MlpQ:
         }
         self.snapshot = {k: v.copy() for k, v in self.params.items()}
 
-    @property
-    def input_dim(self) -> int:
-        return self.n_states + (self.n_goals or 0)
-
-    def encode(self, rows) -> np.ndarray:
-        """One-hot state (plus one-hot goal) inputs for a batch of rows."""
-        rows = np.asarray(rows, dtype=np.int64)
-        n = rows.shape[0]
-        x = np.zeros((n, self.input_dim))
+    def _w1_rows(self, rows) -> np.ndarray:
+        """The w1 row indices a batch of rows selects, (k, 1) or (k, 2)."""
         if self.n_goals is None:
-            x[np.arange(n), rows] = 1.0
-        else:
-            states, goals = np.divmod(rows, self.n_goals)
-            x[np.arange(n), states] = 1.0
-            x[np.arange(n), self.n_states + goals] = 1.0
-        return x
+            return np.asarray(rows)[:, None]
+        states, goals = np.divmod(rows, self.n_goals)
+        return np.stack([states, self.n_states + goals], axis=1)
 
     @staticmethod
-    def _forward(params: dict, x: np.ndarray):
-        z1 = x @ params["w1"] + params["b1"]
+    def _forward(params: dict, w1_rows: np.ndarray):
+        z1 = params["w1"][w1_rows].sum(axis=1) + params["b1"]
         h = np.maximum(z1, 0.0)
         q = h @ params["w2"] + params["b2"]
         return z1, h, q
@@ -207,16 +200,17 @@ class MlpQ:
         n_rows = self.n_states * (self.n_goals or 1)
         if not 0 <= row < n_rows:
             raise IndexError(f"row {row} out of range [0, {n_rows})")
-        return self._forward(self.params, self.encode([row]))[2][0].tolist()
+        return self._forward(self.params, self._w1_rows([row]))[2][0].tolist()
 
     def loss_and_grads(self, columns: tuple):
-        """Pre-step batch loss and its gradient for every parameter."""
+        """Pre-step batch loss and its gradient for every parameter; w1's
+        is (touched, rows): the selected rows' sorted indices and gradient."""
         cell, row_next, r, disc = columns
         row, a = np.divmod(cell, self.n_choices)
-        qn = self._forward(self.snapshot, self.encode(row_next))[2]
+        qn = self._forward(self.snapshot, self._w1_rows(row_next))[2]
         y = r + disc * qn.max(axis=1)
-        x = self.encode(row)
-        z1, h, q = self._forward(self.params, x)
+        w1_rows = self._w1_rows(row)
+        z1, h, q = self._forward(self.params, w1_rows)
         n = len(y)
         items = np.arange(n)
         diff = q[items, a] - y
@@ -225,10 +219,13 @@ class MlpQ:
         gq[items, a] = 2.0 * diff / n
         gh = gq @ self.params["w2"].T
         gz1 = gh * (z1 > 0.0)
+        touched, inverse = np.unique(w1_rows, return_inverse=True)
+        gw1 = np.zeros((touched.size, self.hidden))
+        np.add.at(gw1, inverse.reshape(w1_rows.shape), gz1[:, None, :])
         grads = {
             "w2": h.T @ gq,
             "b2": gq.sum(axis=0),
-            "w1": x.T @ gz1,
+            "w1": (touched, gw1),
             "b1": gz1.sum(axis=0),
         }
         return loss, grads
@@ -246,7 +243,9 @@ class MlpQ:
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss {loss!r}")
         lr = self.learning_rate
-        for name in self.PARAM_NAMES:
+        touched, gw1 = grads["w1"]
+        self.params["w1"][touched] -= lr * gw1
+        for name in ("b1", "w2", "b2"):
             self.params[name] -= lr * grads[name]
         self.train_steps += 1
         if self.train_steps % self.target_sync == 0:

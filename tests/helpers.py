@@ -89,6 +89,55 @@ def stored_controller(agent) -> dict:
     return out
 
 
+def onehot(net: MlpQ, rows) -> np.ndarray:
+    """The one-hot input of a batch of rows, a (k, n_states + n_goals)
+    matrix: a 1 at each row's state and, with a goal axis, a 1 at
+    n_states + goal."""
+    rows = np.asarray(rows)
+    k = rows.shape[0]
+    x = np.zeros((k, net.n_states + (net.n_goals or 0)))
+    if net.n_goals is None:
+        x[np.arange(k), rows] = 1.0
+    else:
+        states, goals = np.divmod(rows, net.n_goals)
+        x[np.arange(k), states] = 1.0
+        x[np.arange(k), net.n_states + goals] = 1.0
+    return x
+
+
+def onehot_forward(params: dict, x: np.ndarray) -> tuple:
+    """(z1, h, q) of the network on one-hot inputs x, z1 = x @ w1 + b1."""
+    z1 = x @ params["w1"] + params["b1"]
+    h = np.maximum(z1, 0.0)
+    return z1, h, h @ params["w2"] + params["b2"]
+
+
+def onehot_loss_and_grads(net: MlpQ, columns) -> tuple:
+    """The pre-step loss and dense gradients of a minibatch, computed
+    through one-hot inputs: the first layer's gradient is x.T @ gz1."""
+    cell, row_next, r, disc = columns
+    row, a = np.divmod(cell, net.n_choices)
+    y = r + disc * onehot_forward(net.snapshot, onehot(net, row_next))[2].max(axis=1)
+    x = onehot(net, row)
+    z1, h, q = onehot_forward(net.params, x)
+    n = len(y)
+    diff = q[np.arange(n), a] - y
+    gq = np.zeros_like(q)
+    gq[np.arange(n), a] = 2.0 * diff / n
+    gz1 = (gq @ net.params["w2"].T) * (z1 > 0.0)
+    grads = {"w1": x.T @ gz1, "b1": gz1.sum(axis=0), "w2": h.T @ gq, "b2": gq.sum(axis=0)}
+    return float(np.mean(diff**2)), grads
+
+
+def dense_grads(net: MlpQ, grads: dict) -> dict:
+    """loss_and_grads' gradients with w1's (touched, rows) pair written
+    into a zero array of w1's shape."""
+    touched, rows = grads["w1"]
+    w1 = np.zeros_like(net.params["w1"])
+    w1[touched] = rows
+    return {**grads, "w1": w1}
+
+
 def random_net_and_batch(gen: np.random.Generator, gamma: float):
     """A random small network plus a compatible random batch of columns,
     discounted by gamma.
@@ -128,8 +177,7 @@ def random_net_and_batch(gen: np.random.Generator, gamma: float):
         batch.append((s, a, r, sn, term))
 
     batch = columns(batch, n_choices, gamma)
-    x = net.encode(batch[0] // n_choices)
-    z1 = x @ net.params["w1"] + net.params["b1"]
+    z1 = onehot_forward(net.params, onehot(net, batch[0] // n_choices))[0]
     if np.abs(z1).min() < 1e-3:
         return None
     return net, batch
@@ -165,7 +213,7 @@ def gradcheck_worst_rel_err(n_instances: int = 100, seed: int = 0, h: float = 1e
             continue
         net, batch = drawn
         done += 1
-        _, grads = net.loss_and_grads(batch)
+        grads = dense_grads(net, net.loss_and_grads(batch)[1])
         analytic = np.concatenate([grads[n].ravel() for n in net.PARAM_NAMES])
         numeric = finite_difference_grads(net, batch, h=h)
         denom = np.maximum(1e-8, np.maximum(np.abs(analytic), np.abs(numeric)))

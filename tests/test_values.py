@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import columns, goal_rows, gradcheck_worst_rel_err, transition_columns
+from helpers import (
+    columns,
+    dense_grads,
+    goal_rows,
+    gradcheck_worst_rel_err,
+    onehot,
+    onehot_forward,
+    onehot_loss_and_grads,
+    transition_columns,
+)
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule, FlatQAgent
 from hdqn.envs.chain import ChainEnv
@@ -277,16 +286,26 @@ def test_zero_net_outputs_zero():
     assert np.array_equal(net.values(1 * 2 + 0), np.zeros(3))
 
 
+def selected_inputs(net: MlpQ, rows) -> np.ndarray:
+    """The input matrix whose 1s are the w1 rows _w1_rows selects."""
+    w1_rows = net._w1_rows(np.asarray(rows))
+    x = np.zeros((w1_rows.shape[0], net.params["w1"].shape[0]))
+    np.put_along_axis(x, w1_rows, 1.0, axis=1)
+    return x
+
+
 def test_encoding_is_one_or_two_hot():
     net = MlpQ(5, 2, n_goals=3, hidden=4, init_rng=np.random.default_rng(1))
-    x = net.encode([2 * 3 + 0, 4 * 3 + 2])
+    assert np.array_equal(net._w1_rows(np.array([2 * 3 + 0, 4 * 3 + 2])), [[2, 5], [4, 7]])
+    x = selected_inputs(net, [2 * 3 + 0, 4 * 3 + 2])
     assert x.shape == (2, 8)
     assert np.array_equal(np.sort(np.unique(x)), [0.0, 1.0])
     assert np.array_equal(x.sum(axis=1), [2.0, 2.0])
     assert x[0, 2] == 1.0 and x[0, 5] == 1.0
     assert x[1, 4] == 1.0 and x[1, 7] == 1.0
     meta = MlpQ(5, 3, init_rng=np.random.default_rng(1))
-    xm = meta.encode([3])
+    assert np.array_equal(meta._w1_rows(np.array([3])), [[3]])
+    xm = selected_inputs(meta, [3])
     assert xm.sum() == 1.0 and xm[0, 3] == 1.0
 
 
@@ -297,8 +316,9 @@ def test_encoding_is_one_or_two_hot():
 )
 @settings(max_examples=100, deadline=None)
 def test_encode_rows_equals_the_state_goal_encoding(n_states, n_goals, seed):
-    """encode(rows) is the one-hot state plus one-hot goal input that
-    the network took as separate state and goal indices."""
+    """The w1 rows a batch of rows selects are the one-hot state plus
+    one-hot goal input that the network took as separate state and goal
+    indices."""
     gen = np.random.default_rng(seed)
     net = MlpQ(n_states, 2, n_goals=n_goals, hidden=2)
     n = int(gen.integers(1, 20))
@@ -311,7 +331,54 @@ def test_encode_rows_equals_the_state_goal_encoding(n_states, n_goals, seed):
         goals = gen.integers(n_goals, size=n)
         expected[np.arange(n), n_states + goals] = 1.0
         rows = states * n_goals + goals
-    assert np.array_equal(net.encode(rows), expected)
+    assert np.array_equal(selected_inputs(net, rows), expected)
+    assert np.array_equal(onehot(net, rows), expected)
+
+
+@given(
+    n_states=st.integers(1, 6),
+    n_goals=st.one_of(st.none(), st.integers(1, 5)),
+    repeat=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_selected_first_layer_equals_the_onehot_reference(n_states, n_goals, repeat, seed):
+    """The forward pass on selected w1 rows is bit-equal to x @ w1 + b1
+    on one-hot inputs, and the touched-row gradient, written densely,
+    is x.T @ gz1. Summing a w1 row's items is order-free while at most
+    two items select it; past that the order of the sum may differ from
+    the matrix product's in the last bits."""
+    gen = np.random.default_rng(seed)
+    n_choices = 3
+    net = MlpQ(n_states, n_choices, n_goals=n_goals, hidden=4, init_rng=gen)
+    for name in net.PARAM_NAMES:
+        net.snapshot[name] = net.snapshot[name] + gen.normal(0.0, 0.3, net.snapshot[name].shape)
+    n_rows = n_states * (n_goals or 1)
+    k = int(gen.integers(1, 20))
+    row = gen.integers(n_rows, size=k)
+    if repeat:  # the first row again: its state and its goal repeat
+        row = np.append(row, row[0])
+    a = gen.integers(n_choices, size=row.size)
+    term = gen.integers(2, size=row.size).astype(bool)
+    batch = transition_columns(
+        row, a, gen.normal(size=row.size), gen.integers(n_rows, size=row.size), term, n_choices, 0.9
+    )
+    for params in (net.params, net.snapshot):
+        got = net._forward(params, net._w1_rows(row))
+        want = onehot_forward(params, onehot(net, row))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    loss, grads = net.loss_and_grads(batch)
+    ref_loss, ref = onehot_loss_and_grads(net, batch)
+    assert loss == ref_loss
+    grads = dense_grads(net, grads)
+    for name in ("b1", "w2", "b2"):
+        assert np.array_equal(grads[name], ref[name])
+    if onehot(net, row).sum(axis=0).max() <= 2:
+        assert np.array_equal(grads["w1"], ref["w1"])
+    else:
+        np.testing.assert_allclose(grads["w1"], ref["w1"], rtol=1e-12)
 
 
 def test_perfect_targets_mean_zero_loss_and_no_update():
@@ -425,7 +492,7 @@ def tuple_path_loss(net: MlpQ, batch, gamma: float) -> float:
     """The loss as the per-transition tuple path computed it."""
     total = 0.0
     for row, a, r, row_next, term in batch:
-        nxt = net._forward(net.snapshot, net.encode([row_next]))[2][0]
+        nxt = onehot_forward(net.snapshot, onehot(net, [row_next]))[2][0]
         y = r + (0.0 if term else gamma * nxt.max())
         total += (net.values(row)[a] - y) ** 2
     return total / len(batch)

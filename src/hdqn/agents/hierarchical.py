@@ -87,6 +87,8 @@ class HierarchicalAgent:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if d1_warmup < 1 or d2_warmup < 1:
             raise ValueError("warm-up thresholds must be >= 1")
+        if d1_warmup > d1_capacity or d2_warmup > d2_capacity:
+            raise ValueError("a warm-up threshold above its replay capacity is never reached")
         self.env = env
         self.critic = Critic(env)
         self.goal_names = env.goal_names

@@ -98,6 +98,12 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < 1:
                 raise bad(f"{name} must be >= 1, got {getattr(self, name)}")
+        # A ring never holds more rows than its capacity, so a larger
+        # warm-up would leave that level untrained for the whole run.
+        for level in ("d1", "d2"):
+            warmup, capacity = getattr(self, level + "_warmup"), getattr(self, level + "_capacity")
+            if warmup > capacity:
+                raise bad(f"{level}_warmup must be <= {level}_capacity = {capacity}, got {warmup}")
         # A checkpoint stores these in fixed-width fields, so a larger
         # value would fail only after training, when the run is saved.
         for name, bits in FIELD_BITS.items():

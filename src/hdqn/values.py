@@ -45,7 +45,12 @@ class TabularQ:
     train_on takes the bootstrap max with np.maximum.reduceat over the
     flattened (k, n_choices) gather of the bootstrap rows, which is exact
     and cheaper than .max(axis=1) at minibatch sizes; the k segment starts
-    are cached and rebuilt when k changes.
+    are cached and rebuilt when k changes. It reads and updates cells
+    through _cells, a flat view of table made once: the checkpoint reader
+    fills table in place, so the view stays valid. It takes the loss
+    before it scales delta by the learning rate in place, and indexes
+    with cell and row' as given, so intp columns (what ReplayBuffer.sample
+    returns) need no cast.
 
     train_on is batch-synchronous, like a network's minibatch step:
     every target comes from the table as it was before the batch, and a
@@ -73,6 +78,7 @@ class TabularQ:
         self.n_goals = n_goals
         self.learning_rate = learning_rate
         self.table = np.zeros((n_states * (n_goals or 1), n_choices))
+        self._cells = self.table.reshape(-1)
         self._k = 0  # batch size the cached segment starts are for
         self._starts = None
 
@@ -114,19 +120,20 @@ class TabularQ:
         Returns the mean squared pre-update temporal-difference error.
         """
         cell, row_next, r, disc = columns
-        table = self.table
-        cells = table.reshape(-1)
         k = row_next.size
         if k != self._k:
             self._starts = np.arange(0, k * self.n_choices, self.n_choices)
             self._k = k
         # delta = r + disc * max_a' Q(row', a') - Q[cell], formed in place.
-        delta = np.maximum.reduceat(table.take(row_next, axis=0).reshape(-1), self._starts)
+        delta = np.maximum.reduceat(self.table.take(row_next, axis=0).reshape(-1), self._starts)
         delta *= disc
         delta += r
+        cells = self._cells
         delta -= cells.take(cell)
-        np.add.at(cells, cell, self.learning_rate * delta)
-        return float(delta @ delta) / delta.size
+        loss = float(delta @ delta) / k
+        delta *= self.learning_rate
+        np.add.at(cells, cell, delta)
+        return loss
 
 
 class MlpQ:

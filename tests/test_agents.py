@@ -228,6 +228,13 @@ def test_agents_reject_a_discount_outside_the_unit_interval(gamma):
         assert FlatQAgent(ChainEnv(), gamma=ok).gamma == hdqn_agent(ChainEnv(), gamma=ok).gamma
 
 
+@pytest.mark.parametrize("level", ["d1", "d2"])
+def test_agent_rejects_a_warmup_above_its_capacity(level):
+    with pytest.raises(ValueError, match="warm-up"):
+        chain_agent(**{f"{level}_capacity": 10, f"{level}_warmup": 11})
+    assert len(getattr(chain_agent(**{f"{level}_capacity": 10, f"{level}_warmup": 10}), level)) == 0
+
+
 def test_chain_hdqn_learns_with_goal_chaining():
     """With a short budget and a hot learning rate the two-level agent
     should already beat the myopic 0.01 payoff on average."""

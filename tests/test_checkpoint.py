@@ -54,6 +54,18 @@ def test_hdqn_roundtrip_preserves_everything():
     assert loaded.gamma == agent.gamma
 
 
+def test_loaded_table_trains_in_place():
+    """train_on updates a loaded table, which the reader filled in place,
+    exactly as it updates the table that was saved."""
+    env, agent = trained_chain_agent()
+    loaded, _, _ = load_agent(dump_agent(agent, env))
+    before = loaded.q1.table.copy()
+    columns = (np.array([5, 9, 5]), np.array([3, 1, 0]), np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.9, 0.9]))
+    assert loaded.q1.train_on(columns) == agent.q1.train_on(columns)
+    assert not np.array_equal(loaded.q1.table, before)
+    assert loaded.q1.table.tobytes() == agent.q1.table.tobytes()
+
+
 def test_roundtrip_evaluates_identically():
     env, agent = trained_chain_agent()
     loaded, _, _ = load_agent(dump_agent(agent, env))

@@ -205,6 +205,23 @@ def test_bad_layout_exits_1_before_the_output_directory_exists(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_unreachable_warmup_exits_1_before_the_output_directory_exists(tmp_path, capsys):
+    """Warm-ups above their rings' capacities would never be reached, so
+    neither level would train: `hdqn run` exits 1 with no output
+    directory rather than training nothing and exiting 0."""
+    cfg = tmp_path / "warm.cfg"
+    cfg.write_text(
+        TINY.replace("d1_warmup = 16\nd2_warmup = 16", "d1_warmup = 100\nd2_warmup = 20")
+        + "d1_capacity = 10\nd2_capacity = 10\n"
+    )
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: invalid config: d1_warmup must be <= d1_capacity = 10, got 100"
+    )
+    assert not out.exists()
+
+
 def test_too_many_workers_exit_1_before_any_pool_exists(tmp_path, capsys, monkeypatch):
     """One more worker than MAX_WORKERS, with a seed for each, fails
     validation: `hdqn run` exits 1 before the output directory or any

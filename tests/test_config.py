@@ -130,6 +130,16 @@ def test_validation_rejects(overrides):
         default_config(**overrides)
 
 
+@pytest.mark.parametrize("level", ["d1", "d2"])
+def test_warmup_above_its_capacity_is_rejected(level):
+    """A ring holds at most capacity rows, so a larger warm-up would never
+    be reached and that level would never train; an equal one is."""
+    with pytest.raises(ConfigError, match=f"{level}_warmup must be <= {level}_capacity = 10"):
+        default_config(**{f"{level}_capacity": 10, f"{level}_warmup": 11})
+    cfg = default_config(**{f"{level}_capacity": 10, f"{level}_warmup": 10})
+    assert getattr(cfg, f"{level}_warmup") == getattr(cfg, f"{level}_capacity") == 10
+
+
 def test_size_bounds_admit_their_limits():
     cfg = default_config(
         d1_capacity=MAX_CAPACITY,

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import stored
 from hdqn import rng
 from hdqn.replay import UNIFORM_BLOCK, ReplayBuffer
+from reference_agent import Ring
 
 
 def ring(capacity, seed=0):
@@ -154,6 +155,80 @@ def test_sample_indices_are_the_scaled_uniforms_while_growing():
             pos += k
             assert buf.sample(k)[0].tolist() == want.tolist()
     assert refills >= 3
+
+
+@given(
+    capacity=st.sampled_from([1, 5, 40, 130, 1000]),
+    segments=st.lists(
+        st.tuples(
+            st.sampled_from([1, 7, 32]),
+            st.integers(1, 300),
+            # chances of 0, 1 and 2 pushes before a call
+            st.sampled_from([(0, 1, 0), (0.01, 0.98, 0.01), (0.15, 0.7, 0.15), (0, 0, 1), (0.5, 0, 0.5)]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A k = 7 block gathered at the second refill, then k = 1 calls two
+# pushes apart: the 6th of them sits at position 12 after 12 pushes,
+# where the block's unmarked row 12 would be.
+@example(capacity=1000, segments=[(32, 128, (0, 0, 1)), (7, 1, (0, 1, 0)), (1, 20, (0, 0, 1))], seed=0)
+@settings(max_examples=40, deadline=None)
+def test_every_minibatch_is_the_direct_rule_on_the_live_ring(capacity, segments, seed):
+    """Random interleavings of 0, 1 or 2 pushes before each sample, runs
+    of one push each (the pattern that gathers whole blocks), k changed
+    mid-block and rings that wrap inside a block: every minibatch equals
+    floor(u * fill) over the next k uniforms, read from a plain list ring
+    as it is at that call, with cell and row' as intp."""
+    buf = ring(capacity, seed)
+    ref = Ring(capacity, rng.stream(seed, rng.REPLAY_D1))
+    pushes = np.random.default_rng(seed)
+    n = 0
+    for k, calls, chances in segments:
+        for _ in range(calls):
+            for _ in range(max(pushes.choice(3, p=chances), n == 0)):
+                row = (n * 7 % 1000, n % 333, float(n), 0.5 * (n % 3))
+                buf.push(*row)
+                ref.push(row)
+                n += 1
+            got = buf.sample(k)
+            want = list(zip(*ref.sample(k)))
+            assert got[0].dtype == got[1].dtype == np.intp
+            assert [c.tolist() for c in got] == [list(c) for c in want]
+
+
+def test_held_minibatches_never_change():
+    """A minibatch a caller holds keeps its values through later pushes,
+    later samples and block refills, while the ring wraps. The pattern is
+    the controller's, one push before each sample, with a few calls off
+    it, so both whole-block and per-call minibatches are held."""
+    buf = ring(1100)
+    for i in range(1000):
+        push_numbered(buf, i)
+    held = []
+    for i in range(1000, 1000 + 3 * UNIFORM_BLOCK // 32):
+        for _ in range(2 if i % 50 == 0 else 1):
+            push_numbered(buf, i)
+        batch = buf.sample(32)
+        held.append((batch, [c.copy() for c in batch]))
+    assert buf.cursor < 1000  # wrapped
+    for batch, copy in held:
+        assert all(np.array_equal(a, b) for a, b in zip(batch, copy))
+    # A minibatch served from a gathered block is a row of a (blocks, k)
+    # array; one gathered for its own call owns its data.
+    from_blocks = sum(batch[2].base is not None for batch, _ in held)
+    assert 0 < from_blocks < len(held)
+
+
+def test_sample_columns_are_intp_and_the_ring_stays_int32():
+    buf = ring(10)
+    for i in range(10):
+        push_numbered(buf, i)
+        cell, row_next, r, disc = buf.sample(7)
+        assert (cell.dtype, row_next.dtype, r.dtype, disc.dtype) == (np.intp, np.intp, np.float64, np.float64)
+    assert buf.cell.dtype == buf.row_next.dtype == np.int32
 
 
 def test_disjoint_buffers_share_nothing():

@@ -1,13 +1,13 @@
 """The two-level agent.
 
 An agent is built for one environment, which lists its goals, and owns
-its internal critic, which it builds from that environment: the critic
-judges, after every primitive step, whether the current goal has been
-reached. A meta level picks a goal from the current state with
-epsilon-greedy exploration over its own value function; the low level
-then picks primitive actions, paid a unit reward when the critic says
-the goal is reached. The option ends when the goal is reached or the
-episode terminates. Environment rewards collected while an option runs
+its internal critic, which it builds from that environment: after every
+primitive step the agent reads the critic's byte for the row it steps
+into, which says whether the current goal has been reached. A meta
+level picks a goal from the current state with epsilon-greedy
+exploration over its own value function; the low level then picks
+primitive actions, paid a unit reward when that byte is 1. The option
+ends when the goal is reached or the episode terminates. Environment rewards collected while an option runs
 are summed undiscounted into F and credited to the goal choice as one
 meta-scale transition; discounting enters only through the bootstrap.
 
@@ -30,10 +30,10 @@ else gamma.
 
 Both levels train from their own replay memory once per primitive step:
 one minibatch of columns per level, through the estimator's train_on.
-run_episode looks up everything it calls per step once per episode
+run_episode looks up everything it uses per step once per episode
 (the bound env.step, values, train_on, push and sample, the meta
-schedule's value, the warm-ups and the batch size) and builds the
-EpisodeTrace from local tallies at the end. A network syncs its own
+schedule's value, the critic's hits, the warm-ups and the batch size)
+and builds the EpisodeTrace from local tallies at the end. A network syncs its own
 target inside train_on (values.py), so the loop is the same for both
 backends.
 Exploration at both levels anneals from 1 to a floor on shared step
@@ -131,7 +131,7 @@ class HierarchicalAgent:
         tracker = self.tracker
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen
         n_actions, n_goals = self.env.n_actions, self.n_goals
-        reached_check = self.critic.reached
+        hits = self.critic.hits
         gamma = self.gamma
 
         s = self.env.reset()
@@ -154,8 +154,8 @@ class HierarchicalAgent:
                 self.primitive_steps += 1
                 if joint:
                     self.joint_steps += 1
-                reached = reached_check(g, s)
                 row_next = s * n_goals + g
+                reached = hits[row_next]
                 d1_push(
                     row * n_actions + a,
                     row_next,
@@ -188,7 +188,7 @@ class HierarchicalAgent:
         env = self.env
         q1, q2 = self.q1, self.q2
         n_goals = self.n_goals
-        reached_check = self.critic.reached
+        hits = self.critic.hits
         s = env.reset()
         trace = EpisodeTrace()
         done = False
@@ -199,7 +199,7 @@ class HierarchicalAgent:
             while not (done or reached):
                 a = eps_greedy(q1.values(s * n_goals + g), epsilon, pick_gen)
                 s, r, done = env.step(a, env_gen)
-                reached = reached_check(g, s)
+                reached = hits[s * n_goals + g]
                 trace.total_reward += r
                 trace.steps += 1
             trace.goal_successes.append(reached)

@@ -14,6 +14,7 @@ from hdqn.agents import KINDS
 from hdqn.checkpoint import FIELD_BITS
 from hdqn.envs import NAMES, make_env
 from hdqn.errors import ConfigError
+from hdqn.replay import UNIFORM_BLOCK
 from hdqn.values import BACKENDS
 
 # Most rows of a replay memory: 24 bytes a row (two int32 and two float64
@@ -27,7 +28,11 @@ MAX_HIDDEN = 1024
 # an array, which bounds hidden for a large room as MAX_HIDDEN does for
 # the shipped one (2596 x 1024 = 2.7M).
 MAX_MLP_WEIGHTS = 2**23
-_MOST = dict(d1_capacity=MAX_CAPACITY, d2_capacity=MAX_CAPACITY, hidden=MAX_HIDDEN)
+# Most rows of a minibatch: one replay uniform block, 128 times the default 32.
+MAX_BATCH_SIZE = UNIFORM_BLOCK
+_MOST = dict(
+    d1_capacity=MAX_CAPACITY, d2_capacity=MAX_CAPACITY, hidden=MAX_HIDDEN, batch_size=MAX_BATCH_SIZE
+)
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ class ExperimentConfig:
         for name, bits in FIELD_BITS.items():
             if getattr(self, name) >= 2**bits:
                 raise bad(f"{name} must be below 2**{bits}, got {getattr(self, name)}")
-        # Larger sizes would end in a memory error when the agent is built.
+        # Larger sizes would end in a memory error when the agent is built or samples.
         for name, most in _MOST.items():
             if getattr(self, name) > most:
                 raise bad(f"{name} must be <= {most}, got {getattr(self, name)}")
@@ -215,7 +220,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     settings = parse_config(text, source=path)
     if overrides:

@@ -218,7 +218,7 @@ class KeyDoorEnv(Environment):
         return cell[1] * self.layout.width + cell[0]
 
     def agent_cell_index(self, state: int) -> int:
-        """Agent's flat cell index; cheap enough for per-step goal checks."""
+        """Agent's flat cell index; the critic reads it once per state."""
         return state // (self.patrol_len * 4)
 
     # -- dynamics ------------------------------------------------------

@@ -163,13 +163,6 @@ def write_csv(path, header, blocks) -> None:
         fh.writelines(blocks)
 
 
-def _episodes_per_block(per_episode: int) -> int:
-    # At least 2: numpy sums a one-episode (seeds, 1) block pairwise over
-    # its seeds, which for 8 seeds or more can differ in the last bits
-    # from the row-by-row sum over seeds that a wider block gets.
-    return max(2, _ROW_BLOCK // per_episode)
-
-
 def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=(), first_episode=1):
     """CSV text in header order, one chunk of whole lines per row block.
 
@@ -177,9 +170,9 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=(), first
     first_episode and "goal" the goal name; every other name is a column
     of cols. With a "goal" column there is one row per goal per episode,
     episode-major, and a per-episode column repeats across its episode's
-    rows. A block holds _ROW_BLOCK // goals whole episodes (at least 2);
-    its cells are made and formatted a column at a time, so the strings
-    and arrays alive depend on the block, not on the run.
+    rows. A block holds _ROW_BLOCK // goals whole episodes; its cells
+    are made and formatted a column at a time, so the strings and arrays
+    alive depend on the block, not on the run.
     """
     per_episode = len(goal_names) if "goal" in header else 1
     n_episodes = len(next(iter(cols.values())))
@@ -204,7 +197,7 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=(), first
             return format_column(col.ravel())
         return format_column(col.repeat(per_episode) if per_episode > 1 else col)
 
-    step = _episodes_per_block(per_episode)
+    step = _ROW_BLOCK // per_episode
     for lo in range(0, n_episodes, step):
         hi = min(lo + step, n_episodes)
         yield _block_text(cells(name, lo, hi) for name in header)
@@ -227,20 +220,15 @@ def aggregate_blocks(header, per_seed_cols: list, goal_names=()):
     goal_names), aggregated one row block at a time.
 
     Each block applies aggregate to every seed's slice of its episodes; a
-    seed that has ended gives an empty slice, zero-padded and masked as
-    in the whole run. aggregate sums over the seed axis and then works
-    element by element, so a block gives the bits the whole run gives. A
-    last block of one episode joins the block before it (see
-    _episodes_per_block).
+    seed that has ended gives an empty slice. aggregate sums each index
+    over its seeds in seed order, whatever the episodes around it, so a
+    block gives the bits the whole run gives.
     """
-    step = _episodes_per_block(len(goal_names) if "goal" in header else 1)
+    step = _ROW_BLOCK // (len(goal_names) if "goal" in header else 1)
     n_max = max(len(next(iter(cols.values()))) for cols in per_seed_cols)
-    lo = 0
-    while lo < n_max:
-        hi = n_max if n_max - lo <= step + 1 else lo + step
-        part = [{name: col[lo:hi] for name, col in cols.items()} for cols in per_seed_cols]
+    for lo in range(0, n_max, step):
+        part = [{name: col[lo : lo + step] for name, col in cols.items()} for cols in per_seed_cols]
         yield from csv_blocks(header, aggregate(part), goal_names=goal_names, first_episode=lo + 1)
-        lo = hi
 
 
 def aggregate(per_seed_cols: list) -> dict:
@@ -248,25 +236,28 @@ def aggregate(per_seed_cols: list) -> dict:
 
     Seeds may have different episode counts (step-budgeted phases); each
     index aggregates the seeds that reached it. SEM uses ddof=1 and is
-    0.0 where only one seed contributes. Shorter seeds are zero-padded
-    and masked out, so equal and ragged lengths take the same path.
+    0.0 where only one seed contributes. Sums run seed by seed, each
+    seed added over its own length, so an index's value is the
+    left-to-right sum over the seeds that reached it.
     """
-    lengths = np.array([len(next(iter(cols.values()))) for cols in per_seed_cols])
-    n_max = int(lengths.max())
-    present = np.arange(n_max) < lengths[:, None]  # (seeds, episodes)
-    count = present.sum(axis=0)
+    lengths = [len(next(iter(cols.values()))) for cols in per_seed_cols]
+    count = np.zeros(max(lengths), dtype=np.int64)
+    for n in lengths:
+        count[:n] += 1
     out = {}
     for name in per_seed_cols[0]:
-        trailing = np.shape(per_seed_cols[0][name])[1:]
-        block = np.zeros((len(per_seed_cols), n_max) + trailing)
-        for k, cols in enumerate(per_seed_cols):
-            block[k, : lengths[k]] = cols[name]
-        extra = (1,) * len(trailing)
-        mask = present.reshape(present.shape + extra)
-        n = count.reshape(count.shape + extra)
-        mean = block.sum(axis=0) / n
-        dev = np.where(mask, block - mean, 0.0)
-        var = (dev * dev).sum(axis=0) / np.maximum(n - 1, 1)
+        cols = [np.asarray(seed_cols[name]) for seed_cols in per_seed_cols]
+        n = count.reshape(count.shape + (1,) * (cols[0].ndim - 1))
+        total = np.zeros(n.shape[:1] + cols[0].shape[1:])
+        total[: lengths[0]] = cols[0]
+        for col in cols[1:]:
+            total[: len(col)] += col
+        mean = total / n
+        squares = np.zeros_like(total)
+        for col in cols:
+            dev = col - mean[: len(col)]
+            squares[: len(col)] += dev * dev
+        var = squares / np.maximum(n - 1, 1)
         out[f"{name}_mean"] = mean
         out[f"{name}_sem"] = np.where(n > 1, np.sqrt(var) / np.sqrt(n), 0.0)
     return out

@@ -60,8 +60,8 @@ def test_intrinsic_reward_gating():
     agent = chain_agent()
     run_episodes(agent, 50)
     d1 = stored_controller(agent)
-    for g, r, s_next, disc in zip(d1["g"], d1["r"], d1["s_next"], d1["disc"]):
-        reached = agent.critic.reached(int(g), int(s_next))
+    for r, row_next, disc in zip(d1["r"], d1["row_next"], d1["disc"]):
+        reached = agent.critic.hits[row_next]
         assert (r > 0) == reached
         if reached:
             assert disc == 0.0
@@ -109,7 +109,7 @@ def test_keydoor_rings_store_the_update_columns():
         if g is None:
             g, s0, f = next(picks), s, 0.0
         f += r
-        reached = agent.critic.reached(g, s_next)
+        reached = agent.critic.hits[s_next * agent.n_goals + g]
         assert (d1["s"][i], d1["g"][i], d1["a"][i]) == (s, g, a)
         assert (d1["s_next"][i], d1["g_next"][i]) == (s_next, g)
         assert d1["disc"][i] == (0.0 if reached or done else gamma)

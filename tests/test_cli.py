@@ -94,6 +94,7 @@ def test_unknown_key_exits_1(tmp_path, capsys):
         ("workers = 1", "workers = 1\nd1_capacity = 1000000000000000", []),
         ("env = chain", "env = keydoor\nbackend = mlp\nhidden = 2147483647", []),
         ("workers = 1", f"workers = 1\nbackend = mlp\ntarget_sync = {2**32}", []),
+        ("workers = 1", "workers = 1\nbatch_size = 100000000000", []),
     ],
     ids=[
         "tabular-rate",
@@ -103,6 +104,7 @@ def test_unknown_key_exits_1(tmp_path, capsys):
         "replay-capacity",
         "mlp-hidden",
         "mlp-target-sync",
+        "batch-size",
     ],
 )
 def test_out_of_range_inputs_exit_1(tmp_path, capsys, old, new, flags):
@@ -113,6 +115,19 @@ def test_out_of_range_inputs_exit_1(tmp_path, capsys, old, new, flags):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: invalid config:")
     assert not (tmp_path / "r").exists()
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    """A config file holding a byte that is not UTF-8 ends in an error
+    that names the file, not in a traceback."""
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"episodes = 10\n# caf\xe9 \xff\n")
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config ") and "latin.cfg" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_runs_on_written_checkpoint(tiny_cfg, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import open_room
 from hdqn.config import (
+    MAX_BATCH_SIZE,
     MAX_CAPACITY,
     MAX_HIDDEN,
     MAX_MLP_WEIGHTS,
@@ -121,6 +122,8 @@ def test_line_number_points_at_offender():
         {"d2_capacity": MAX_CAPACITY + 1},
         {"env": "keydoor", "backend": "mlp", "hidden": 2**31 - 1},
         {"backend": "mlp", "hidden": MAX_HIDDEN + 1},
+        # Would end in a memory error when the agent first samples.
+        {"batch_size": MAX_BATCH_SIZE + 1},
         # Would ask a process pool for that many workers at once.
         {"workers": MAX_WORKERS + 1},
     ],
@@ -149,8 +152,10 @@ def test_size_bounds_admit_their_limits():
         workers=MAX_WORKERS,
         target_sync=2**32 - 1,
         tracker_window=2**32 - 1,
+        batch_size=MAX_BATCH_SIZE,
     )
     assert (cfg.d1_capacity, cfg.hidden, cfg.workers) == (MAX_CAPACITY, MAX_HIDDEN, MAX_WORKERS)
+    assert cfg.batch_size == MAX_BATCH_SIZE == 4096
     assert cfg.target_sync == cfg.tracker_window == 2**32 - 1
 
 

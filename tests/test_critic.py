@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import hdqn_agent, keydoor_state, stored_controller
+from helpers import hdqn_agent, keydoor_state, open_room, stored_controller
 from hdqn import rng
 from hdqn.agents import EpsilonSchedule
 from hdqn.critic import INTRINSIC_REWARD, Critic
@@ -87,8 +87,48 @@ def test_intrinsic_positive_iff_reached_chain():
         agent.run_episode(env_gen)
     d1 = stored_controller(agent)
     assert set(d1["r"].tolist()) == {0.0, INTRINSIC_REWARD}
-    for g, r, s_next in zip(d1["g"], d1["r"], d1["s_next"]):
-        assert (r == INTRINSIC_REWARD) == agent.critic.reached(int(g), int(s_next))
+    for r, row_next in zip(d1["r"], d1["row_next"]):
+        assert (r == INTRINSIC_REWARD) == agent.critic.hits[row_next]
+
+
+@pytest.mark.parametrize(
+    "env",
+    ENVS + [KeyDoorEnv(open_room(6, 3, 1), step_limit=20)],
+    ids=["chain", "keydoor-default", "keydoor-walled", "keydoor-one-cell-patrol"],
+)
+def test_hits_hold_the_predicate_of_every_row(env):
+    """hits has one byte per controller row s * n_goals + g, 1 exactly
+    where the agent's cell in s is goal g's cell."""
+    hits = Critic(env).hits
+    n_goals = len(env.goal_cells)
+    assert type(hits) is bytes
+    assert len(hits) == env.n_states * n_goals
+    for s in range(env.n_states):
+        for g, cell in enumerate(env.goal_cells):
+            assert hits[s * n_goals + g] == (env.agent_cell_index(s) == cell)
+    assert sum(hits) >= n_goals  # every goal's cell is reached in some state
+
+
+@pytest.mark.parametrize(
+    "env", [ChainEnv(), KeyDoorEnv(WALLED, step_limit=37)], ids=["chain", "keydoor"]
+)
+def test_loops_read_the_table_and_call_neither_critic_nor_env(env, monkeypatch):
+    """Once the agent is built, neither loop asks the critic or the env
+    whether a goal is reached: both read the table built with the agent."""
+    agent = hdqn_agent(env, learning_rate=0.1, d1_warmup=16, d2_warmup=4, batch_size=8)
+    hits = agent.critic.hits
+
+    def boom(*args):
+        raise AssertionError("goal check outside the table")
+
+    monkeypatch.setattr(Critic, "reached", boom)
+    monkeypatch.setattr(env, "agent_cell_index", boom)
+    env_gen = rng.stream(0, rng.ENV)
+    traces = [agent.run_episode(env_gen, phase) for phase in ("pretrain",) * 5 + ("joint",) * 5]
+    traces.append(agent.eval_episode(0.5, rng.stream(0, rng.EVAL), rng.stream(1, rng.EVAL)))
+    assert agent.critic.hits is hits
+    assert len(agent.d2) > agent.d2_warmup
+    assert any(ok for tr in traces for ok in tr.goal_successes)
 
 
 def test_keydoor_goal_predicates():

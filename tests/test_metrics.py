@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -286,6 +288,39 @@ def test_aggregate_matches_per_index_reference(n_seeds):
                 np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
 
 
+def left_to_right_aggregate(per_seed: list) -> tuple:
+    """Reference: per index, the seeds that reached it summed one at a
+    time in seed order, in plain Python floats."""
+    mean, sem = [], []
+    for i in range(max(map(len, per_seed))):
+        here = [values[i] for values in per_seed if len(values) > i]
+        n = len(here)
+        total = here[0]
+        for x in here[1:]:
+            total += x
+        m = total / n
+        squares = 0.0
+        for x in here:
+            squares += (x - m) * (x - m)
+        mean.append(m)
+        sem.append(math.sqrt(squares / (n - 1)) / math.sqrt(n) if n > 1 else 0.0)
+    return mean, sem
+
+
+@pytest.mark.parametrize("n_seeds", range(1, 11))
+def test_aggregate_is_the_left_to_right_sum_over_seeds(n_seeds):
+    """Bit for bit, for ragged seeds and for calls of one episode, which
+    is how aggregate_blocks meets a one-episode last block."""
+    gen = np.random.default_rng(100 + n_seeds)
+    for case in range(40):
+        lengths = [1] * n_seeds if case % 4 == 0 else gen.integers(1, 5, size=n_seeds)
+        per_seed = [(gen.normal(size=n) * 10.0 ** gen.integers(-3, 3)).tolist() for n in lengths]
+        agg = metrics.aggregate([{"m": np.array(values)} for values in per_seed])
+        mean, sem = left_to_right_aggregate(per_seed)
+        assert agg["m_mean"].tobytes() == np.array(mean).tobytes()
+        assert agg["m_sem"].tobytes() == np.array(sem).tobytes()
+
+
 def test_aggregate_per_goal_columns_match_per_goal_aggregates():
     gen = np.random.default_rng(11)
     lengths = (5, 9, 7)
@@ -310,9 +345,8 @@ KB = metrics._ROW_BLOCK // 4  # episodes in a key-door block, 4 goals
         (metrics.CHAIN_AGGREGATE_HEADER, (), (2 * B + 100, B + 7, B, 10)),
         # Per-goal 2-D columns in long format, with the same endings.
         (metrics.KEYDOOR_AGGREGATE_HEADER, ("a", "b", "c", "d"), (2 * KB + 100, KB + 7, KB, 10)),
-        # Nine seeds, six of them one episode past a block: numpy would sum
-        # a one-episode block pairwise over the seeds, so it is aggregated
-        # with the block before it.
+        # Nine seeds, six of them one episode past a block: the last block
+        # holds one episode.
         (metrics.CHAIN_AGGREGATE_HEADER, (), (2 * B + 1,) * 6 + (2 * B, B, 5)),
     ],
     ids=["chain", "keydoor", "one-episode-tail"],

@@ -216,9 +216,10 @@ def parse_config(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a config file, apply overrides, validate."""
+    """Read a UTF-8 config file, with or without a byte-order mark, apply
+    overrides, validate."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None

@@ -13,12 +13,16 @@ episode (long format).
 CSV text is made a row block at a time: a block holds _ROW_BLOCK //
 goals whole episodes, and each of its columns is sliced, formatted and
 joined into one text chunk, so the writer holds one block of cells and
-arrays whatever the run's length. A float64 column of a block is
-formatted once per distinct bit pattern, because chain curves repeat a
-few thousand values across tens of thousands of rows; every other
-column goes through str cell by cell. Keying on bits, not values, keeps
-0.0 and -0.0 apart and gives every NaN its own entry. The memo is a
-dict, so no sort runs. The cross-seed aggregate is computed a block at
+arrays whatever the run's length. A float64 column of a block is cut
+into runs of equal bit patterns, because a windowed mean plateaus: a
+late chain block holds a few dozen runs over its 4096 rows. Each
+distinct pattern among the runs' first values is formatted once, and
+each run's text is repeated over its length. Comparing bits, not
+values, keeps 0.0 and -0.0 apart and gives every NaN payload its own
+text. The memo is a dict, so no sort runs. The episode column is made
+from its decimal prefixes, each joined with the ten last digits, with
+no str per cell; a column of any other dtype goes through str cell by
+cell. The cross-seed aggregate is computed a block at
 a time too, from the seeds' slices of the block's episodes, with the
 same bits as over the whole run. A CSV or checkpoint is written to a
 temporary sibling that replaces the target only once it is complete,
@@ -125,17 +129,39 @@ def keydoor_columns(rewards, pick_counts, success_counts, window: int) -> dict:
 def format_column(col: np.ndarray) -> list:
     """The CSV text of each value of a 1-D column: str of each value.
 
-    A float64 column is keyed by its int64 bit patterns, each distinct
-    pattern is formatted once through its float, and the keys are mapped
-    back to their text in column order.
+    A float64 column is cut into runs of equal int64 bit patterns, so 0.0
+    and -0.0, and NaNs of different payloads, never share a run. Each
+    distinct pattern among the runs' first values is formatted once,
+    through its float, and each run's text is repeated over its length.
+    Any other dtype goes through str cell by cell.
     """
     if col.dtype != np.float64:
         return list(map(str, col.tolist()))
-    bits = col.view(np.int64).tolist()
-    keys = dict.fromkeys(bits)
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    heads = bits[:1].tolist() + bits[starts].tolist()
+    keys = dict.fromkeys(heads)
     floats = np.fromiter(keys, np.int64, len(keys)).view(np.float64).tolist()
     text = dict(zip(keys, map(str, floats)))
-    return list(map(text.__getitem__, bits))
+    runs = list(map(text.__getitem__, heads))
+    return _repeat(runs, np.diff(starts, prepend=0, append=len(bits)))
+
+
+def _repeat(texts: list, counts) -> list:
+    """Each text of texts counts times over (counts an int or one per text)."""
+    return np.array(texts, dtype=object).repeat(counts).tolist()
+
+
+def _count_text(lo: int, hi: int) -> list:
+    """str of each integer in [lo, hi), lo >= 0.
+
+    Each decimal prefix i // 10 is made once and joined with the ten last
+    digits; the prefix 0 is written as "".
+    """
+    first = lo // 10
+    prefixes = [str(p) if p else "" for p in range(first, (hi - 1) // 10 + 1)]
+    text = [p + d for p in prefixes for d in "0123456789"]
+    return text[lo - 10 * first : hi - 10 * first]
 
 
 @contextlib.contextmanager
@@ -169,10 +195,12 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=(), first
     "seed" is the given seed, "episode" the episode index counted from
     first_episode and "goal" the goal name; every other name is a column
     of cols. With a "goal" column there is one row per goal per episode,
-    episode-major, and a per-episode column repeats across its episode's
+    episode-major, and the text of the episode and of each per-episode
+    column is made once per episode and repeats across its episode's
     rows. A block holds _ROW_BLOCK // goals whole episodes; its cells
-    are made and formatted a column at a time, so the strings and arrays
-    alive depend on the block, not on the run.
+    are made and formatted a column at a time (format_column, and
+    _count_text for the episode), so the strings and arrays alive depend
+    on the block, not on the run.
     """
     per_episode = len(goal_names) if "goal" in header else 1
     n_episodes = len(next(iter(cols.values())))
@@ -190,12 +218,13 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=(), first
         if name == "goal":
             return goals * (hi - lo)
         if name == "episode":
-            col = np.arange(lo + first_episode, hi + first_episode)
+            text = _count_text(lo + first_episode, hi + first_episode)
         else:
             col = arrays[name][lo:hi]
-        if col.ndim > 1:
-            return format_column(col.ravel())
-        return format_column(col.repeat(per_episode) if per_episode > 1 else col)
+            if col.ndim > 1:
+                return format_column(col.ravel())
+            text = format_column(col)
+        return text if per_episode == 1 else _repeat(text, per_episode)
 
     step = _ROW_BLOCK // per_episode
     for lo in range(0, n_episodes, step):

@@ -193,6 +193,22 @@ def test_load_config_roundtrip(tmp_path):
     )
 
 
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
+    """A UTF-8 byte-order mark before the first key is not part of it;
+    a byte that is not UTF-8 after the mark still ends in a ConfigError."""
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "chain_flat.cfg"
+    # key lines only, so that the mark comes before a key, not a comment
+    text = b"".join(line for line in shipped.read_bytes().splitlines(True) if b" = " in line)
+    assert text.startswith(b"env = chain")
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_config(str(marked)) == load_config(str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + text + b"# \xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(marked))
+
+
 def test_walled_layout_loads_from_config_file(tmp_path):
     layout = "#######/#.A.LL#/#.SS..#/#K...D#/#######"
     path = tmp_path / "room.cfg"

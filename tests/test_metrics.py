@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdqn import metrics
@@ -193,6 +193,86 @@ def test_csv_blocks_repeated_values_fill_a_block_and_spill(tmp_path):
     assert first == f"7,{metrics._ROW_BLOCK + 1},0.1,0.0,-0.0,nan,-0.0"  # start of block two
 
 
+B = metrics._ROW_BLOCK
+NAN_A, NAN_B = np.array(NAN_PATTERNS[:2], dtype=np.int64).view(np.float64)
+RUN_VALUES = [0.0, -0.0, NAN_A, NAN_B, np.nan, np.inf, -np.inf, 5e-324, 0.25, 1 / 3]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the SEM
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(RUN_VALUES), st.integers(1, B + 5)),
+        min_size=1,
+        max_size=4,
+    )
+)
+@example([(0.0, B - 1), (-0.0, 3), (NAN_A, 2), (NAN_B, 5), (np.inf, 1), (5e-324, 4)])
+@example([(-0.0, B + 5), (0.0, 1), (NAN_B, B), (NAN_A, 1)])
+def test_csv_text_of_runs_matches_per_cell_reference(runs):
+    """Float columns made of runs, some longer than a row block so that
+    they cross its boundary, with adjacent runs of 0.0 and -0.0 and of
+    different NaN payloads: the chain file, a 3-goal long-format file and
+    the ragged aggregate each keep every cell's own text."""
+    values, lengths = zip(*runs)
+    base = np.repeat(np.array(values), lengths)
+    chain = {name: np.roll(base, 97 * i) for i, name in enumerate(metrics.CHAIN_METRICS)}
+    header = metrics.CHAIN_HEADER
+    text = "".join(metrics.csv_blocks(header, chain, 3))
+    assert ",".join(header) + "\n" + text == reference_csv(header, chain, 3)
+
+    n = min(len(base), 3000)  # 3 goals: 1365 episodes a block
+    goals = ("a", "b", "c")
+    keydoor = {
+        "reward_ma": base[:n],
+        "pick_frac": np.repeat(base[:n, None], 3, axis=1),
+        "success_rate": np.column_stack([base[:n], base[n - 1 :: -1], -base[:n]]),
+    }
+    header = metrics.KEYDOOR_HEADER
+    text = "".join(metrics.csv_blocks(header, keydoor, 5, goals))
+    assert ",".join(header) + "\n" + text == reference_csv(header, keydoor, 5, goals)
+
+    short = {name: col[: len(col) // 2 + 1] for name, col in chain.items()}
+    header = metrics.CHAIN_AGGREGATE_HEADER
+    text = "".join(metrics.aggregate_blocks(header, [chain, short]))
+    expected = reference_csv(header, metrics.aggregate([chain, short]))
+    assert ",".join(header) + "\n" + text == expected
+
+
+# the first one- to three-digit episodes, a row block's length and one
+# past it, and the steps from four to five and from five to six digits
+EPISODE_EDGES = [1, 9, 10, 99, 100, 4096, 4097, *range(9995, 10006), *range(99999, 100002)]
+
+
+@pytest.mark.parametrize("goals", [(), ("a", "b", "c")], ids=["per_episode_1", "per_episode_3"])
+def test_episode_text_is_str_of_each_episode(goals):
+    """The episode column reads str(i) on every row, from a first
+    episode at each edge and with a block that ends or starts there."""
+    header = ("episode", "goal", "m") if goals else ("episode", "m")
+    per_episode = len(goals) or 1
+    step = B // per_episode
+    cols = {"m": np.zeros((step + 2, per_episode)) if goals else np.zeros(step + 2)}
+    for edge in EPISODE_EDGES:
+        # block 0 starts at the edge, or ends at it, or block 1 starts at it
+        for first in [f for f in (edge, edge - step + 1, edge - step) if f >= 1]:
+            text = "".join(metrics.csv_blocks(header, cols, goal_names=goals, first_episode=first))
+            episodes = [line.split(",")[0] for line in text.splitlines()]
+            assert episodes == [str(first + i) for i in range(step + 2) for _ in range(per_episode)]
+
+
+@pytest.mark.parametrize(
+    "goals, n", [((), 100_002), (("a", "b", "c"), 10_006)], ids=["chain", "three_goals"]
+)
+def test_aggregate_episode_text_is_str_of_each_episode(goals, n):
+    """aggregate_blocks counts each block's episodes from lo + 1."""
+    header = ("episode", "goal", "m_mean", "m_sem") if goals else ("episode", "m_mean", "m_sem")
+    per_episode = len(goals) or 1
+    cols = {"m": np.zeros((n, per_episode)) if goals else np.zeros(n)}
+    text = "".join(metrics.aggregate_blocks(header, [cols], goals))
+    episodes = [line.split(",", 1)[0] for line in text.splitlines()]
+    assert episodes == [str(i) for i in range(1, n + 1) for _ in range(per_episode)]
+
+
 def failing_blocks():
     yield "1,2\n"
     raise RuntimeError("column went missing")
@@ -333,7 +413,6 @@ def test_aggregate_per_goal_columns_match_per_goal_aggregates():
         np.testing.assert_array_equal(agg["p_sem"][:, g], ref["p_sem"])
 
 
-B = metrics._ROW_BLOCK
 KB = metrics._ROW_BLOCK // 4  # episodes in a key-door block, 4 goals
 
 

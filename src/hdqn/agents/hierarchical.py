@@ -35,7 +35,11 @@ run_episode looks up everything it uses per step once per episode
 schedule's value, the critic's hits, the warm-ups and the batch size)
 and builds the EpisodeTrace from local tallies at the end. A network syncs its own
 target inside train_on (values.py), so the loop is the same for both
-backends.
+backends. The loop reads each warm-up only where it can change: d1's
+is a flag that stays set once d1 holds its warm-up's worth, since
+memories never shrink, and d2's is read once per option, since d2 grows
+only when an option ends. The step clocks below are advanced by each
+option's steps when it ends, since nothing reads them within an option.
 Exploration at both levels anneals from 1 to a floor on shared step
 clocks: the low level takes the smaller of eps1 (clock: primitive steps,
 all phases) and a per-goal rate from the tracker, floored at eps1's
@@ -139,6 +143,8 @@ class HierarchicalAgent:
         total_reward = 0.0
         steps = 0
         done = False
+        # d1 never shrinks, so once it holds its warm-up it always will.
+        d1_warm = len(d1) >= d1_warmup
         while not done:
             eps2 = eps2_value(self.joint_steps) if joint else 1.0
             g = eps_greedy(q2_values(s), eps2, meta_gen)
@@ -148,12 +154,13 @@ class HierarchicalAgent:
             option_return = 0.0
             reached = False
             eps1 = self.controller_epsilon(g)  # constant within the option
+            # d2 grows only when an option ends, so within one its warm-up
+            # reads the same at every step.
+            d2_warm = len(d2) >= d2_warmup
+            option_start = steps
             while not (done or reached):
                 a = eps_greedy(q1_values(row), eps1, ctrl_gen)
                 s, r, done = env_step(a, env_gen)
-                self.primitive_steps += 1
-                if joint:
-                    self.joint_steps += 1
                 row_next = s * n_goals + g
                 reached = hits[row_next]
                 d1_push(
@@ -167,11 +174,16 @@ class HierarchicalAgent:
                 steps += 1
                 # Both levels learn once per primitive step, each from its
                 # own memory once that holds its warm-up's worth.
-                if len(d1) >= d1_warmup:
+                if d1_warm or len(d1) >= d1_warmup:
+                    d1_warm = True
                     q1_train(d1_sample(batch_size))
-                if len(d2) >= d2_warmup:
+                if d2_warm:
                     q2_train(d2_sample(batch_size))
                 row = row_next
+            # Nothing reads the step clocks within an option.
+            self.primitive_steps += steps - option_start
+            if joint:
+                self.joint_steps += steps - option_start
             d2_push(s0 * n_goals + g, s, option_return, 0.0 if done else gamma)
             self.completed_options += 1
             tracker.record(g, reached)

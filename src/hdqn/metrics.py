@@ -234,12 +234,12 @@ def csv_blocks(header, cols: dict, seed: int | None = None, goal_names=(), first
 
 def _block_text(texts) -> str:
     """CSV lines of an iterable of equal-length lists of cell text, as one
-    newline-ended chunk.
+    newline-ended chunk; ValueError if their lengths differ.
 
     The cell lists are freed once the lines are made, before they are
     joined, and the lines before the chunk is written.
     """
-    lines = list(map(",".join, zip(*texts)))
+    lines = list(map(",".join, zip(*texts, strict=True)))
     lines.append("")
     return "\n".join(lines)
 

@@ -33,9 +33,11 @@ that reads a slot the coming pushes will write: minibatch j is marked
 if it reads a position p with (p - cursor) % capacity < j. Call j of
 the block takes its minibatch from the block when exactly j pushes have
 happened since the block was gathered, its k is the block's and its
-minibatch is unmarked. Any other call gathers its own from the ring, so
-either way a call gets the same values. Every block is a fresh array,
-so a minibatch a caller holds never changes. The meta memory pushes
+minibatch is unmarked. sample tests for that hit before anything else,
+so a hit costs a few comparisons and no numpy call. Any other call
+gathers its own from the ring, so either way a call gets the same
+values. Every block is a fresh array, so a minibatch a caller holds
+never changes. The meta memory pushes
 once per option, so its refills rarely follow exactly one push, and it
 keeps gathering per call rather than scaling blocks it would not use.
 """
@@ -82,9 +84,9 @@ class ReplayBuffer:
         self._upos = 0
         self._pushes = 0  # pushes ever made
         self._seen = 0  # pushes made before the last sample call
-        self._bk = 0  # k of the gathered block; 0 when there is none
+        self._bk = None  # k of the gathered block; None when there is none
         self._bpush = 0  # pushes made before the block's first call
-        self._block = []  # the block's minibatches, None where marked
+        self._block = []  # the block's minibatches, None where marked, and a None past its end
 
     def __len__(self) -> int:
         return self._size
@@ -107,12 +109,22 @@ class ReplayBuffer:
     def sample(self, k: int) -> tuple:
         """k uniform draws with replacement, as (cell, row', r, disc)
         columns, cell and row' intp. The buffer must be non-empty."""
+        pos = self._upos
+        pushes = self._pushes
+        i = pushes - self._bpush
+        # A block hit first: it needs a gathered block, so a positive k
+        # and a non-empty ring. The block's sentinel last row is None, so
+        # a hit test past the block's end misses.
+        if k == self._bk and pos == i * k:
+            batch = self._block[i]
+            if batch is not None:
+                self._upos = pos + k
+                self._seen = pushes
+                return batch
         if not self._size:
             raise ValueError("sample() on an empty replay buffer")
         if k <= 0:
             raise ValueError(f"minibatch size must be positive, got {k}")
-        pos = self._upos
-        pushes = self._pushes
         after_one_push = pushes - self._seen == 1
         self._seen = pushes
         if pos + k > self._u.size:
@@ -120,16 +132,11 @@ class ReplayBuffer:
             self._upos = k
             if after_one_push:
                 return self._gather_block(k)
-            self._bk = 0
+            self._bk = None
             self._block = []
             pos = 0
         else:
             self._upos = pos + k
-            i = pushes - self._bpush
-            if k == self._bk and pos == i * k:
-                batch = self._block[i]
-                if batch is not None:
-                    return batch
         return self._gather((self._u[pos : pos + k] * self._size).astype(np.intp))
 
     def _gather(self, idx: np.ndarray) -> tuple:
@@ -153,6 +160,7 @@ class ReplayBuffer:
         block = list(zip(*self._gather(idx)))
         for j in np.flatnonzero(marked).tolist():
             block[j] = None
+        block.append(None)
         self._block = block
         self._bk = k
         self._bpush = self._pushes

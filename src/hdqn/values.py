@@ -18,7 +18,10 @@ equal length: cell = row * n_choices + a names the value to update,
 row' is the bootstrap row, and disc is the bootstrap's discount, 0.0
 where the transition ended its episode or option and gamma elsewhere.
 The target is r + disc * max_a' Q(row', a'). ReplayBuffer.sample
-returns exactly these columns.
+returns exactly these columns. train_on returns None for both backends:
+the agent reads nothing back from an update, so a table forms no loss,
+and a network forms its loss only to raise DivergenceError when it is
+not finite. MlpQ.loss_and_grads gives a network's pre-step loss.
 
 make_estimator is the one constructor by backend name, and the index of
 a name in BACKENDS is its checkpoint code. Estimators have no file
@@ -47,10 +50,9 @@ class TabularQ:
     and cheaper than .max(axis=1) at minibatch sizes; the k segment starts
     are cached and rebuilt when k changes. It reads and updates cells
     through _cells, a flat view of table made once: the checkpoint reader
-    fills table in place, so the view stays valid. It takes the loss
-    before it scales delta by the learning rate in place, and indexes
-    with cell and row' as given, so intp columns (what ReplayBuffer.sample
-    returns) need no cast.
+    fills table in place, so the view stays valid. It scales delta by
+    the learning rate in place, and indexes with cell and row' as given,
+    so intp columns (what ReplayBuffer.sample returns) need no cast.
 
     train_on is batch-synchronous, like a network's minibatch step:
     every target comes from the table as it was before the batch, and a
@@ -114,11 +116,9 @@ class TabularQ:
             )
         )
 
-    def train_on(self, columns: tuple) -> float:
-        """One batch-synchronous backup of every item in the columns.
-
-        Returns the mean squared pre-update temporal-difference error.
-        """
+    def train_on(self, columns: tuple) -> None:
+        """One batch-synchronous backup of every item in the columns. It
+        forms no loss: nothing reads one back from a table's update."""
         cell, row_next, r, disc = columns
         k = row_next.size
         if k != self._k:
@@ -130,10 +130,8 @@ class TabularQ:
         delta += r
         cells = self._cells
         delta -= cells.take(cell)
-        loss = float(delta @ delta) / k
         delta *= self.learning_rate
         np.add.at(cells, cell, delta)
-        return loss
 
 
 class MlpQ:
@@ -242,10 +240,10 @@ class MlpQ:
         PARAM_NAMES order."""
         return [arrays[n] for arrays in (self.params, self.snapshot) for n in self.PARAM_NAMES]
 
-    def train_on(self, columns: tuple) -> float:
+    def train_on(self, columns: tuple) -> None:
         """One SGD step on the minibatch columns, then a target sync if
-        train_steps has reached a multiple of target_sync; returns the
-        pre-step loss."""
+        train_steps has reached a multiple of target_sync. The pre-step
+        loss is read only to raise DivergenceError when it is not finite."""
         loss, grads = self.loss_and_grads(columns)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss {loss!r}")
@@ -257,7 +255,6 @@ class MlpQ:
         self.train_steps += 1
         if self.train_steps % self.target_sync == 0:
             self.sync_target()
-        return loss
 
     def sync_target(self) -> None:
         """snapshot := live parameters."""

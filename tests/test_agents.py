@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,83 @@ def test_no_update_below_warmup():
     assert seen["q1"] == [f1 for f1, _ in fills if f1 >= 10]
     assert seen["q2"] == [f2 for _, f2 in fills if f2 >= 10]
     assert seen["q1"][0] == 10 and seen["q2"][0] == 10
+
+
+def test_keydoor_step_clocks_and_warmups_across_phases():
+    """On key-door, over pretrain and then joint episodes: every read of a
+    step clock at an option's start (controller_epsilon, and eps2 in the
+    joint phase) sees primitive_steps equal to the steps of all earlier
+    options and joint_steps equal to those taken in joint episodes. After
+    each episode the clocks equal the traces' summed steps, joint
+    episodes only for joint_steps. Each level trains at every step from
+    the first at which its memory holds 10 transitions, and never
+    before; on this seed both memories get there within an episode."""
+    env = KeyDoorEnv("#######/#.A.LL#/#.SS..#/#K...D#/#######", step_limit=40)
+    agent = hdqn_agent(env, seed=1, learning_rate=0.1, d1_warmup=10, d2_warmup=10, batch_size=8)
+    d1, d2 = agent.d1, agent.d2
+    taken = {"steps": 0, "joint": 0, "phase": None}
+    fills, reads = [], []
+    step = env.step
+
+    def counting_step(action, gen):
+        fills.append((len(d1) + 1, len(d2)))
+        taken["steps"] += 1
+        taken["joint"] += taken["phase"] == "joint"
+        return step(action, gen)
+
+    def read(name, t=None):
+        reads.append((name, t, agent.primitive_steps, agent.joint_steps, taken["steps"], taken["joint"]))
+
+    controller_epsilon, eps2_value = agent.controller_epsilon, agent.eps2.value
+
+    def reading_controller_epsilon(goal):
+        read("eps1")
+        return controller_epsilon(goal)
+
+    def reading_eps2_value(t):
+        read("eps2", t)
+        return eps2_value(t)
+
+    seen = {"q1": [], "q2": []}
+
+    def recording_train(name, vf, buffer):
+        train = vf.train_on
+
+        def train_on(columns):
+            seen[name].append(len(buffer))
+            return train(columns)
+
+        vf.train_on = train_on
+
+    recording_train("q1", agent.q1, d1)
+    recording_train("q2", agent.q2, d2)
+    env.step = counting_step
+    agent.controller_epsilon = reading_controller_epsilon
+    agent.eps2 = SimpleNamespace(value=reading_eps2_value)
+
+    env_gen = rng.stream(1, rng.ENV)
+    steps = joint_steps = options = 0
+    episode_starts = []
+    for phase in ("pretrain",) * 15 + ("joint",) * 15:
+        taken["phase"] = phase
+        episode_starts.append(len(fills))
+        trace = agent.run_episode(env_gen, phase=phase)
+        steps += trace.steps
+        joint_steps += trace.steps if phase == "joint" else 0
+        options += len(trace.goal_picks)
+        assert (agent.primitive_steps, agent.joint_steps) == (steps, joint_steps)
+    assert 0 < joint_steps < steps and options > 30  # episodes run several options
+    assert [r[0] for r in reads].count("eps1") == options
+    assert 0 < [r[0] for r in reads].count("eps2") < options  # joint options only
+    for name, t, primitive, joint, taken_steps, taken_joint in reads:
+        assert (primitive, joint) == (taken_steps, taken_joint)
+        assert t is None or t == joint
+    assert seen["q1"] == [f1 for f1, _ in fills if f1 >= 10]
+    assert seen["q2"] == [f2 for _, f2 in fills if f2 >= 10]
+    assert seen["q1"][0] == 10 and seen["q2"][0] == 10
+    for level in (0, 1):
+        first_update = next(i for i, fill in enumerate(fills) if fill[level] >= 10)
+        assert first_update not in episode_starts
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), -0.1, 1.01, float("inf")])

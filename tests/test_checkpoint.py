@@ -61,7 +61,8 @@ def test_loaded_table_trains_in_place():
     loaded, _, _ = load_agent(dump_agent(agent, env))
     before = loaded.q1.table.copy()
     columns = (np.array([5, 9, 5]), np.array([3, 1, 0]), np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.9, 0.9]))
-    assert loaded.q1.train_on(columns) == agent.q1.train_on(columns)
+    loaded.q1.train_on(columns)
+    agent.q1.train_on(columns)
     assert not np.array_equal(loaded.q1.table, before)
     assert loaded.q1.table.tobytes() == agent.q1.table.tobytes()
 

@@ -488,6 +488,17 @@ def test_row_generator_rejects_mismatched_columns():
         list(metrics.csv_blocks(("episode", "reward_ma", "visits_s3"), cols))
 
 
+def test_a_cell_list_longer_than_its_block_raises(monkeypatch):
+    """The writer never cuts a column to the block's length: one cell too
+    many, in a cell list or in the episode column, raises ValueError."""
+    with pytest.raises(ValueError):
+        metrics._block_text([["1", "2"], ["a", "b", "c"]])
+    count_text = metrics._count_text
+    monkeypatch.setattr(metrics, "_count_text", lambda lo, hi: count_text(lo, hi + 1))
+    with pytest.raises(ValueError):
+        list(metrics.csv_blocks(("episode", "m"), {"m": np.zeros(5)}))
+
+
 def test_aggregate_headers():
     assert metrics.CHAIN_AGGREGATE_HEADER == (
         "episode",

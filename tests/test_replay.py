@@ -199,6 +199,37 @@ def test_every_minibatch_is_the_direct_rule_on_the_live_ring(capacity, segments,
             assert [c.tolist() for c in got] == [list(c) for c in want]
 
 
+def test_a_held_block_is_not_served_after_two_pushes():
+    """A refill after one push gathers a block for one push per call. Two
+    pushes before the next call at the block's k break that pattern, so
+    the call gathers its minibatch from the live ring again, though the
+    block's next row is unmarked: its uniforms are the block's second k,
+    scaled by the fill after both pushes, not after one."""
+    buf = ring(1000, seed=5)
+    ref = Ring(1000, rng.stream(5, rng.REPLAY_D1))
+
+    def push(i):
+        push_numbered(buf, i)
+        ref.push((i, i + 3, float(i), 0.5 * (i % 2)))
+
+    def sample(k):
+        got = buf.sample(k)
+        assert [c.tolist() for c in got] == [list(c) for c in zip(*ref.sample(k))]
+        return got
+
+    for i in range(500):
+        push(i)
+    sample(UNIFORM_BLOCK)  # uses up the first uniforms
+    push(500)
+    first = sample(32)
+    assert buf._bk == 32 and first is buf._block[0]  # a block is held
+    assert buf._block[1] is not None
+    push(501)
+    push(502)
+    got = sample(32)
+    assert not any(got is batch for batch in buf._block)
+
+
 def test_held_minibatches_never_change():
     """A minibatch a caller holds keeps its values through later pushes,
     later samples and block refills, while the ring wraps. The pattern is

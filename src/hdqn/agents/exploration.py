@@ -49,20 +49,18 @@ class GoalSuccessTracker:
     """Sliding success-rate window per goal, driving adaptive exploration.
 
     The low level explores a goal it reliably reaches very little and a
-    goal it keeps failing at maximally: epsilon(g) = max(floor, 1 - rate).
-    A goal with no recorded attempts counts as rate 0.
+    goal it keeps failing at maximally: the agent's controller_epsilon
+    reads 1 - rate, floored at eps1's floor. A goal with no recorded
+    attempts counts as rate 0.
     """
 
-    def __init__(self, n_goals: int, window: int = 100, floor: float = 0.1):
+    def __init__(self, n_goals: int, window: int = 100):
         if n_goals <= 0:
             raise ValueError(f"n_goals must be positive, got {n_goals}")
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        if not 0.0 <= floor <= 1.0:
-            raise ValueError(f"floor must be in [0, 1], got {floor}")
         self.n_goals = n_goals
         self.window = window
-        self.floor = floor
         self._attempts = [deque() for _ in range(n_goals)]
         self._hits = [0] * n_goals
 
@@ -78,9 +76,6 @@ class GoalSuccessTracker:
         if n == 0:
             return 0.0
         return self._hits[goal] / n
-
-    def epsilon(self, goal: int) -> float:
-        return max(self.floor, 1.0 - self.success_rate(goal))
 
     def dump(self) -> list:
         """Window contents, oldest first, for checkpointing."""

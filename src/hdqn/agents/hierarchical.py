@@ -105,7 +105,7 @@ class HierarchicalAgent:
         self.q1, self.q2 = q1, q2
         self.d1 = ReplayBuffer(d1_capacity, rng.stream(seed, rng.REPLAY_D1))
         self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2))
-        self.tracker = GoalSuccessTracker(n_goals, window=tracker_window, floor=self.eps1.floor)
+        self.tracker = GoalSuccessTracker(n_goals, window=tracker_window)
         self._ctrl_gen = rng.draws(seed, rng.CONTROLLER)
         self._meta_gen = rng.draws(seed, rng.META)
 
@@ -115,7 +115,8 @@ class HierarchicalAgent:
 
     def controller_epsilon(self, goal: int) -> float:
         """Schedule-bounded adaptive exploration rate for one goal."""
-        return min(self.eps1.value(self.primitive_steps), self.tracker.epsilon(goal))
+        eps1, rate = self.eps1, self.tracker.success_rate(goal)
+        return min(eps1.value(self.primitive_steps), max(eps1.floor, 1.0 - rate))
 
     def run_episode(
         self, env_gen: np.random.Generator | rng.Draws, phase: str = "joint"

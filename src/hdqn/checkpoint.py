@@ -14,7 +14,7 @@ once. Layout:
     text:     u32 byte length, then UTF-8 bytes
     schedule: floor f8, horizon u64 (every schedule anneals from 1)
     tracker:  window u32, then per goal a u32 count (at most window)
-              and that many outcome bytes (0 or 1); its floor is eps1's
+              and that many outcome bytes (0 or 1)
     value section: backend u8 (its index in values.BACKENDS), n_states
               u32, n_goals u32 (0 = no goal axis), n_choices u32,
               learning_rate f8; mlp adds hidden u32, train_steps u64

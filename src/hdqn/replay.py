@@ -25,21 +25,24 @@ with them as they are, and leaves the ring unchanged.
 
 A minibatch of k is (u[pos:pos+k] * fill).astype(intp) gathered from
 the live ring, where u[pos:pos+k] are the block's next k uniforms and
-fill is the ring's size at that call. The controller's memory sees one
-push before every sample, so when a refill call follows exactly one
-push, sample scales the whole block at once by the fill each later call
-will see if that pattern holds, gathers it, and marks each minibatch
-that reads a slot the coming pushes will write: minibatch j is marked
-if it reads a position p with (p - cursor) % capacity < j. Call j of
-the block takes its minibatch from the block when exactly j pushes have
-happened since the block was gathered, its k is the block's and its
-minibatch is unmarked. sample tests for that hit before anything else,
-so a hit costs a few comparisons and no numpy call. Any other call
-gathers its own from the ring, so either way a call gets the same
-values. Every block is a fresh array, so a minibatch a caller holds
-never changes. The meta memory pushes
-once per option, so its refills rarely follow exactly one push, and it
-keeps gathering per call rather than scaling blocks it would not use.
+fill = min(pushes, capacity) is the ring's size at that call: the push
+count is the ring's one clock, and the next push writes position
+pushes % capacity. A refill may gather the whole block at once, scaled
+by the fill each later call will see if one push comes before each
+call, and mark each minibatch that reads a slot the coming pushes will
+write: minibatch j is marked if it reads a position p with
+(p - pushes) % capacity < j. Call j of the block takes its minibatch
+from the block when exactly j pushes have happened since the block was
+gathered, its k is the block's and its minibatch is unmarked. sample
+tests for that hit before anything else, so a hit costs a few
+comparisons and no numpy call. Any other call gathers its own from the
+ring, so either way a call gets the same values. Every block is a fresh
+array, so a minibatch a caller holds never changes. A block is gathered
+at the ring's first refill and at each refill that passes the hit test
+at the block's end; any other refill drops it, and the ring gathers per
+call from then on. So the controller's memory, which pushes before
+every sample, gathers at every refill, and the meta memory, which
+pushes once per option, gathers one block.
 """
 from __future__ import annotations
 
@@ -51,8 +54,9 @@ import numpy as np
 # truncated with astype(intp): np.multiply into an intp out= array with
 # casting="unsafe" gives the same indices but goes through numpy's
 # buffered cast, which timed slower at k = 32 (2.5 us against 1.5 us).
-# A refill that follows exactly one push gathers all UNIFORM_BLOCK // k
-# minibatches at once (128 at k = 32), one (128, k) array per column.
+# A block refill (the ring's first, and each on the held block's
+# pattern) gathers all UNIFORM_BLOCK // k minibatches at once (128 at
+# k = 32), one (128, k) array per column.
 UNIFORM_BLOCK = 4096
 
 
@@ -65,8 +69,8 @@ class ReplayBuffer:
     """
 
     __slots__ = (
-        "capacity", "cell", "row_next", "r", "disc", "cursor", "_size",
-        "_gen", "_u", "_upos", "_pushes", "_seen", "_bk", "_bpush", "_block",
+        "capacity", "cell", "row_next", "r", "disc",
+        "_gen", "_u", "_upos", "_pushes", "_bk", "_bpush", "_block",
     )
 
     def __init__(self, capacity: int, gen: np.random.Generator):
@@ -77,33 +81,28 @@ class ReplayBuffer:
         self.row_next = np.zeros(capacity, dtype=np.int32)
         self.r = np.zeros(capacity)
         self.disc = np.zeros(capacity)
-        self.cursor = 0
-        self._size = 0
         self._gen = gen
         self._u = np.empty(0)
         self._upos = 0
-        self._pushes = 0  # pushes ever made
-        self._seen = 0  # pushes made before the last sample call
+        self._pushes = 0  # pushes ever made: the ring's one clock
         self._bk = None  # k of the gathered block; None when there is none
         self._bpush = 0  # pushes made before the block's first call
         self._block = []  # the block's minibatches, None where marked, and a None past its end
 
+    @property
+    def cursor(self) -> int:
+        return self._pushes % self.capacity
+
     def __len__(self) -> int:
-        return self._size
+        return min(self._pushes, self.capacity)
 
     def push(self, cell, row_next, reward, disc) -> None:
         """Store one transition."""
-        i = self.cursor
+        i = self._pushes % self.capacity
         self.cell[i] = cell
         self.row_next[i] = row_next
         self.r[i] = reward
         self.disc[i] = disc
-        i += 1
-        if i == self.capacity:
-            i = 0
-        self.cursor = i
-        if self._size < self.capacity:
-            self._size += 1
         self._pushes += 1
 
     def sample(self, k: int) -> tuple:
@@ -114,30 +113,29 @@ class ReplayBuffer:
         i = pushes - self._bpush
         # A block hit first: it needs a gathered block, so a positive k
         # and a non-empty ring. The block's sentinel last row is None, so
-        # a hit test past the block's end misses.
-        if k == self._bk and pos == i * k:
+        # at the block's end the call is on the pattern but misses.
+        on_pattern = k == self._bk and pos == i * k
+        if on_pattern:
             batch = self._block[i]
             if batch is not None:
                 self._upos = pos + k
-                self._seen = pushes
                 return batch
-        if not self._size:
+        if not pushes:
             raise ValueError("sample() on an empty replay buffer")
         if k <= 0:
             raise ValueError(f"minibatch size must be positive, got {k}")
-        after_one_push = pushes - self._seen == 1
-        self._seen = pushes
         if pos + k > self._u.size:
             self._u = self._gen.random(max(UNIFORM_BLOCK, k))
             self._upos = k
-            if after_one_push:
+            if on_pattern or not pos:  # pos is 0 only before the first refill
                 return self._gather_block(k)
             self._bk = None
             self._block = []
             pos = 0
         else:
             self._upos = pos + k
-        return self._gather((self._u[pos : pos + k] * self._size).astype(np.intp))
+        fill = min(pushes, self.capacity)
+        return self._gather((self._u[pos : pos + k] * fill).astype(np.intp))
 
     def _gather(self, idx: np.ndarray) -> tuple:
         """The four columns at positions idx, a fresh array each."""
@@ -152,16 +150,17 @@ class ReplayBuffer:
         """Gather every minibatch of a fresh uniform block, minibatch j
         scaled by the fill after j more pushes; keep the ones those
         pushes leave intact and return the first."""
+        pushes = self._pushes
         n = self._u.size // k
         ahead = np.arange(n)
-        fill = np.minimum(self._size + ahead, self.capacity)
+        fill = np.minimum(pushes + ahead, self.capacity)
         idx = (self._u[: n * k].reshape(n, k) * fill[:, None]).astype(np.intp)
-        marked = ((idx - self.cursor) % self.capacity < ahead[:, None]).any(axis=1)
+        marked = ((idx - pushes) % self.capacity < ahead[:, None]).any(axis=1)
         block = list(zip(*self._gather(idx)))
         for j in np.flatnonzero(marked).tolist():
             block[j] = None
         block.append(None)
         self._block = block
         self._bk = k
-        self._bpush = self._pushes
+        self._bpush = pushes
         return block[0]

@@ -185,13 +185,11 @@ def test_phase_validation():
         agent.run_episode(rng.stream(0, rng.ENV), phase="warmup")
 
 
-def test_no_update_below_warmup():
-    """Each level trains once per primitive step from the first step at
-    which its memory holds its warm-up's worth of transitions, and never
-    before. The memory fills each update sees are recorded, and so are
-    the fills at every step: d1 has the step's own transition by then, d2
-    only the options that ended before it."""
-    agent = chain_agent(d1_warmup=10, d2_warmup=10)
+def record_updates(agent, episodes):
+    """Run chain episodes and record the memory fills at every step (d1
+    has the step's own transition by then, d2 only the options that
+    ended before it), the fills each update sees, and the step at which
+    each episode starts."""
     d1, d2 = agent.d1, agent.d2
     step = agent.env.step
     fills = []
@@ -214,11 +212,37 @@ def test_no_update_below_warmup():
     agent.env.step = recording_step
     recording_train("q1", agent.q1, d1)
     recording_train("q2", agent.q2, d2)
-    run_episodes(agent, 30)
-    assert fills[0] == (1, 0) and len(d2) > 10
+    env_gen = rng.stream(0, rng.ENV)
+    starts = []
+    for _ in range(episodes):
+        starts.append(len(fills))
+        agent.run_episode(env_gen)
+    return fills, seen, starts
+
+
+def test_no_update_below_warmup():
+    """Each level trains once per primitive step from the first step at
+    which its memory holds its warm-up's worth of transitions, and never
+    before."""
+    agent = chain_agent(d1_warmup=10, d2_warmup=10)
+    fills, seen, _ = record_updates(agent, 30)
+    assert fills[0] == (1, 0) and len(agent.d2) > 10
     assert seen["q1"] == [f1 for f1, _ in fills if f1 >= 10]
     assert seen["q2"] == [f2 for _, f2 in fills if f2 >= 10]
     assert seen["q1"][0] == 10 and seen["q2"][0] == 10
+
+
+def test_d2_warmup_reached_mid_episode():
+    """d2 reaches its warm-up when an option ends inside an episode, and
+    the meta level trains from the next step on, not from the next
+    episode."""
+    agent = chain_agent(d1_warmup=10, d2_warmup=30)
+    fills, seen, starts = record_updates(agent, 30)
+    ends = starts[1:] + [len(fills)]
+    assert any(fills[a][1] < 30 <= fills[b - 1][1] for a, b in zip(starts, ends))
+    assert seen["q2"] == [f2 for _, f2 in fills if f2 >= 30]
+    assert seen["q2"][0] == 30
+    assert seen["q1"] == [f1 for f1, _ in fills if f1 >= 10]
 
 
 def test_keydoor_step_clocks_and_warmups_across_phases():

@@ -49,7 +49,9 @@ def test_hdqn_roundtrip_preserves_everything():
     assert loaded.completed_options == agent.completed_options
     assert loaded.eps1 == agent.eps1
     assert loaded.eps2 == agent.eps2
-    assert loaded.tracker.floor == loaded.eps1.floor == agent.eps1.floor
+    assert all(
+        loaded.controller_epsilon(g) == agent.controller_epsilon(g) for g in range(agent.n_goals)
+    )
     assert loaded.tracker.window == agent.tracker.window
     assert loaded.gamma == agent.gamma
 
@@ -353,7 +355,8 @@ def test_flat_checkpoint_with_a_network_section_rejected():
 )
 def test_bad_schedule_rejected(old, new):
     """A schedule with no steps to anneal over, or a floor outside
-    [0, 1], which the tracker would also take, is rejected."""
+    [0, 1], which would also floor the controller's per-goal rate, is
+    rejected."""
     env, agent = trained_chain_agent(episodes=5)
     with pytest.raises(ConfigError):
         load_agent(corrupted(dump_agent(agent, env), old, new))

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import hdqn_agent
 from hdqn import rng
 from hdqn.agents.exploration import EpsilonSchedule, GoalSuccessTracker, eps_greedy
+from hdqn.envs.chain import ChainEnv
 
 
 def test_schedule_endpoints_and_midpoint():
@@ -61,39 +63,49 @@ def test_eps_greedy_deterministic_given_generator_state():
     assert a == b
 
 
+def controller(floor=0.1):
+    """A chain agent with a 100-outcome tracker window, whose
+    controller_epsilon is its tracker's term: at step 0 eps1 reads 1."""
+    return hdqn_agent(ChainEnv(), eps1=EpsilonSchedule(floor=floor), tracker_window=100)
+
+
 def test_tracker_rates_and_epsilon():
-    tr = GoalSuccessTracker(n_goals=2, window=100, floor=0.1)
+    agent = controller()
+    tr = agent.tracker
     assert tr.success_rate(0) == 0.0
-    assert tr.epsilon(0) == 1.0
+    assert agent.controller_epsilon(0) == 1.0
     for _ in range(50):
         tr.record(0, True)
         tr.record(0, False)
     assert len(tr.dump()[0]) == 100
     assert tr.success_rate(0) == pytest.approx(0.5)
-    assert tr.epsilon(0) == pytest.approx(0.5)
-    assert tr.epsilon(1) == 1.0  # untouched goal
+    assert agent.controller_epsilon(0) == pytest.approx(0.5)
+    assert agent.controller_epsilon(1) == 1.0  # untouched goal
 
 
 def test_tracker_window_slides():
-    tr = GoalSuccessTracker(n_goals=1, window=100)
+    agent = controller()
+    tr = agent.tracker
     for _ in range(100):
         tr.record(0, False)
-    assert tr.epsilon(0) == 1.0
+    assert agent.controller_epsilon(0) == 1.0
     for _ in range(100):
         tr.record(0, True)
     assert len(tr.dump()[0]) == 100
     assert tr.success_rate(0) == 1.0
-    assert tr.epsilon(0) == pytest.approx(0.1)  # floored
+    assert agent.controller_epsilon(0) == 0.1  # floored at eps1's floor
 
 
-@given(st.lists(st.booleans(), max_size=300))
-def test_tracker_epsilon_bounds(outcomes):
-    tr = GoalSuccessTracker(n_goals=1, window=100, floor=0.1)
+@given(st.lists(st.booleans(), max_size=300), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_tracker_epsilon_bounds(outcomes, floor):
+    agent = controller(floor=floor)
+    tr = agent.tracker
     for o in outcomes:
         tr.record(0, o)
-    assert 0.1 <= tr.epsilon(0) <= 1.0
+    assert floor <= agent.controller_epsilon(0) <= 1.0
+    assert agent.controller_epsilon(0) == max(floor, 1.0 - tr.success_rate(0))
     assert 0.0 <= tr.success_rate(0) <= 1.0
-    assert tr.dump() == [outcomes[-100:]]
+    assert tr.dump()[0] == outcomes[-100:]
 
 
 def test_tracker_dump_load_roundtrip():
@@ -118,5 +130,3 @@ def test_tracker_validation():
         GoalSuccessTracker(0)
     with pytest.raises(ValueError):
         GoalSuccessTracker(1, window=0)
-    with pytest.raises(ValueError):
-        GoalSuccessTracker(1, floor=1.5)

@@ -171,10 +171,11 @@ def test_sample_indices_are_the_scaled_uniforms_while_growing():
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-# A k = 7 block gathered at the second refill, then k = 1 calls two
-# pushes apart: the 6th of them sits at position 12 after 12 pushes,
-# where the block's unmarked row 12 would be.
-@example(capacity=1000, segments=[(32, 128, (0, 0, 1)), (7, 1, (0, 1, 0)), (1, 20, (0, 0, 1))], seed=0)
+# A k = 7 block gathered at the second refill, on the pattern of one
+# push per call, then k = 1 calls two pushes apart: the 6th of them sits
+# at position 12 after 12 pushes, where the block's unmarked row 12
+# would be.
+@example(capacity=1000, segments=[(7, 586, (0, 1, 0)), (1, 20, (0, 0, 1))], seed=0)
 @settings(max_examples=40, deadline=None)
 def test_every_minibatch_is_the_direct_rule_on_the_live_ring(capacity, segments, seed):
     """Random interleavings of 0, 1 or 2 pushes before each sample, runs
@@ -200,13 +201,13 @@ def test_every_minibatch_is_the_direct_rule_on_the_live_ring(capacity, segments,
 
 
 def test_a_held_block_is_not_served_after_two_pushes():
-    """A refill after one push gathers a block for one push per call. Two
+    """The ring's first refill gathers a block for one push per call. Two
     pushes before the next call at the block's k break that pattern, so
     the call gathers its minibatch from the live ring again, though the
     block's next row is unmarked: its uniforms are the block's second k,
     scaled by the fill after both pushes, not after one."""
-    buf = ring(1000, seed=5)
-    ref = Ring(1000, rng.stream(5, rng.REPLAY_D1))
+    buf = ring(1000, seed=6)
+    ref = Ring(1000, rng.stream(6, rng.REPLAY_D1))
 
     def push(i):
         push_numbered(buf, i)
@@ -219,15 +220,44 @@ def test_a_held_block_is_not_served_after_two_pushes():
 
     for i in range(500):
         push(i)
-    sample(UNIFORM_BLOCK)  # uses up the first uniforms
-    push(500)
-    first = sample(32)
+    first = sample(32)  # the first refill
     assert buf._bk == 32 and first is buf._block[0]  # a block is held
     assert buf._block[1] is not None
+    push(500)
     push(501)
-    push(502)
     got = sample(32)
     assert not any(got is batch for batch in buf._block)
+
+
+@pytest.mark.parametrize(
+    "samples_per_push, gathered",
+    # 7 refills at k = 32, after 50 pushes of warm-up.
+    [(1, 7), (3, 1)],
+    ids=["controller", "meta"],
+)
+def test_blocks_are_gathered_while_the_pattern_holds(monkeypatch, samples_per_push, gathered):
+    """One push before each sample, the controller's pattern, gathers a
+    block at every refill, the first included. One push per three
+    samples, the meta memory's pattern on chain, gathers one at the
+    first refill only: the call at that block's end is off its pattern,
+    so the refill drops the block, and no block is gathered again."""
+    ks = []
+    gather_block = ReplayBuffer._gather_block
+
+    def counted(buf, k):
+        ks.append(k)
+        return gather_block(buf, k)
+
+    monkeypatch.setattr(ReplayBuffer, "_gather_block", counted)
+    buf = ring(100_000)
+    for n in range(50):
+        push_numbered(buf, n)
+    for call in range(7 * UNIFORM_BLOCK // 32):
+        if call % samples_per_push == 0:
+            n += 1
+            push_numbered(buf, n)
+        buf.sample(32)
+    assert ks == [32] * gathered
 
 
 def test_held_minibatches_never_change():

@@ -203,7 +203,7 @@ class HierarchicalAgent:
         n_goals = self.n_goals
         hits = self.critic.hits
         s = env.reset()
-        trace = EpisodeTrace()
+        trace = EpisodeTrace(goal_picks=[], goal_successes=[])
         done = False
         while not done:
             g = eps_greedy(q2.values(s), epsilon, pick_gen)

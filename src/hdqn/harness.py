@@ -69,7 +69,7 @@ class SeedResult:
 
     seed: int
     rewards: np.ndarray  # (episodes,)
-    visits: np.ndarray | None = None  # (episodes, n_states), chain only
+    visits: np.ndarray | None = None  # int32 (episodes, n_states), chain only
     picks: np.ndarray | None = None  # (episodes, n_goals), key-door only
     successes: np.ndarray | None = None  # (episodes, n_goals), key-door only
     pretrain_episodes: int = 0
@@ -124,9 +124,10 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         seed=seed,
         rewards=np.asarray(rewards, dtype=np.float64),
         # 8 bytes a count in the flat list, against about 110 for a list
-        # object per episode; converted once, after training.
+        # object per episode; converted once, after training, to 4 bytes a
+        # count. A count past 2**31 - 1 raises OverflowError, not wraps.
         visits=(
-            np.fromiter(visits, np.int64, len(visits)).reshape(-1, env.n_states)
+            np.fromiter(visits, np.int32, len(visits)).reshape(-1, env.n_states)
             if track_visits
             else None
         ),

@@ -504,5 +504,5 @@ def test_flat_agent_on_chain_reward_support():
         assert sum(agent.env.visits) == traces[-1].steps
     for tr in traces:
         assert tr.total_reward in (0.01, 1.0)
-        assert tr.goal_picks == []
+        assert tr.goal_picks == () and tr.goal_successes == ()
     assert agent.primitive_steps == sum(tr.steps for tr in traces)

@@ -38,6 +38,14 @@ def test_tracer_installs_on_the_current_package():
         # Past one 4096-row block, so that the child's checks on the
         # aggregate's length and means read output written in blocks.
         ("chain_flat.cfg", {"episodes": 5000, "seeds": [0, 1]}, 0, ()),
+        # A flat episode record through the tracer, which counts the
+        # options of every record it is handed.
+        (
+            "chain_flat.cfg",
+            {"episodes": 300, "seeds": [0]},
+            1,
+            ("agents.eps_greedy.calls", "envs.step.calls", "agents.run_episode.calls"),
+        ),
         # The hierarchical path under the tracer, with d2 past its warm-up
         # so that the meta level's replay and update layers are called.
         (
@@ -54,7 +62,7 @@ def test_tracer_installs_on_the_current_package():
             ("values.train_on.q1.calls", "values.train_on.q2.calls"),
         ),
     ],
-    ids=["chain_flat", "keydoor_hdqn", "chain_mlp"],
+    ids=["chain_flat", "chain_flat_traced", "keydoor_hdqn", "chain_mlp"],
 )
 def test_child_runs_a_toy_repetition(config, overrides, trace, called, tmp_path):
     job = {

@@ -7,7 +7,7 @@ import pytest
 
 from hdqn import metrics, rng
 from hdqn.agents import FlatQAgent
-from hdqn.checkpoint import read_agent
+from hdqn.checkpoint import load_agent, read_agent
 from hdqn.config import default_config
 from hdqn.envs.chain import ChainEnv
 from hdqn.harness import (
@@ -73,6 +73,17 @@ def test_run_seed_produces_full_trace():
     # chain CSVs read rewards and visits only, so no goal tallies are kept
     assert len(result.goal_names) > 0
     assert result.picks is None and result.successes is None
+
+
+@pytest.mark.parametrize("agent", ["hdqn", "flat"])
+def test_chain_visits_are_int32_step_counts(agent):
+    cfg = tiny_chain_config(agent=agent)
+    result = run_seed(cfg, 0)
+    assert result.visits.dtype == np.int32
+    assert result.visits.shape == (cfg.episodes, 6)
+    # Each primitive step enters exactly one state.
+    trained, _, _ = load_agent(result.checkpoint)
+    assert int(result.visits.sum()) == trained.primitive_steps
 
 
 def test_run_seed_is_deterministic():

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands:
-    run     train an experiment from a config file and write CSVs
-    eval    frozen-policy evaluation of a saved checkpoint
+    run     train an experiment from a config file and write CSVs; stdout
+            lists the written paths, stderr carries each seed's progress
+    eval    frozen-policy evaluation of a saved checkpoint: mean reward,
+            and each goal's success rate and share of the picks
     oracle  exact solution of the chain task for verification
 
 Exit codes: 0 success, 1 configuration error, 2 runtime divergence.
@@ -76,7 +78,7 @@ def cmd_eval(args) -> int:
     print(f"episodes: {summary.episodes}  epsilon: {summary.epsilon}")
     print(f"mean extrinsic reward: {summary.mean_reward:.4f}  ci95: [{lo:.4f}, {hi:.4f}]")
     for name, rate in summary.goal_success.items():
-        print(f"goal {name}: success rate {rate:.3f}")
+        print(f"goal {name}: success rate {rate:.3f}  picks {summary.goal_picks[name]:.3f}")
     return 0
 
 

@@ -7,14 +7,17 @@ critic from it), and both run and evaluate episodes through the same
 signatures, so run_seed and evaluate_policy drive either kind alike.
 
 Training logs raw per-episode tallies; windowed metric columns and CSVs
-are derived afterwards so identical runs produce identical bytes. Seeds
-run in worker processes when more than one CPU is available, with a
-single-threaded reduce for the aggregate files.
+are derived afterwards so identical runs produce identical bytes. While
+a seed trains, run_seed writes about ten progress lines per phase on
+stderr. Seeds run in worker processes when more than one CPU is
+available, with a single-threaded reduce for the aggregate files.
 """
 from __future__ import annotations
 
 import math
 import os
+import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,12 +115,30 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
                 f"non-finite episode reward at episode {len(rewards)} (seed {seed})"
             )
 
+    start = time.perf_counter()
+
+    def report(where):
+        steps, elapsed = agent.primitive_steps, time.perf_counter() - start
+        recent = rewards[-cfg.reward_window :]
+        mean = sum(recent) / len(recent)
+        line = f"seed {seed}: {where}, {steps} steps, reward_ma {mean:.4f}, {elapsed:.2f} s"
+        print(f"{line}, {steps / elapsed:.0f} steps/s", file=sys.stderr, flush=True)
+
     pretrain_episodes = 0  # validation allows pretraining for hdqn only
-    while agent.primitive_steps < cfg.pretrain_steps:
+    tenth = 1  # the next tenth of pretrain_steps to report
+    while (steps := agent.primitive_steps) < cfg.pretrain_steps:
+        if steps * 10 >= tenth * cfg.pretrain_steps:
+            report(f"pretrain {steps}/{cfg.pretrain_steps}")
+            tenth = steps * 10 // cfg.pretrain_steps + 1
         tally(agent.run_episode(env_gen, phase="pretrain"))
         pretrain_episodes += 1
-    for _ in range(cfg.episodes):
-        tally(agent.run_episode(env_gen))
+    if cfg.pretrain_steps:
+        report(f"pretrain {steps}/{cfg.pretrain_steps}")
+    ends = sorted({cfg.episodes * k // 10 for k in range(1, 11)} - {0})  # at most ten chunks
+    for done, end in zip([0, *ends], ends):
+        for _ in range(done, end):
+            tally(agent.run_episode(env_gen))
+        report(f"episode {end}/{cfg.episodes}")
     checkpoint = dump_agent(agent, env)  # as training ends, before any tally is converted
 
     return SeedResult(
@@ -210,6 +231,7 @@ class EvalSummary:
     sem: float
     rewards: np.ndarray
     goal_success: dict = field(default_factory=dict)
+    goal_picks: dict = field(default_factory=dict)  # name -> share of all goal picks
 
     @property
     def ci95(self) -> tuple:
@@ -218,7 +240,8 @@ class EvalSummary:
 
 
 def evaluate_policy(agent, episodes: int, epsilon: float, seed: int = 0) -> EvalSummary:
-    """Frozen-policy rollouts; reports extrinsic reward and goal success.
+    """Frozen-policy rollouts; reports extrinsic reward, goal success and
+    each goal's share of the goal picks.
 
     Episode i draws its environment and choice streams from the key
     (seed, EVAL, i), disjoint from every training stream and from the
@@ -237,6 +260,8 @@ def evaluate_policy(agent, episodes: int, epsilon: float, seed: int = 0) -> Eval
         rewards[i] = trace.total_reward
     sem = float(rewards.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
     goal_success = {agent.goal_names[g]: hits[g] / attempts[g] for g in sorted(attempts)}
+    picks = sum(attempts.values())
+    goal_picks = {agent.goal_names[g]: attempts[g] / picks for g in sorted(attempts)}
     return EvalSummary(
         episodes=episodes,
         epsilon=epsilon,
@@ -244,4 +269,5 @@ def evaluate_policy(agent, episodes: int, epsilon: float, seed: int = 0) -> Eval
         sem=sem,
         rewards=rewards,
         goal_success=goal_success,
+        goal_picks=goal_picks,
     )

@@ -113,8 +113,9 @@ def onehot_forward(params: dict, x: np.ndarray) -> tuple:
 
 
 def onehot_loss_and_grads(net: MlpQ, columns) -> tuple:
-    """The pre-step loss and dense gradients of a minibatch, computed
-    through one-hot inputs: the first layer's gradient is x.T @ gz1."""
+    """The pre-step loss, the dense gradients of a minibatch and gz1,
+    computed through one-hot inputs: the first layer's gradient is
+    x.T @ gz1, so w1 row i sums the gz1 rows of the inputs that select i."""
     cell, row_next, r, disc = columns
     row, a = np.divmod(cell, net.n_choices)
     y = r + disc * onehot_forward(net.snapshot, onehot(net, row_next))[2].max(axis=1)
@@ -126,7 +127,7 @@ def onehot_loss_and_grads(net: MlpQ, columns) -> tuple:
     gq[np.arange(n), a] = 2.0 * diff / n
     gz1 = (gq @ net.params["w2"].T) * (z1 > 0.0)
     grads = {"w1": x.T @ gz1, "b1": gz1.sum(axis=0), "w2": h.T @ gq, "b2": gq.sum(axis=0)}
-    return float(np.mean(diff**2)), grads
+    return float(np.mean(diff**2)), grads, gz1
 
 
 def dense_grads(net: MlpQ, grads: dict) -> dict:

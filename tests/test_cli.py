@@ -24,10 +24,30 @@ workers = 1
 """
 
 
+TINY_KEYDOOR = """\
+env = keydoor
+seeds = 0,1
+pretrain_steps = 1000
+episodes = 13
+step_limit = 50
+d1_warmup = 16
+d2_warmup = 16
+reward_window = 5
+workers = 1
+"""
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
+    return path
+
+
+@pytest.fixture
+def tiny_keydoor_cfg(tmp_path):
+    path = tmp_path / "keydoor.cfg"
+    path.write_text(TINY_KEYDOOR)
     return path
 
 
@@ -39,6 +59,28 @@ def test_run_writes_outputs(tiny_cfg, tmp_path, capsys):
     assert "chain_hdqn_aggregate.csv" in printed
     assert (out / "chain_hdqn_seed0.csv").exists()
     assert (out / "chain_hdqn_seed1.ckpt").exists()
+
+
+def test_run_reports_progress_on_stderr(tiny_keydoor_cfg, tmp_path, capsys):
+    """Each seed writes its progress lines on stderr, at most ten per
+    phase, and stdout lists only the written paths."""
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(tiny_keydoor_cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert sorted(printed.out.splitlines()) == sorted(str(p) for p in out.iterdir())
+    lines = printed.err.splitlines()
+    for seed in (0, 1):
+        mine = [line for line in lines if line.startswith(f"seed {seed}: ")]
+        pretrain = [line for line in mine if line.startswith(f"seed {seed}: pretrain ")]
+        joint = [line for line in mine if line.startswith(f"seed {seed}: episode ")]
+        assert mine == pretrain + joint  # the phases in order, nothing else
+        assert 1 <= len(pretrain) <= 10 and 1 <= len(joint) <= 10
+        steps = int(pretrain[-1].split()[3].split("/")[0])
+        assert steps >= 1000
+        assert joint[-1].startswith(f"seed {seed}: episode 13/13, ")
+        assert all(" steps/s" in line and "reward_ma " in line for line in mine)
+    assert len(lines) == sum(line.startswith(("seed 0: ", "seed 1: ")) for line in lines)
+    assert lines[0].startswith("seed 0: ") and lines[-1].startswith("seed 1: ")
 
 
 def test_run_seed_override(tiny_cfg, tmp_path):
@@ -113,7 +155,9 @@ def test_out_of_range_inputs_exit_1(tmp_path, capsys, old, new, flags):
     path.write_text(TINY.replace(old, new) if old else TINY)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "r"), *flags])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: invalid config:")
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: invalid config:") and printed.err.count("\n") == 1
     assert not (tmp_path / "r").exists()
 
 
@@ -148,6 +192,37 @@ def test_eval_runs_on_written_checkpoint(tiny_cfg, tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "mean extrinsic reward" in printed
+
+
+def test_eval_prints_each_goal_pick_share(tiny_keydoor_cfg, tmp_path, capsys):
+    """On a hierarchical checkpoint the goals' pick shares sum to 1, and
+    each goal line gives its share beside its success rate."""
+    out = tmp_path / "results"
+    main(["run", "--config", str(tiny_keydoor_cfg), "--seed", "0", "--out", str(out)])
+    path = out / "keydoor_hdqn_seed0.ckpt"
+    agent, _, _ = checkpoint.read_agent(path)
+    summary = harness.evaluate_policy(agent, 20, 0.1)
+    assert set(summary.goal_picks) == set(summary.goal_success)
+    assert sum(summary.goal_picks.values()) == pytest.approx(1.0)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--episodes", "20"]) == 0
+    goal_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("goal ")]
+    assert goal_lines == [
+        f"goal {name}: success rate {rate:.3f}  picks {summary.goal_picks[name]:.3f}"
+        for name, rate in summary.goal_success.items()
+    ]
+
+
+def test_eval_of_a_flat_checkpoint_prints_no_goal_line(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "results"
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(TINY.replace("seeds = 0,1", "seeds = 0") + "agent = flat\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "chain_flat_seed0.ckpt"), "--episodes", "10"]) == 0
+    printed = capsys.readouterr().out
+    assert "mean extrinsic reward" in printed
+    assert not any(line.startswith("goal ") for line in printed.splitlines())
 
 
 def test_eval_missing_checkpoint_exits_1(tmp_path):

@@ -108,10 +108,16 @@ def test_sampling_uniformity_chi_square():
     k=st.integers(1, 97),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_draws_in_range_and_uniform_while_growing(growth, k, seed):
     """Uniforms drawn in blocks while the ring was smaller still cover the
-    whole current fill: each stage's draws are uniform over its rows."""
+    whole current fill: each stage's draws are uniform over its rows.
+
+    The examples are derandomized: a uniform sampler reads p < 1e-6 in one
+    stage of about a million, so a fresh search on every run would, now
+    and then, find such a stage on correct code (growth [31, 22, 37, 4],
+    k 22, seed 3908 reads p = 8.7e-7). A fixed set of examples passes or
+    fails with the sampler, not with the search."""
     buf = ring(1000, seed=seed)
     n = 0
     for grow in growth:

@@ -32,8 +32,8 @@ Both levels train from their own replay memory once per primitive step:
 one minibatch of columns per level, through the estimator's train_on.
 run_episode looks up everything it uses per step once per episode
 (the bound env.step, values, train_on, push and sample, the meta
-schedule's value, the critic's hits, the warm-ups and the batch size)
-and builds the EpisodeTrace from local tallies at the end. A network syncs its own
+schedule's value, the critic's hits and the warm-ups) and builds the
+EpisodeTrace from local tallies at the end. A network syncs its own
 target inside train_on (values.py), so the loop is the same for both
 backends. The loop reads each warm-up only where it can change: d1's
 is a flag that stays set once d1 holds its warm-up's worth, since
@@ -87,8 +87,6 @@ class HierarchicalAgent:
         critic, goals and every other dimension come from env."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if d1_warmup < 1 or d2_warmup < 1:
             raise ValueError("warm-up thresholds must be >= 1")
         if d1_warmup > d1_capacity or d2_warmup > d2_capacity:
@@ -98,13 +96,12 @@ class HierarchicalAgent:
         self.goal_names = env.goal_names
         self.n_goals = n_goals = len(env.goal_names)
         self.gamma = gamma
-        self.batch_size = batch_size
         self.d1_warmup = d1_warmup
         self.d2_warmup = d2_warmup
         self.eps1, self.eps2 = eps1, eps2  # frozen, so a shared default is safe
         self.q1, self.q2 = q1, q2
-        self.d1 = ReplayBuffer(d1_capacity, rng.stream(seed, rng.REPLAY_D1))
-        self.d2 = ReplayBuffer(d2_capacity, rng.stream(seed, rng.REPLAY_D2))
+        self.d1 = ReplayBuffer(d1_capacity, batch_size, rng.stream(seed, rng.REPLAY_D1))
+        self.d2 = ReplayBuffer(d2_capacity, batch_size, rng.stream(seed, rng.REPLAY_D2))
         self.tracker = GoalSuccessTracker(n_goals, window=tracker_window)
         self._ctrl_gen = rng.draws(seed, rng.CONTROLLER)
         self._meta_gen = rng.draws(seed, rng.META)
@@ -131,7 +128,6 @@ class HierarchicalAgent:
         d1_push, d2_push = d1.push, d2.push
         d1_sample, d2_sample = d1.sample, d2.sample
         d1_warmup, d2_warmup = self.d1_warmup, self.d2_warmup
-        batch_size = self.batch_size
         eps2_value = self.eps2.value
         tracker = self.tracker
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen
@@ -177,9 +173,9 @@ class HierarchicalAgent:
                 # own memory once that holds its warm-up's worth.
                 if d1_warm or len(d1) >= d1_warmup:
                     d1_warm = True
-                    q1_train(d1_sample(batch_size))
+                    q1_train(d1_sample())
                 if d2_warm:
-                    q2_train(d2_sample(batch_size))
+                    q2_train(d2_sample())
                 row = row_next
             # Nothing reads the step clocks within an option.
             self.primitive_steps += steps - option_start

@@ -195,18 +195,18 @@ def test_keydoor_learning_and_goal_shift(keydoor):
 
 def test_invariant_suites():
     # FIFO eviction
-    buf = ReplayBuffer(3, np.random.default_rng(3))
+    buf = ReplayBuffer(3, 1, np.random.default_rng(3))
     for i in range(7):
         buf.push(i, i, 0.0, 0.99)
     fifo_ok = stored(buf)["cell"].tolist() == [4, 5, 6] and len(buf) == 3
 
     # sampling uniformity
-    buf = ReplayBuffer(10, np.random.default_rng(3))
+    buf = ReplayBuffer(10, 100, np.random.default_rng(3))
     for i in range(10):
         buf.push(i, i, 0.0, 0.99)
     counts = np.zeros(10)
     for _ in range(1000):
-        counts += np.bincount(buf.sample(100)[0], minlength=10)
+        counts += np.bincount(buf.sample()[0], minlength=10)
     p = stats.chisquare(counts).pvalue
     uniform_ok = p > 0.01
 

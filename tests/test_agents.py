@@ -338,6 +338,20 @@ def test_agent_rejects_a_warmup_above_its_capacity(level):
     assert len(getattr(chain_agent(**{f"{level}_capacity": 10, f"{level}_warmup": 10}), level)) == 0
 
 
+def test_both_rings_sample_at_the_batch_size():
+    """The rings own the minibatch size and its check: a batch_size below
+    1 is rejected where the rings are built, and both sample at it."""
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="minibatch size"):
+            chain_agent(batch_size=k)
+    agent = chain_agent(batch_size=5, d1_warmup=1, d2_warmup=1)
+    run_episodes(agent, 3)
+    assert not hasattr(agent, "batch_size")
+    for ring in (agent.d1, agent.d2):
+        assert ring.k == 5
+        assert [len(column) for column in ring.sample()] == [5] * 4
+
+
 def test_chain_hdqn_learns_with_goal_chaining():
     """With a short budget and a hot learning rate the two-level agent
     should already beat the myopic 0.01 payoff on average."""

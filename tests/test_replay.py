@@ -10,8 +10,8 @@ from hdqn.replay import UNIFORM_BLOCK, ReplayBuffer
 from reference_agent import Ring
 
 
-def ring(capacity, seed=0):
-    return ReplayBuffer(capacity, rng.stream(seed, rng.REPLAY_D1))
+def ring(capacity, k=32, seed=0):
+    return ReplayBuffer(capacity, k, rng.stream(seed, rng.REPLAY_D1))
 
 
 def push_numbered(buf, i):
@@ -49,10 +49,16 @@ def test_capacity_must_be_positive():
         ring(0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_minibatch_size_must_be_positive(k):
+    with pytest.raises(ValueError, match="minibatch size"):
+        ring(4, k)
+
+
 def test_sample_with_replacement_from_singleton():
-    buf = ring(5)
+    buf = ring(5, k=3)
     buf.push(4, 3, 0.5, 0.0)
-    cell, row_next, r, disc = buf.sample(3)
+    cell, row_next, r, disc = buf.sample()
     assert cell.tolist() == [4] * 3 and row_next.tolist() == [3] * 3
     assert r.tolist() == [0.5] * 3 and disc.tolist() == [0.0] * 3
 
@@ -62,40 +68,41 @@ def test_sample_is_deterministic_given_seed():
         buf = ring(10, seed=4)
         for i in range(10):
             push_numbered(buf, i)
-        return [buf.sample(32)[0].tolist() for _ in range(200)]
+        return [buf.sample()[0].tolist() for _ in range(200)]
 
     assert draws() == draws()
 
 
 def test_sample_leaves_buffer_unchanged():
-    buf = ring(4)
+    buf = ring(4, k=16)
     for i in range(6):
         push_numbered(buf, i)
     before = {k: v.copy() for k, v in stored(buf).items()}
     for _ in range(10):
-        buf.sample(16)
+        buf.sample()
     after = stored(buf)
     assert len(buf) == 4
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 def test_sample_errors():
-    buf = ring(4)
+    buf = ring(4, k=1)
     with pytest.raises(ValueError):
-        buf.sample(1)
-    push_numbered(buf, 0)
-    with pytest.raises(ValueError):
-        buf.sample(0)
+        buf.sample()
 
 
 def test_sampling_uniformity_chi_square():
     """100k draws from a 10-element buffer look uniform at p > 0.01,
-    drawn both as one large minibatch and as many small ones."""
-    buf = ring(10)
+    drawn both as one large minibatch and as many small ones. The two
+    rings share one stream, so the small draws take the uniforms after
+    the large one's."""
+    gen = rng.stream(0, rng.REPLAY_D1)
+    large_ring, small_ring = ReplayBuffer(10, 100_000, gen), ReplayBuffer(10, 32, gen)
     for i in range(10):
-        push_numbered(buf, i)
-    large = buf.sample(100_000)[0]
-    small = np.concatenate([buf.sample(32)[0] for _ in range(3125)])
+        push_numbered(large_ring, i)
+        push_numbered(small_ring, i)
+    large = large_ring.sample()[0]
+    small = np.concatenate([small_ring.sample()[0] for _ in range(3125)])
     for draws in (large, small):
         counts = np.bincount(draws, minlength=10)
         assert counts.sum() == 100_000
@@ -118,14 +125,14 @@ def test_draws_in_range_and_uniform_while_growing(growth, k, seed):
     and then, find such a stage on correct code (growth [31, 22, 37, 4],
     k 22, seed 3908 reads p = 8.7e-7). A fixed set of examples passes or
     fails with the sampler, not with the search."""
-    buf = ring(1000, seed=seed)
+    buf = ring(1000, k, seed=seed)
     n = 0
     for grow in growth:
         for _ in range(grow):
             push_numbered(buf, n)
             n += 1
         batches = -(-60 * n // k)  # at least 60 expected draws per row
-        draws = np.concatenate([buf.sample(k)[0] for _ in range(batches)])
+        draws = np.concatenate([buf.sample()[0] for _ in range(batches)])
         assert 0 <= draws.min() and draws.max() < n
         if n > 1:
             assert stats.chisquare(np.bincount(draws, minlength=n)).pvalue > 1e-6
@@ -134,10 +141,10 @@ def test_draws_in_range_and_uniform_while_growing(growth, k, seed):
 def test_block_larger_than_minibatch_is_consumed_in_order():
     """A block serves UNIFORM_BLOCK // k minibatches before the next draw."""
     gen_copy = rng.stream(0, rng.REPLAY_D1)
-    buf = ring(UNIFORM_BLOCK)
+    buf = ring(UNIFORM_BLOCK, k=64)
     for i in range(UNIFORM_BLOCK):
         push_numbered(buf, i)
-    first = np.concatenate([buf.sample(64)[0] for _ in range(UNIFORM_BLOCK // 64)])
+    first = np.concatenate([buf.sample()[0] for _ in range(UNIFORM_BLOCK // 64)])
     expected = (gen_copy.random(UNIFORM_BLOCK) * UNIFORM_BLOCK).astype(np.intp)
     assert first.tolist() == expected.tolist()
 
@@ -145,62 +152,66 @@ def test_block_larger_than_minibatch_is_consumed_in_order():
 def test_sample_indices_are_the_scaled_uniforms_while_growing():
     """Minibatch i's indices are its uniforms times the fill at that
     moment, truncated to intp, across block refills and while the ring
-    grows."""
-    gen_copy = rng.stream(3, rng.REPLAY_D1)
-    buf = ring(5000, seed=3)
-    u, pos, n, refills = np.empty(0), 0, 0, 0
-    for grow in (1, 2, 5, 40, 300, 1000):
-        for _ in range(grow):
-            push_numbered(buf, n)
-            n += 1
-        for k in (1, 32, 7) * 40:
-            if pos + k > u.size:
-                u, pos = gen_copy.random(max(UNIFORM_BLOCK, k)), 0
-                refills += 1
-            want = (u[pos : pos + k] * n).astype(np.intp)
-            pos += k
-            assert buf.sample(k)[0].tolist() == want.tolist()
-    assert refills >= 3
+    grows, for each of three ring sizes k."""
+    for k in (1, 7, 32):
+        gen_copy = rng.stream(3, rng.REPLAY_D1)
+        buf = ring(5000, k, seed=3)
+        u, pos, n, refills = np.empty(0), 0, 0, 0
+        for grow in (1, 2, 5, 40, 300, 1000):
+            for _ in range(grow):
+                push_numbered(buf, n)
+                n += 1
+            for _ in range(UNIFORM_BLOCK // (2 * k) + 1):
+                if pos + k > u.size:
+                    u, pos = gen_copy.random(UNIFORM_BLOCK), 0
+                    refills += 1
+                want = (u[pos : pos + k] * n).astype(np.intp)
+                pos += k
+                assert buf.sample()[0].tolist() == want.tolist()
+        assert refills >= 3
 
 
 @given(
     capacity=st.sampled_from([1, 5, 40, 130, 1000]),
+    k=st.sampled_from([1, 7, 32]),
     segments=st.lists(
         st.tuples(
-            st.sampled_from([1, 7, 32]),
             st.integers(1, 300),
             # chances of 0, 1 and 2 pushes before a call
-            st.sampled_from([(0, 1, 0), (0.01, 0.98, 0.01), (0.15, 0.7, 0.15), (0, 0, 1), (0.5, 0, 0.5)]),
+            st.sampled_from(
+                [(0, 1, 0), (0.01, 0.98, 0.01), (0.15, 0.7, 0.15), (0, 0, 1), (0.5, 0, 0.5), (1, 0, 0)]
+            ),
         ),
         min_size=1,
         max_size=4,
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-# A k = 7 block gathered at the second refill, on the pattern of one
-# push per call, then k = 1 calls two pushes apart: the 6th of them sits
-# at position 12 after 12 pushes, where the block's unmarked row 12
-# would be.
-@example(capacity=1000, segments=[(7, 586, (0, 1, 0)), (1, 20, (0, 0, 1))], seed=0)
+# A block gathered on the pattern at the second refill (call 128), then
+# no pushes up to the next refill, which drops it one push after it was
+# gathered. The next call, with no push, is row 1 of the new block and
+# one push after the dropped block's start: a ring that kept the dropped
+# block would serve that block's row 1.
+@example(capacity=1000, k=32, segments=[(129, (0, 1, 0)), (127, (1, 0, 0)), (1, (0, 1, 0)), (5, (1, 0, 0))], seed=0)
 @settings(max_examples=40, deadline=None)
-def test_every_minibatch_is_the_direct_rule_on_the_live_ring(capacity, segments, seed):
+def test_every_minibatch_is_the_direct_rule_on_the_live_ring(capacity, k, segments, seed):
     """Random interleavings of 0, 1 or 2 pushes before each sample, runs
-    of one push each (the pattern that gathers whole blocks), k changed
-    mid-block and rings that wrap inside a block: every minibatch equals
+    of one push each (the pattern that gathers whole blocks), runs of
+    none and rings that wrap inside a block, on a ring of one k: every minibatch equals
     floor(u * fill) over the next k uniforms, read from a plain list ring
     as it is at that call, with cell and row' as intp."""
-    buf = ring(capacity, seed)
+    buf = ring(capacity, k, seed)
     ref = Ring(capacity, rng.stream(seed, rng.REPLAY_D1))
     pushes = np.random.default_rng(seed)
     n = 0
-    for k, calls, chances in segments:
+    for calls, chances in segments:
         for _ in range(calls):
             for _ in range(max(pushes.choice(3, p=chances), n == 0)):
                 row = (n * 7 % 1000, n % 333, float(n), 0.5 * (n % 3))
                 buf.push(*row)
                 ref.push(row)
                 n += 1
-            got = buf.sample(k)
+            got = buf.sample()
             want = list(zip(*ref.sample(k)))
             assert got[0].dtype == got[1].dtype == np.intp
             assert [c.tolist() for c in got] == [list(c) for c in want]
@@ -212,26 +223,26 @@ def test_a_held_block_is_not_served_after_two_pushes():
     the call gathers its minibatch from the live ring again, though the
     block's next row is unmarked: its uniforms are the block's second k,
     scaled by the fill after both pushes, not after one."""
-    buf = ring(1000, seed=6)
+    buf = ring(1000, k=32, seed=6)
     ref = Ring(1000, rng.stream(6, rng.REPLAY_D1))
 
     def push(i):
         push_numbered(buf, i)
         ref.push((i, i + 3, float(i), 0.5 * (i % 2)))
 
-    def sample(k):
-        got = buf.sample(k)
-        assert [c.tolist() for c in got] == [list(c) for c in zip(*ref.sample(k))]
+    def sample():
+        got = buf.sample()
+        assert [c.tolist() for c in got] == [list(c) for c in zip(*ref.sample(32))]
         return got
 
     for i in range(500):
         push(i)
-    first = sample(32)  # the first refill
-    assert buf._bk == 32 and first is buf._block[0]  # a block is held
+    first = sample()  # the first refill
+    assert first is buf._block[0]  # a block is held
     assert buf._block[1] is not None
     push(500)
     push(501)
-    got = sample(32)
+    got = sample()
     assert not any(got is batch for batch in buf._block)
 
 
@@ -247,12 +258,12 @@ def test_blocks_are_gathered_while_the_pattern_holds(monkeypatch, samples_per_pu
     samples, the meta memory's pattern on chain, gathers one at the
     first refill only: the call at that block's end is off its pattern,
     so the refill drops the block, and no block is gathered again."""
-    ks = []
+    blocks = []
     gather_block = ReplayBuffer._gather_block
 
-    def counted(buf, k):
-        ks.append(k)
-        return gather_block(buf, k)
+    def counted(buf):
+        blocks.append(buf.k)
+        return gather_block(buf)
 
     monkeypatch.setattr(ReplayBuffer, "_gather_block", counted)
     buf = ring(100_000)
@@ -262,8 +273,8 @@ def test_blocks_are_gathered_while_the_pattern_holds(monkeypatch, samples_per_pu
         if call % samples_per_push == 0:
             n += 1
             push_numbered(buf, n)
-        buf.sample(32)
-    assert ks == [32] * gathered
+        buf.sample()
+    assert blocks == [32] * gathered
 
 
 def test_held_minibatches_never_change():
@@ -278,7 +289,7 @@ def test_held_minibatches_never_change():
     for i in range(1000, 1000 + 3 * UNIFORM_BLOCK // 32):
         for _ in range(2 if i % 50 == 0 else 1):
             push_numbered(buf, i)
-        batch = buf.sample(32)
+        batch = buf.sample()
         held.append((batch, [c.copy() for c in batch]))
     assert buf.cursor < 1000  # wrapped
     for batch, copy in held:
@@ -290,10 +301,10 @@ def test_held_minibatches_never_change():
 
 
 def test_sample_columns_are_intp_and_the_ring_stays_int32():
-    buf = ring(10)
+    buf = ring(10, k=7)
     for i in range(10):
         push_numbered(buf, i)
-        cell, row_next, r, disc = buf.sample(7)
+        cell, row_next, r, disc = buf.sample()
         assert (cell.dtype, row_next.dtype, r.dtype, disc.dtype) == (np.intp, np.intp, np.float64, np.float64)
     assert buf.cell.dtype == buf.row_next.dtype == np.int32
 

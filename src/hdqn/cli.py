@@ -7,7 +7,7 @@ Subcommands:
             and each goal's success rate and share of the picks
     oracle  exact solution of the chain task for verification
 
-Exit codes: 0 success, 1 configuration error, 2 runtime divergence.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime divergence.
 """
 from __future__ import annotations
 
@@ -24,8 +24,13 @@ from hdqn.values import BACKENDS
 MAX_EVAL_EPISODES = 10**7  # most episodes `hdqn eval` rolls out (8 bytes of reward each)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as a bad config does
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdqn",
         description="Hierarchical and flat Q-learning experiment runner.",
     )
@@ -100,9 +105,9 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "eval": cmd_eval, "oracle": cmd_oracle}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,6 @@ class ExperimentConfig:
     hidden: int = 64
     target_sync: int = 1000
     reward_window: int = 1000
-    visit_window: int = 1000
     step_limit: int = 500
     layout: str = ""
     workers: int = 0
@@ -98,7 +97,6 @@ class ExperimentConfig:
             "hidden",
             "target_sync",
             "reward_window",
-            "visit_window",
             "step_limit",
         ):
             if getattr(self, name) < 1:

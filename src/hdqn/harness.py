@@ -81,9 +81,7 @@ class SeedResult:
 
     def columns(self, cfg: ExperimentConfig) -> dict:
         if self.visits is not None:
-            return metrics.chain_columns(
-                self.rewards, self.visits, cfg.reward_window, cfg.visit_window
-            )
+            return metrics.chain_columns(self.rewards, self.visits, cfg.reward_window)
         return metrics.keydoor_columns(
             self.rewards, self.picks, self.successes, cfg.reward_window
         )
@@ -163,7 +161,9 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
 def _resolve_workers(cfg: ExperimentConfig) -> int:
     if cfg.workers:
         return min(cfg.workers, len(cfg.seeds))
-    return min(os.cpu_count() or 1, len(cfg.seeds))
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may run on
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(cpus, len(cfg.seeds))
 
 
 def run_all_seeds(cfg: ExperimentConfig) -> list:

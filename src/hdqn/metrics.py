@@ -60,13 +60,11 @@ HEADERS = {
 
 
 def trailing_sum(values, window: int) -> np.ndarray:
-    """Sliding-window sum; the window expands until `window` entries exist."""
+    """Sliding-window sum along the first axis, of a column or an
+    (episodes, m) block; the window expands until `window` entries exist."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("trailing_sum expects a 1-D sequence")
-    cum = np.cumsum(arr)
+    cum = np.cumsum(np.asarray(values, dtype=np.float64), axis=0)
     # Entry i is cum[i] - cum[i - window], or cum[i] while the window is
     # still expanding; only the result is allocated beside the cumsum.
     out = cum.copy()
@@ -77,31 +75,31 @@ def trailing_sum(values, window: int) -> np.ndarray:
 def trailing_mean(values, window: int) -> np.ndarray:
     sums = trailing_sum(values, window)
     head = min(window, len(sums))
-    sums[:head] /= np.arange(1, head + 1)
+    sums[:head] /= np.arange(1, head + 1).reshape((head,) + (1,) * (sums.ndim - 1))
     sums[head:] /= window
     return sums
 
 
 def windowed_ratio(numerators, denominators, window: int) -> np.ndarray:
-    """Windowed sum(num)/sum(den), 0.0 wherever the denominator sum is 0."""
+    """Windowed sum(num)/sum(den), 0.0 wherever the denominator sum is 0;
+    an (episodes, 1) denominator divides each column of a block."""
     num = trailing_sum(numerators, window)
     den = trailing_sum(denominators, window)
-    out = np.zeros_like(num)
-    nz = den > 0
-    out[nz] = num[nz] / den[nz]
-    return out
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def chain_columns(rewards, visit_counts, reward_window: int, visit_window: int) -> dict:
-    """Column arrays for one chain seed.
+def chain_columns(rewards, visit_counts, window: int) -> dict:
+    """Column arrays for one chain seed, each a trailing mean over window.
 
-    visit_counts: (episodes, n_states) per-episode entry tallies; each
-    reported column is converted to float64 on its own.
+    visit_counts: (episodes, n_states) per-episode entry tallies. Each
+    reported column is converted and windowed on its own: one call over
+    the four as a block gives the same bytes, but holds the block's
+    cumsum and its copy at once, which raised chain_flat's peak RSS.
     """
     visits = np.asarray(visit_counts)
-    cols = {"reward_ma": trailing_mean(rewards, reward_window)}
+    cols = {"reward_ma": trailing_mean(rewards, window)}
     for offset, name in enumerate(CHAIN_STATES):
-        cols[f"visits_{name}"] = trailing_mean(visits[:, offset + 2], visit_window)
+        cols[f"visits_{name}"] = trailing_mean(visits[:, offset + 2], window)
     return cols
 
 
@@ -112,17 +110,10 @@ def keydoor_columns(rewards, pick_counts, success_counts, window: int) -> dict:
     pick_frac and success_rate are (episodes, n_goals) arrays.
     """
     picks = np.asarray(pick_counts, dtype=np.float64)
-    succ = np.asarray(success_counts, dtype=np.float64)
-    total_picks = picks.sum(axis=1)
-    goals = range(picks.shape[1])
     return {
         "reward_ma": trailing_mean(rewards, window),
-        "pick_frac": np.column_stack(
-            [windowed_ratio(picks[:, g], total_picks, window) for g in goals]
-        ),
-        "success_rate": np.column_stack(
-            [windowed_ratio(succ[:, g], picks[:, g], window) for g in goals]
-        ),
+        "pick_frac": windowed_ratio(picks, picks.sum(axis=1, keepdims=True), window),
+        "success_rate": windowed_ratio(success_counts, picks, window),
     }
 
 

@@ -19,7 +19,6 @@ eps2_horizon = 200
 d1_warmup = 16
 d2_warmup = 16
 reward_window = 10
-visit_window = 10
 workers = 1
 """
 
@@ -120,10 +119,32 @@ def test_unusable_out_dir_exits_1_before_training(tiny_cfg, tmp_path, capsys, mo
 
 def test_unknown_key_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text("epsiodes = 10\n")
-    code = main(["run", "--config", str(path)])
-    assert code == 1
-    assert "unknown key" in capsys.readouterr().err
+    for line in ("epsiodes = 10", "visit_window = 10"):  # a misspelling, a removed key
+        path.write_text(line + "\n")
+        code = main(["run", "--config", str(path)])
+        assert code == 1
+        assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--checkpoint", "x", "--episodes", "abc"], ["run", "--bogus"], []],
+    ids=["bad-int", "unknown-flag", "no-command"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    """A command line argparse rejects is a usage error: exit 1 and one
+    error line, as for a bad config; exit code 2 means divergence."""
+    assert main(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

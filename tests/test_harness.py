@@ -1,11 +1,12 @@
 import copy
 import csv
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hdqn import metrics, rng
+from hdqn import harness, metrics, rng
 from hdqn.agents import FlatQAgent
 from hdqn.checkpoint import load_agent, read_agent
 from hdqn.config import default_config
@@ -33,7 +34,6 @@ def tiny_chain_config(**overrides):
         d1_warmup=16,
         d2_warmup=16,
         reward_window=10,
-        visit_window=10,
         workers=0,
     )
     base.update(overrides)
@@ -282,3 +282,14 @@ def test_adjacent_seeds_share_no_evaluation_stream():
     b = {d.tobytes() for pair in peeked_eval_streams(k + 1) for d in pair}
     assert len(a) == len(b) == 8
     assert not a & b
+
+
+def test_auto_workers_count_the_cpus_this_process_may_use(monkeypatch):
+    """workers = 0 starts one worker per CPU in the process's affinity
+    set, and per CPU of the machine only where no affinity can be read."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = tiny_chain_config(seeds=tuple(range(10)), workers=0)
+    assert harness._resolve_workers(cfg) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._resolve_workers(cfg) == 10

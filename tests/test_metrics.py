@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hdqn import metrics
 
@@ -32,8 +33,31 @@ def test_trailing_mean_matches_naive(values, window):
 def test_trailing_sum_rejects_bad_input():
     with pytest.raises(ValueError):
         metrics.trailing_sum([1.0], 0)
-    with pytest.raises(ValueError):
-        metrics.trailing_sum([[1.0, 2.0]], 2)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(st.integers(0, 12), st.integers(1, 4), st.integers(1, 16), st.data())
+def test_a_block_is_windowed_column_by_column(n, m, window, data):
+    """trailing_sum, trailing_mean and windowed_ratio over an (n, m) block
+    give, bit for bit, the column-by-column results of their 1-D calls:
+    windows longer than n, zero denominator sums, and an (n, 1)
+    denominator that divides every column."""
+    values = data.draw(arrays(np.float64, (n, m), elements=st.floats(-100, 100)))
+    counts = st.sampled_from([0.0, 1.0, 2.0])  # zeros give zero denominator sums
+    num, den = data.draw(arrays(np.float64, (2, n, m), elements=counts))
+
+    def by_column(fn, *blocks):
+        columns = [fn(*(b[:, j % b.shape[1]] for b in blocks), window) for j in range(m)]
+        return np.column_stack(columns)
+
+    for fn in (metrics.trailing_sum, metrics.trailing_mean):
+        assert same_bits(fn(values, window), by_column(fn, values))
+    for d in (den, den.sum(axis=1, keepdims=True)):
+        ratio = metrics.windowed_ratio(num, d, window)
+        assert same_bits(ratio, by_column(metrics.windowed_ratio, num, d))
 
 
 def test_windowed_ratio_zero_denominator():
@@ -46,7 +70,7 @@ def test_chain_columns_shapes_and_values():
     visits = np.zeros((4, 6), dtype=int)
     visits[1, 5] = 2  # two entries into the top state in episode 2
     visits[:, 2] = 1
-    cols = metrics.chain_columns(rewards, visits, reward_window=2, visit_window=2)
+    cols = metrics.chain_columns(rewards, visits, window=2)
     np.testing.assert_allclose(cols["reward_ma"], [0.01, 0.505, 0.505, 0.01])
     np.testing.assert_allclose(cols["visits_s6"], [0.0, 1.0, 1.0, 0.0])
     np.testing.assert_allclose(cols["visits_s3"], [1.0, 1.0, 1.0, 1.0])

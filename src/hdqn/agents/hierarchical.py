@@ -12,12 +12,12 @@ are summed undiscounted into F and credited to the goal choice as one
 meta-scale transition; discounting enters only through the bootstrap.
 
 The agent is built around the two value functions it is given, q1 for
-the controller and q2 for the meta level; harness.build_agent makes
-them with values.make_estimator. It indexes both by row, one index per
-input: the controller's row is state * n_goals + goal and the meta
-level's row is the state. It forms the controller row when an option
-starts and carries the next row forward from step to step; estimators
-never see the goal axis except as part of a row.
+the controller and q2 for the meta level, and their replay memories d1
+and d2, all made by harness.build_agent; a read agent has no memories
+and is frozen. It indexes q1 and q2 by row, one index per input: the
+controller's row is state * n_goals + goal and the meta level's row is
+the state. It forms the controller row when an option starts and
+carries the next row forward; estimators see the goal only in a row.
 
 Replay stores each transition as the four columns the update reads,
 (cell, row', r, disc) (replay.py). The agent forms them when it pushes,
@@ -56,7 +56,6 @@ from hdqn import rng
 from hdqn.agents.exploration import EpsilonSchedule, GoalSuccessTracker, eps_greedy
 from hdqn.agents.trace import EpisodeTrace
 from hdqn.critic import INTRINSIC_REWARD, Critic
-from hdqn.replay import ReplayBuffer
 
 PHASES = ("pretrain", "joint")
 
@@ -69,39 +68,28 @@ class HierarchicalAgent:
         env,
         q1,
         q2,
+        d1,
+        d2,
         *,
         seed: int = 0,
         gamma: float = 0.99,
-        d1_capacity: int = 100_000,
-        d2_capacity: int = 100_000,
-        d1_warmup: int = 100,
-        d2_warmup: int = 100,
-        batch_size: int = 32,
         eps1: EpsilonSchedule = EpsilonSchedule(),
         eps2: EpsilonSchedule = EpsilonSchedule(),
         tracker_window: int = 100,
     ):
-        """An agent for env around its two value functions: q1, the
-        controller's, over n_states * n_goals rows and the env's actions,
-        and q2, the meta level's, over n_states rows and the goals. Its
-        critic, goals and every other dimension come from env."""
+        """An agent for env around its value functions, the controller's q1
+        and the meta level's q2, and their memories d1 and d2 (None in a
+        frozen agent). Its critic, goals and every dimension come from env."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-        if d1_warmup < 1 or d2_warmup < 1:
-            raise ValueError("warm-up thresholds must be >= 1")
-        if d1_warmup > d1_capacity or d2_warmup > d2_capacity:
-            raise ValueError("a warm-up threshold above its replay capacity is never reached")
         self.env = env
         self.critic = Critic(env)
         self.goal_names = env.goal_names
         self.n_goals = n_goals = len(env.goal_names)
         self.gamma = gamma
-        self.d1_warmup = d1_warmup
-        self.d2_warmup = d2_warmup
         self.eps1, self.eps2 = eps1, eps2  # frozen, so a shared default is safe
         self.q1, self.q2 = q1, q2
-        self.d1 = ReplayBuffer(d1_capacity, batch_size, rng.stream(seed, rng.REPLAY_D1))
-        self.d2 = ReplayBuffer(d2_capacity, batch_size, rng.stream(seed, rng.REPLAY_D2))
+        self.d1, self.d2 = d1, d2
         self.tracker = GoalSuccessTracker(n_goals, window=tracker_window)
         self._ctrl_gen = rng.draws(seed, rng.CONTROLLER)
         self._meta_gen = rng.draws(seed, rng.META)
@@ -120,14 +108,16 @@ class HierarchicalAgent:
     ) -> EpisodeTrace:
         if phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+        d1, d2 = self.d1, self.d2
+        if d1 is None or d2 is None:
+            raise ValueError("this agent has no replay memories, so it is frozen")
         joint = phase == "joint"
         env_step = self.env.step
-        d1, d2 = self.d1, self.d2
         q1_values, q2_values = self.q1.values, self.q2.values
         q1_train, q2_train = self.q1.train_on, self.q2.train_on
         d1_push, d2_push = d1.push, d2.push
         d1_sample, d2_sample = d1.sample, d2.sample
-        d1_warmup, d2_warmup = self.d1_warmup, self.d2_warmup
+        d1_warmup, d2_warmup = d1.warmup, d2.warmup
         eps2_value = self.eps2.value
         tracker = self.tracker
         ctrl_gen, meta_gen = self._ctrl_gen, self._meta_gen

@@ -26,12 +26,12 @@ The flat agent's list table is written as a tabular value section with
 no goal axis. The environment fixes every dimension, so the reader
 checks each section's dimensions against the env's, and a network
 body's length, before values.make_estimator builds the estimator, then
-fills the estimator's arrays() in place. dump_agent(load_agent(b)) == b
-for every b that loads. Any version but 3 is rejected: an older file is
-regenerated by re-running its config. Trailing bytes are rejected, and
-every malformed field raises ConfigError. Checkpoints hold everything a
-frozen-policy evaluation needs; replay contents are deliberately not
-persisted.
+fills the estimator's arrays() in place. The env block must be the one
+the rebuilt env writes, so dump_agent(load_agent(b)) == b for every b
+that loads. Any version but 3 is rejected: an older file is regenerated
+by re-running its config. Trailing bytes are rejected, and every
+malformed field raises ConfigError. Checkpoints hold what a frozen-policy
+evaluation needs and no replay memories, so a read agent is frozen.
 """
 from __future__ import annotations
 
@@ -177,7 +177,10 @@ def _load(r: _Reader):
         raise ConfigError(f"unknown agent kind {kind_id}")
     kind = KINDS[kind_id]
 
-    env = make_env(r.text(), r.text(), r.pack("I"))
+    name, layout, step_limit = r.text(), r.text(), r.pack("I")
+    env = make_env(name, layout, step_limit)
+    if (env.layout_text, env.step_limit) != (layout, step_limit):
+        raise ConfigError("environment block does not match the environment it rebuilds")
 
     if kind == "flat":
         if env.name != "chain":
@@ -206,6 +209,8 @@ def _load(r: _Reader):
         env,
         q1,
         q2,
+        None,  # no replay memories: a read agent is frozen
+        None,
         gamma=gamma,
         eps1=eps1,
         eps2=eps2,

@@ -28,6 +28,7 @@ from hdqn.checkpoint import dump_agent
 from hdqn.config import ExperimentConfig
 from hdqn.envs import make_env
 from hdqn.errors import ConfigError, DivergenceError
+from hdqn.replay import ReplayBuffer
 from hdqn.values import make_estimator
 
 
@@ -49,17 +50,17 @@ def build_agent(cfg: ExperimentConfig, seed: int, env):
     # A network draws its initial weights from the one INIT stream, q1 first.
     q1 = make_estimator(cfg.backend, env.n_states, env.n_actions, n_goals, *shared)
     q2 = make_estimator(cfg.backend, env.n_states, n_goals, None, *shared)
+    k = cfg.batch_size
+    d1 = ReplayBuffer(cfg.d1_capacity, k, cfg.d1_warmup, rng.stream(seed, rng.REPLAY_D1))
+    d2 = ReplayBuffer(cfg.d2_capacity, k, cfg.d2_warmup, rng.stream(seed, rng.REPLAY_D2))
     return HierarchicalAgent(
         env,
         q1,
         q2,
+        d1,
+        d2,
         seed=seed,
         gamma=cfg.gamma,
-        d1_capacity=cfg.d1_capacity,
-        d2_capacity=cfg.d2_capacity,
-        d1_warmup=cfg.d1_warmup,
-        d2_warmup=cfg.d2_warmup,
-        batch_size=cfg.batch_size,
         eps1=EpsilonSchedule(cfg.eps_floor, cfg.eps1_horizon),
         eps2=EpsilonSchedule(cfg.eps_floor, cfg.eps2_horizon),
         tracker_window=cfg.tracker_window,

@@ -1,9 +1,9 @@
 """Bounded FIFO experience memories with uniform minibatch sampling.
 
-Two disjoint memories exist at runtime: one holding per-step controller
-transitions, one holding per-option meta transitions. Each transition
-is stored as the four columns the estimators' update reads, formed by
-the agent at push time (hierarchical.py):
+Two disjoint memories, both built by harness.build_agent, hold per-step
+controller and per-option meta transitions; a checkpoint stores neither,
+so a read agent is frozen. Each transition is stored as the four columns
+the estimators' update reads, formed by the agent when it pushes:
 
 - cell, the flat index row * n_choices + a of the value being updated,
   where the controller's row is state * n_goals + goal and its choice a
@@ -71,17 +71,20 @@ class ReplayBuffer:
     """
 
     __slots__ = (
-        "capacity", "k", "cell", "row_next", "r", "disc",
+        "capacity", "k", "warmup", "cell", "row_next", "r", "disc",
         "_gen", "_u", "_n", "_j", "_pushes", "_bpush", "_block",
     )
 
-    def __init__(self, capacity: int, k: int, gen: np.random.Generator):
+    def __init__(self, capacity: int, k: int, warmup: int, gen: np.random.Generator):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if k <= 0:
             raise ValueError(f"minibatch size must be positive, got {k}")
+        if not 1 <= warmup <= capacity:
+            raise ValueError(f"warm-up must be in [1, capacity = {capacity}], got {warmup}")
         self.capacity = capacity
         self.k = k
+        self.warmup = warmup  # rows held before the level it serves trains, 1 to capacity
         self.cell = np.zeros(capacity, dtype=np.int32)
         self.row_next = np.zeros(capacity, dtype=np.int32)
         self.r = np.zeros(capacity)

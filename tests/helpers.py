@@ -5,6 +5,8 @@ import numpy as np
 
 from hdqn import rng
 from hdqn.agents import HierarchicalAgent
+from hdqn.config import ExperimentConfig
+from hdqn.replay import ReplayBuffer
 from hdqn.values import MlpQ, make_estimator
 
 
@@ -16,17 +18,25 @@ def hdqn_agent(
     learning_rate: float = 0.00025,
     hidden: int = 64,
     target_sync: int = 1000,
+    d1_capacity: int = ExperimentConfig.d1_capacity,
+    d2_capacity: int = ExperimentConfig.d2_capacity,
+    d1_warmup: int = ExperimentConfig.d1_warmup,
+    d2_warmup: int = ExperimentConfig.d2_warmup,
+    batch_size: int = ExperimentConfig.batch_size,
     **kwargs,
 ) -> HierarchicalAgent:
     """A HierarchicalAgent for env around fresh estimators of the named
-    backend, made as harness.build_agent makes them: a network draws its
-    initial weights from the seed's INIT stream, q1 first. kwargs go to
-    the agent."""
+    backend and fresh replay rings, made as harness.build_agent makes
+    them: a network draws its initial weights from the seed's INIT
+    stream, q1 first, and each ring its uniforms from its own stream.
+    The ring settings default to the config's; kwargs go to the agent."""
     n_goals = len(env.goal_names)
     shared = (learning_rate, hidden, target_sync, rng.stream(seed, rng.INIT))
     q1 = make_estimator(backend, env.n_states, env.n_actions, n_goals, *shared)
     q2 = make_estimator(backend, env.n_states, n_goals, None, *shared)
-    return HierarchicalAgent(env, q1, q2, seed=seed, **kwargs)
+    d1 = ReplayBuffer(d1_capacity, batch_size, d1_warmup, rng.stream(seed, rng.REPLAY_D1))
+    d2 = ReplayBuffer(d2_capacity, batch_size, d2_warmup, rng.stream(seed, rng.REPLAY_D2))
+    return HierarchicalAgent(env, q1, q2, d1, d2, seed=seed, **kwargs)
 
 
 def keydoor_state(

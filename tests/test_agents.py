@@ -99,8 +99,8 @@ def test_keydoor_rings_store_the_update_columns():
     env.reset, env.step = recording_reset, recording_step
     env_gen = rng.stream(2, rng.ENV)
     traces = [agent.run_episode(env_gen) for _ in range(30)]
-    assert len(agent.d1) == len(steps) > 2 * agent.d1_warmup
-    assert len(agent.d2) > 2 * agent.d2_warmup
+    assert len(agent.d1) == len(steps) > 2 * agent.d1.warmup
+    assert len(agent.d2) > 2 * agent.d2.warmup
     assert np.any(agent.q1.table != 0.0) and np.any(agent.q2.table != 0.0)
 
     d1, d2 = stored_controller(agent), stored(agent.d2)

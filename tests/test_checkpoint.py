@@ -500,13 +500,16 @@ def test_unknown_backend_rejected():
 
 
 def assert_loads_or_config_error(blob: bytes, positions) -> None:
+    """Each damaged byte either raises ConfigError or loads an agent that
+    dumps back to exactly the damaged bytes."""
     for pos in positions:
         for value in (0x00, 0xFF, blob[pos] ^ 0x01):
             damaged = blob[:pos] + bytes([value]) + blob[pos + 1 :]
             try:
-                load_agent(damaged)
+                agent, env, _ = load_agent(damaged)
             except ConfigError:
-                pass
+                continue
+            assert dump_agent(agent, env) == damaged, f"byte {pos} set to {value:#04x}"
         with pytest.raises(ConfigError):
             load_agent(blob[:pos])
 

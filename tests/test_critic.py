@@ -127,7 +127,7 @@ def test_loops_read_the_table_and_call_neither_critic_nor_env(env, monkeypatch):
     traces = [agent.run_episode(env_gen, phase) for phase in ("pretrain",) * 5 + ("joint",) * 5]
     traces.append(agent.eval_episode(0.5, rng.stream(0, rng.EVAL), rng.stream(1, rng.EVAL)))
     assert agent.critic.hits is hits
-    assert len(agent.d2) > agent.d2_warmup
+    assert len(agent.d2) > agent.d2.warmup
     assert any(ok for tr in traces for ok in tr.goal_successes)
 
 

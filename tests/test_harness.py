@@ -208,6 +208,31 @@ def test_checkpoint_on_disk_is_loadable(tmp_path):
     assert agent.primitive_steps > 0
 
 
+@pytest.mark.parametrize("config", [tiny_chain_config, tiny_keydoor_config])
+def test_build_agent_builds_both_rings_from_the_config(config):
+    cfg = config(d1_capacity=500, d2_capacity=300, d1_warmup=20, d2_warmup=7, batch_size=5)
+    agent = build_agent(cfg, 0, build_env(cfg))
+    assert (agent.d1.capacity, agent.d1.k, agent.d1.warmup) == (500, 5, 20)
+    assert (agent.d2.capacity, agent.d2.k, agent.d2.warmup) == (300, 5, 7)
+
+
+def test_a_read_agent_is_frozen():
+    """A checkpoint holds no replay memories, so a read agent has none:
+    run_episode raises before it changes any state, and the agent still
+    evaluates."""
+    cfg = tiny_chain_config(seeds=(0,))
+    agent, _, _ = load_agent(run_seed(cfg, 0).checkpoint)
+    assert agent.d1 is None and agent.d2 is None
+    state = (agent.primitive_steps, agent.completed_options, agent.tracker.dump())
+    assert state[0] > 0
+    for phase in ("pretrain", "joint"):
+        with pytest.raises(ValueError, match="frozen"):
+            agent.run_episode(rng.stream(0, rng.ENV), phase)
+    assert (agent.primitive_steps, agent.completed_options, agent.tracker.dump()) == state
+    summary = evaluate_policy(agent, episodes=4, epsilon=0.1)
+    assert summary.episodes == 4 and summary.goal_success
+
+
 def test_flat_experiment(tmp_path):
     cfg = tiny_chain_config(agent="flat", out_dir=str(tmp_path))
     run_experiment(cfg)

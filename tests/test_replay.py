@@ -11,7 +11,7 @@ from reference_agent import Ring
 
 
 def ring(capacity, k=32, seed=0):
-    return ReplayBuffer(capacity, k, rng.stream(seed, rng.REPLAY_D1))
+    return ReplayBuffer(capacity, k, 1, rng.stream(seed, rng.REPLAY_D1))
 
 
 def push_numbered(buf, i):
@@ -53,6 +53,17 @@ def test_capacity_must_be_positive():
 def test_minibatch_size_must_be_positive(k):
     with pytest.raises(ValueError, match="minibatch size"):
         ring(4, k)
+
+
+def test_warmup_must_lie_between_one_and_the_capacity():
+    """A ring owns its warm-up: one below 1 would train from an empty
+    ring, and one above the capacity is never reached."""
+    gen = rng.stream(0, rng.REPLAY_D1)
+    for warmup in (0, -1, 11):
+        with pytest.raises(ValueError, match="warm-up"):
+            ReplayBuffer(10, 4, warmup, gen)
+    for warmup in (1, 10):
+        assert ReplayBuffer(10, 4, warmup, gen).warmup == warmup
 
 
 def test_sample_with_replacement_from_singleton():
@@ -97,7 +108,7 @@ def test_sampling_uniformity_chi_square():
     rings share one stream, so the small draws take the uniforms after
     the large one's."""
     gen = rng.stream(0, rng.REPLAY_D1)
-    large_ring, small_ring = ReplayBuffer(10, 100_000, gen), ReplayBuffer(10, 32, gen)
+    large_ring, small_ring = ReplayBuffer(10, 100_000, 1, gen), ReplayBuffer(10, 32, 1, gen)
     for i in range(10):
         push_numbered(large_ring, i)
         push_numbered(small_ring, i)
